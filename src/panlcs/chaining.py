@@ -9,16 +9,22 @@ same order, across vertices ``b``'s vertex must be reachable from ``a``'s.
 Chaining builds one DAG node per seed with arcs for every strictly ordered
 pair, then solves a vertex-weighted longest path: seed lengths as weights
 maximize total matched characters, unit weights maximize the seed count.
+The arcs come from the same vectorized dense pair scan that builds the lcs
+product DAG (:func:`panlcs.daglp.interval_arcs`; a character match is a
+length-one seed), so the cost is K^2 cells for K seeds.
+:func:`strictly_precedes` is the scalar form of that rule, used to
+re-check emitted chains.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .daglp import MatchDag, longest_path_vertex
+from .daglp import MatchDag, interval_arcs, longest_path_vertex
 from .graph import PangenomeGraph, ReachMatrix, reachability
 
 
@@ -26,7 +32,7 @@ class SeedError(ValueError):
     """A seed is malformed or inconsistent with the instance it refers to."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: MEM sets run to 10^5 seeds
 class Seed:
     """An exact match: vertex id, inclusive label interval ``[i, i2]``, and
     inclusive query interval ``[j, j2]`` of equal length.
@@ -49,6 +55,8 @@ class Seed:
             raise SeedError(f"seed {self._brief()}: empty or reversed interval")
         if self.i2 - self.i != self.j2 - self.j:
             raise SeedError(f"seed {self._brief()}: label and query intervals differ in length")
+        if max(self.i2, self.j2) >= 1 << 63:  # the seed DAG holds bounds as int64
+            raise SeedError(f"seed {self._brief()}: interval bound exceeds 2**63 - 1")
 
     def _brief(self) -> str:
         return f"({self.vertex!r}, [{self.i},{self.i2}], [{self.j},{self.j2}])"
@@ -131,19 +139,17 @@ def build_seed_graph(
     query: bytes | None = None,
 ) -> MatchDag:
     """One DAG node per seed (weight = seed length, or 1 when
-    ``unit_weights``), one arc per strictly ordered pair."""
+    ``unit_weights``), one arc per strictly ordered pair, found by the
+    same :func:`interval_arcs` scan that builds the lcs product DAG."""
     for seed in seeds:
         seed.validate(graph, query)
-    weights = [1 if unit_weights else seed.length for seed in seeds]
-    arcs = [
-        (x, y)
-        for x, a in enumerate(seeds)
-        for y, b in enumerate(seeds)
-        if x != y and strictly_precedes(a, b, reach)
-    ]
+    cols = np.array(
+        [(graph.vertex_index(s.vertex), s.i, s.i2, s.j, s.j2) for s in seeds], dtype=np.int64
+    ).reshape(-1, 5)
+    vert, i, i2, j, j2 = cols.T
     return MatchDag(
-        weights=np.asarray(weights, dtype=np.int64),
-        arcs=np.asarray(arcs, dtype=np.int64).reshape(-1, 2),
+        weights=np.ones(len(seeds), dtype=np.int64) if unit_weights else i2 - i + 1,
+        arcs=interval_arcs(j, j2, vert, i, i2, reach.matrix),
         payloads=tuple(seeds),
     )
 
@@ -195,30 +201,38 @@ def solve_msp(
 # ---------------------------------------------------------------------------
 
 
+def parse_seed_line(tokens: Sequence[str], lineno: int, maximal: bool = False) -> Seed:
+    """One `<vertex> <i> <i'> <j> <j'>` record, already split into tokens;
+    errors name ``lineno``."""
+    if len(tokens) != 5:
+        raise SeedError(f"line {lineno}: expected `<vertex> <i> <i'> <j> <j'>`")
+    try:
+        return Seed(tokens[0], *[int(t) for t in tokens[1:]], maximal=maximal)
+    except SeedError as exc:
+        raise SeedError(f"line {lineno}: {exc}") from None
+    except ValueError:
+        raise SeedError(f"line {lineno}: interval bounds must be integers") from None
+
+
 def parse_seeds(text: bytes | str, maximal: bool = False) -> tuple[Seed, ...]:
-    """Parse `<vertex-id> <i> <i'> <j> <j'>` lines (inclusive bounds);
+    """Parse `<vertex> <i> <i'> <j> <j'>` lines (inclusive bounds);
     ``#`` comment lines are ignored."""
     if isinstance(text, bytes):
         text = text.decode("latin-1")
     seeds: list[Seed] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 5:
-            raise SeedError(f"line {lineno}: expected `<vertex> <i> <i'> <j> <j'>`")
-        try:
-            bounds = [int(t) for t in tokens[1:]]
-        except ValueError:
-            raise SeedError(f"line {lineno}: interval bounds must be integers") from None
-        seeds.append(Seed(tokens[0], *bounds, maximal=maximal))
+        if line and not line.startswith("#"):
+            seeds.append(parse_seed_line(line.split(), lineno, maximal))
     return tuple(seeds)
 
 
 def format_seeds(seeds: Iterable[Seed]) -> str:
     """Render seeds in the TSV format accepted by :func:`parse_seeds`."""
-    return "".join(f"{s.vertex}\t{s.i}\t{s.i2}\t{s.j}\t{s.j2}\n" for s in seeds)
+    out = io.StringIO()  # grows one buffer; a join would hold every line at once
+    for s in seeds:
+        out.write(f"{s.vertex}\t{s.i}\t{s.i2}\t{s.j}\t{s.j2}\n")
+    return out.getvalue()
 
 
 def drop_maximal_flags(seeds: Iterable[Seed]) -> tuple[Seed, ...]:

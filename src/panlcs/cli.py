@@ -17,8 +17,9 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
-from .chaining import Chain, SeedError, parse_seeds, solve_memc, solve_msp
+from .chaining import Chain, Seed, SeedError, format_seeds, parse_seeds, solve_memc, solve_msp
 from .daglp import CycleError, DagError, longest_path_edge, longest_path_vertex, parse_dag
 from .fglcs import GapParams, solve_fglcs_sg
 from .generate import GenProfile, Instance, generate_instance, instance_to_tsv, parse_instance
@@ -47,8 +48,10 @@ class UsageError(ValueError):
 
 
 def _read(path: str) -> str:
+    """The bytes of ``path`` (or stdin for ``-``) as one latin-1 code point
+    each, so every channel yields the same bytes."""
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read().decode("latin-1")
     return Path(path).read_text(encoding="latin-1")
 
 
@@ -61,7 +64,7 @@ def _load_instance(args: argparse.Namespace) -> Instance:
 
 def _resolve_query(args: argparse.Namespace, instance: Instance) -> bytes:
     if getattr(args, "query", None) is not None:
-        return args.query.encode("latin-1")
+        return os.fsencode(args.query)  # the argument's bytes as given
     if getattr(args, "query_file", None) is not None:
         return _read(args.query_file).rstrip("\r\n").encode("latin-1")
     if instance.query is not None:
@@ -140,17 +143,30 @@ def _output_mode(args: argparse.Namespace) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _load_seeds(args: argparse.Namespace, instance: Instance) -> tuple[Seed, ...]:
+    if args.seeds is not None:
+        return parse_seeds(_read(args.seeds))
+    if instance.seeds:
+        return instance.seeds
+    raise UsageError("no seeds: pass --seeds or embed S lines in the instance")
+
+
+def _oracle_check(args: argparse.Namespace, score: int, oracle: Callable[[], int]) -> int:
+    """Under ``--oracle-check``, compare ``score`` with ``oracle()``."""
+    if args.oracle_check:
+        expected = oracle()
+        if score != expected:
+            print(f"oracle mismatch: solver {score}, oracle {expected}", file=sys.stderr)
+            return EXIT_MISMATCH
+    return EXIT_OK
+
+
 def _cmd_lcs(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     query = _resolve_query(args, instance)
     alignment = solve_lcs_sg(query, instance.graph)
     _emit(_alignment_record("lcs-sg", alignment), _output_mode(args))
-    if args.oracle_check:
-        expected = lcs_sg_bruteforce(query, instance.graph)
-        if alignment.score != expected:
-            print(f"oracle mismatch: solver {alignment.score}, oracle {expected}", file=sys.stderr)
-            return EXIT_MISMATCH
-    return EXIT_OK
+    return _oracle_check(args, alignment.score, lambda: lcs_sg_bruteforce(query, instance.graph))
 
 
 def _cmd_fglcs(args: argparse.Namespace) -> int:
@@ -159,42 +175,21 @@ def _cmd_fglcs(args: argparse.Namespace) -> int:
     gaps = GapParams(GapParams.parse_bound(args.k1), GapParams.parse_bound(args.k2))
     alignment = solve_fglcs_sg(query, instance.graph, gaps)
     _emit(_alignment_record("fglcs-sg", alignment), _output_mode(args))
-    if args.oracle_check:
-        expected = fglcs_bruteforce(query, instance.graph, gaps)
-        if alignment.score != expected:
-            print(f"oracle mismatch: solver {alignment.score}, oracle {expected}", file=sys.stderr)
-            return EXIT_MISMATCH
-    return EXIT_OK
+    return _oracle_check(args, alignment.score, lambda: fglcs_bruteforce(query, instance.graph, gaps))
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
-    if args.seeds is not None:
-        seeds = parse_seeds(_read(args.seeds))
-    elif instance.seeds:
-        seeds = instance.seeds
-    else:
-        raise UsageError("no seeds: pass --seeds or embed S lines in the instance")
-    query = None
-    if args.query is not None:
-        query = args.query.encode("latin-1")
-    elif instance.query is not None:
-        query = instance.query
+    seeds = _load_seeds(args, instance)
+    query = os.fsencode(args.query) if args.query is not None else instance.query
     if args.objective == "len":
         chain = solve_memc(seeds, instance.graph, query=query)
-        problem, score, expected = "memc", chain.length, None
-        if args.oracle_check:
-            expected = memc_bruteforce(seeds, instance.graph)
+        problem, score, brute = "memc", chain.length, memc_bruteforce
     else:
         chain = solve_msp(seeds, instance.graph, query=query)
-        problem, score, expected = "msp", chain.count, None
-        if args.oracle_check:
-            expected = msp_bruteforce(seeds, instance.graph)
+        problem, score, brute = "msp", chain.count, msp_bruteforce
     _emit(_chain_record(problem, chain), _output_mode(args))
-    if args.oracle_check and score != expected:
-        print(f"oracle mismatch: solver {score}, oracle {expected}", file=sys.stderr)
-        return EXIT_MISMATCH
-    return EXIT_OK
+    return _oracle_check(args, score, lambda: brute(seeds, instance.graph))
 
 
 def _cmd_lp(args: argparse.Namespace) -> int:
@@ -223,12 +218,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             gaps = GapParams(GapParams.parse_bound(args.k1), GapParams.parse_bound(args.k2))
             optimum = fglcs_bruteforce(query, instance.graph, gaps)
     else:
-        if args.seeds is not None:
-            seeds = parse_seeds(_read(args.seeds))
-        elif instance.seeds:
-            seeds = instance.seeds
-        else:
-            raise UsageError("no seeds: pass --seeds or embed S lines in the instance")
+        seeds = _load_seeds(args, instance)
         brute = memc_bruteforce if args.problem == "memc" else msp_bruteforce
         optimum = brute(seeds, instance.graph)
     print(optimum)
@@ -261,8 +251,7 @@ def _cmd_mems(args: argparse.Namespace) -> int:
         max_label_total=max(1, instance.graph.total_label_length),
         max_seeds=1 << 30,
     )
-    for seed in enumerate_mems(query, instance.graph, budget):
-        print(f"{seed.vertex}\t{seed.i}\t{seed.i2}\t{seed.j}\t{seed.j2}")
+    sys.stdout.write(format_seeds(enumerate_mems(query, instance.graph, budget)))
     return EXIT_OK
 
 

@@ -1,8 +1,10 @@
 """Longest-path dynamic programming on weighted DAGs.
 
-This module carries the shared DAG type every solver reduces to, a
-deterministic topological sort, and the two longest-path programs (edge
-weighted and vertex weighted) with parent-based path reconstruction.
+This module is the solving core every solver reduces to: the shared DAG
+type, the product-DAG arc rule over ordered interval pairs (a dense pair
+scan; character matches and seeds alike), a deterministic topological sort,
+and one longest-path program, vertex or edge weighted, with parent-based
+path reconstruction.
 
 Determinism contract: :func:`topo_sort` returns the lexicographically
 smallest topological order (smallest ready node index first), and both
@@ -123,21 +125,66 @@ class MatchDag:
     def n_arcs(self) -> int:
         return len(self.arcs)
 
+    def _csr(self, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """Arc order sorted by (``arcs[:, end]``, other endpoint) and its
+        indptr over nodes."""
+        order = np.lexsort((self.arcs[:, 1 - end], self.arcs[:, end]))
+        counts = np.bincount(self.arcs[:, end], minlength=self.n_nodes)
+        return np.concatenate([[0], np.cumsum(counts)]), order
+
     @cached_property
     def _out_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        # arcs sorted by (src, dst); indptr over sources
-        order = np.lexsort((self.arcs[:, 1], self.arcs[:, 0])) if self.n_arcs else np.array([], dtype=np.int64)
-        counts = np.bincount(self.arcs[:, 0], minlength=self.n_nodes) if self.n_arcs else np.zeros(self.n_nodes, dtype=np.int64)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return indptr, order
+        return self._csr(0)
 
     @cached_property
     def _in_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        # arcs sorted by (dst, src); indptr over destinations
-        order = np.lexsort((self.arcs[:, 0], self.arcs[:, 1])) if self.n_arcs else np.array([], dtype=np.int64)
-        counts = np.bincount(self.arcs[:, 1], minlength=self.n_nodes) if self.n_arcs else np.zeros(self.n_nodes, dtype=np.int64)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return indptr, order
+        return self._csr(1)
+
+
+def _pair_arcs(m: int, accept_block) -> np.ndarray:
+    """Dense scan over the ``m * m`` ordered node pairs; ``accept_block``
+    evaluates the arc predicate for a block of source rows against all
+    destinations.  Arcs come out sorted by (source, destination)."""
+    chunks: list[np.ndarray] = []
+    block = max(1, int(32_000_000 // max(m, 1)))
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        rows, cols = np.nonzero(accept_block(lo, hi))
+        if len(rows):
+            chunks.append(np.stack([rows + lo, cols], axis=1))
+    if not chunks:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.concatenate(chunks)
+
+
+def interval_arcs(
+    q_start: np.ndarray,
+    q_end: np.ndarray,
+    vert: np.ndarray,
+    label_start: np.ndarray,
+    label_end: np.ndarray,
+    reach: np.ndarray,
+) -> np.ndarray:
+    """Arcs between ordered interval pairs: the product-DAG arc rule.
+
+    Node ``x`` pins the inclusive query interval ``[q_start, q_end]`` to the
+    label interval ``[label_start, label_end]`` of vertex ``vert``; a
+    character match is the length-one case.  ``x -> y`` is an arc when
+    ``x`` ends before ``y`` starts on the query and, on the graph, also
+    before it within one shared vertex, or ``reach[vert[x], vert[y]]``
+    holds across vertices.
+    """
+
+    def accept(lo: int, hi: int) -> np.ndarray:
+        same = vert[lo:hi, None] == vert[None, :]
+        graph_ok = np.where(
+            same,
+            label_end[lo:hi, None] < label_start[None, :],
+            reach[vert[lo:hi, None], vert[None, :]],
+        )
+        return (q_end[lo:hi, None] < q_start[None, :]) & graph_ok
+
+    return _pair_arcs(len(q_start), accept)
 
 
 def topo_sort(dag: MatchDag) -> list[int]:
@@ -147,13 +194,9 @@ def topo_sort(dag: MatchDag) -> list[int]:
     :class:`CycleError` naming one back arc if the graph has a cycle.
     """
     n = dag.n_nodes
-    indeg = (
-        np.bincount(dag.arcs[:, 1], minlength=n)
-        if dag.n_arcs
-        else np.zeros(n, dtype=np.int64)
-    ).astype(np.int64)
+    indeg = np.bincount(dag.arcs[:, 1], minlength=n).astype(np.int64)
     indptr, order = dag._out_csr
-    dst_sorted = dag.arcs[order, 1] if dag.n_arcs else np.array([], dtype=np.int64)
+    dst_sorted = dag.arcs[order, 1]
 
     ready = [int(v) for v in np.flatnonzero(indeg == 0)]
     heapq.heapify(ready)
@@ -226,6 +269,39 @@ def _reconstruct(parent: np.ndarray, end: int) -> tuple[int, ...]:
     return tuple(path)
 
 
+def _longest_path(dag: MatchDag, node_w: np.ndarray, arc_w: np.ndarray | None) -> LongestPathResult:
+    """The DP behind both solvers: a node scores its own weight plus the best
+    in-neighbor score, plus the connecting arc's weight when ``arc_w`` is
+    given.  Without ``arc_w`` no per-arc array is built."""
+    order = topo_sort(dag)
+    n = dag.n_nodes
+    dist = node_w.astype(np.int64)  # always a fresh copy
+    parent = np.full(n, -1, dtype=np.int64)
+    if n == 0:
+        return LongestPathResult(0, (), dist, parent)
+    indptr, arc_order = dag._in_csr
+    src_sorted = dag.arcs[arc_order, 0]
+    w_sorted = None if arc_w is None else arc_w[arc_order]
+    taken_w = np.zeros(n, dtype=np.int64)  # weight of the arc into each node
+    for v in order:
+        lo, hi = indptr[v], indptr[v + 1]
+        if lo == hi:
+            continue
+        cand = dist[src_sorted[lo:hi]]
+        if w_sorted is not None:
+            cand += w_sorted[lo:hi]
+        k = int(np.argmax(cand))  # first max: smallest in-neighbor index wins
+        dist[v] = cand[k] + node_w[v]
+        parent[v] = src_sorted[lo + k]
+        if w_sorted is not None:
+            taken_w[v] = w_sorted[lo + k]
+    end = int(np.argmax(dist))
+    path = _reconstruct(parent, end)
+    score = int(dist[end])
+    assert score == int(node_w[list(path)].sum() + taken_w[list(path[1:])].sum())
+    return LongestPathResult(score, path, dist, parent)
+
+
 def longest_path_edge(dag: MatchDag) -> LongestPathResult:
     """Maximum-total-arc-weight path; isolated nodes score 0.
 
@@ -233,57 +309,12 @@ def longest_path_edge(dag: MatchDag) -> LongestPathResult:
     """
     if dag.n_arcs and dag.arc_weights is None:
         raise DagError("edge-weighted solving requires arc weights")
-    order = topo_sort(dag)
-    n = dag.n_nodes
-    dist = np.zeros(n, dtype=np.int64)
-    parent = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return LongestPathResult(0, (), dist, parent)
-    indptr, arc_order = dag._in_csr
-    src_sorted = dag.arcs[arc_order, 0] if dag.n_arcs else np.array([], dtype=np.int64)
-    w_sorted = (
-        dag.arc_weights[arc_order] if dag.n_arcs else np.array([], dtype=np.int64)
-    )
-    chosen_w = np.zeros(n, dtype=np.int64)
-    for v in order:
-        lo, hi = indptr[v], indptr[v + 1]
-        if lo == hi:
-            continue
-        cand = dist[src_sorted[lo:hi]] + w_sorted[lo:hi]
-        k = int(np.argmax(cand))  # first max: smallest in-neighbor index wins
-        dist[v] = cand[k]
-        parent[v] = src_sorted[lo + k]
-        chosen_w[v] = w_sorted[lo + k]
-    end = int(np.argmax(dist))
-    path = _reconstruct(parent, end)
-    score = int(dist[end])
-    assert score == sum(int(chosen_w[v]) for v in path[1:])
-    return LongestPathResult(score, path, dist, parent)
+    return _longest_path(dag, np.zeros(dag.n_nodes, dtype=np.int64), dag.arc_weights)
 
 
 def longest_path_vertex(dag: MatchDag) -> LongestPathResult:
     """Maximum-total-node-weight path; a single node scores its own weight."""
-    order = topo_sort(dag)
-    n = dag.n_nodes
-    dist = dag.weights.astype(np.int64).copy()
-    parent = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return LongestPathResult(0, (), dist, parent)
-    indptr, arc_order = dag._in_csr
-    src_sorted = dag.arcs[arc_order, 0] if dag.n_arcs else np.array([], dtype=np.int64)
-    for v in order:
-        lo, hi = indptr[v], indptr[v + 1]
-        if lo == hi:
-            continue
-        cand = dist[src_sorted[lo:hi]]
-        k = int(np.argmax(cand))
-        dist[v] = cand[k] + dag.weights[v]
-        parent[v] = src_sorted[lo + k]
-    end = int(np.argmax(dist))
-    path = _reconstruct(parent, end)
-    score = int(dist[end])
-    assert score == sum(int(dag.weights[v]) for v in path)
-    return LongestPathResult(score, path, dist, parent)
+    return _longest_path(dag, dag.weights, None)
 
 
 def parse_dag(text: bytes | str) -> MatchDag:

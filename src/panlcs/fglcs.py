@@ -15,20 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .daglp import MatchDag, longest_path_vertex
+from .daglp import MatchDag, _pair_arcs, longest_path_vertex
 from .graph import (
     CharDistMatrix,
     PangenomeGraph,
     build_char_graph,
     char_distances,
 )
-from .lcs import (
-    Alignment,
-    MatchPoint,
-    _pair_arcs,
-    alignment_from_path,
-    match_points,
-)
+from .lcs import Alignment, _match_dag, alignment_from_path, match_points
 
 
 @dataclass(frozen=True)
@@ -89,15 +83,7 @@ def build_gap_match_graph(
         inter_ok = np.isfinite(dist) & (dist <= k2)
         return query_ok & np.where(same, intra_ok, inter_ok)
 
-    arcs = _pair_arcs(qi, vert, accept)
-    payloads = tuple(
-        MatchPoint(int(i), int(u), int(f)) for i, u, f in zip(qi, vert, off)
-    )
-    return MatchDag(
-        weights=np.ones(len(qi), dtype=np.int64),
-        arcs=arcs,
-        payloads=payloads,
-    )
+    return _match_dag(qi, vert, off, _pair_arcs(len(qi), accept))
 
 
 def solve_fglcs_sg(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .chaining import Seed
+from .chaining import Seed, parse_seed_line
 from .graph import GraphError, PangenomeGraph, parse_graph
 from .oracle import OracleBudget, enumerate_mems
 
@@ -140,13 +140,7 @@ def parse_instance(text: bytes | str) -> Instance:
                 raise GraphError(f"line {lineno}: queries may not contain whitespace")
             query = tokens[1].encode("latin-1") if len(tokens) == 2 else b""
         elif tag == "S":
-            if len(tokens) != 6:
-                raise GraphError(f"line {lineno}: S lines need `S <vertex> <i> <i'> <j> <j'>`")
-            try:
-                bounds = [int(t) for t in tokens[2:]]
-            except ValueError:
-                raise GraphError(f"line {lineno}: seed bounds must be integers") from None
-            seeds.append(Seed(tokens[1], *bounds))
+            seeds.append(parse_seed_line(tokens[1:], lineno))
         else:
             raise GraphError(f"line {lineno}: unknown record tag {tag!r}")
     graph = parse_graph("\n".join(graph_lines), "tsv")

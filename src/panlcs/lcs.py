@@ -8,9 +8,10 @@ vertex label or on a vertex reachable through the graph.  Every path in the
 product graph then reads off a common subsequence, and a maximum-node path
 (unit node weights) is a longest one.
 
-The product graph is materialized explicitly with a dense scan over node
-pairs; cost grows with the square of the match count, which is the
-documented scaling behavior of this solver.
+The product graph is materialized explicitly with the dense pair scan of
+:func:`panlcs.daglp.interval_arcs`, which also builds the seed DAG of
+chaining (a match is a length-one seed); cost grows with the square of the
+match count, which is the documented scaling behavior of this solver.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .daglp import MatchDag, longest_path_vertex
-from .graph import CharDistMatrix, PangenomeGraph, ReachMatrix, reachability
+from .daglp import MatchDag, interval_arcs, longest_path_vertex
+from .graph import CharDistMatrix, PangenomeGraph, ReachMatrix, build_char_graph, reachability
 
 if TYPE_CHECKING:  # pragma: no cover
     from .fglcs import GapParams
@@ -119,35 +120,19 @@ EMPTY_ALIGNMENT = Alignment(0, b"", (), (), None)
 def match_points(query: bytes, graph: PangenomeGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All (query index, vertex, offset) character matches, as parallel
     arrays ordered by query index, then vertex, then offset."""
+    cg = build_char_graph(graph)
     q = np.frombuffer(query, dtype=np.uint8)
-    lengths = np.array([len(label) for label in graph.labels], dtype=np.int64)
-    starts = np.concatenate([[0], np.cumsum(lengths)])
-    chars = np.frombuffer(b"".join(graph.labels), dtype=np.uint8)
-    vert = np.repeat(np.arange(graph.n, dtype=np.int64), lengths)
-    off = np.arange(len(chars), dtype=np.int64) - starts[vert]
-    qi, ci = np.nonzero(q[:, None] == chars[None, :])
-    return qi.astype(np.int64), vert[ci], off[ci]
+    qi, ci = np.nonzero(q[:, None] == cg.chars[None, :])
+    return qi.astype(np.int64), cg.origin[ci], cg.offset[ci]
 
 
-def _pair_arcs(
-    qi: np.ndarray,
-    vert: np.ndarray,
-    accept_block,
-) -> np.ndarray:
-    """Dense scan over ordered node pairs; ``accept_block`` evaluates the
-    arc predicate for a block of source rows against all destinations."""
-    m = len(qi)
-    chunks: list[np.ndarray] = []
-    block = max(1, int(32_000_000 // max(m, 1)))
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        ok = accept_block(lo, hi)
-        rows, cols = np.nonzero(ok)
-        if len(rows):
-            chunks.append(np.stack([rows + lo, cols], axis=1))
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(chunks)
+def _match_dag(qi: np.ndarray, vert: np.ndarray, off: np.ndarray, arcs: np.ndarray) -> MatchDag:
+    """Unit-weight DAG over the matches ``(qi, vert, off)``, one
+    :class:`MatchPoint` payload per node."""
+    payloads = tuple(
+        MatchPoint(int(i), int(u), int(f)) for i, u, f in zip(qi, vert, off)
+    )
+    return MatchDag(weights=np.ones(len(qi), dtype=np.int64), arcs=arcs, payloads=payloads)
 
 
 def build_match_graph(
@@ -158,29 +143,10 @@ def build_match_graph(
     Nodes are all query/label character matches; an arc joins two matches
     when the query index strictly increases and the graph side either stays
     on one vertex with a strictly larger offset or moves to a reachable
-    other vertex.
+    other vertex: :func:`interval_arcs` with every interval of length one.
     """
     qi, vert, off = match_points(query, graph)
-    rmat = reach.matrix
-
-    def accept(lo: int, hi: int) -> np.ndarray:
-        same = vert[lo:hi, None] == vert[None, :]
-        graph_ok = np.where(
-            same,
-            off[lo:hi, None] < off[None, :],
-            rmat[vert[lo:hi, None], vert[None, :]],
-        )
-        return (qi[lo:hi, None] < qi[None, :]) & graph_ok
-
-    arcs = _pair_arcs(qi, vert, accept)
-    payloads = tuple(
-        MatchPoint(int(i), int(u), int(f)) for i, u, f in zip(qi, vert, off)
-    )
-    return MatchDag(
-        weights=np.ones(len(qi), dtype=np.int64),
-        arcs=arcs,
-        payloads=payloads,
-    )
+    return _match_dag(qi, vert, off, interval_arcs(qi, qi, vert, off, off, reach.matrix))
 
 
 def alignment_from_path(

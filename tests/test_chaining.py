@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from panlcs import (
@@ -11,6 +12,7 @@ from panlcs import (
     memc_bruteforce,
     msp_bruteforce,
     parse_graph,
+    parse_instance,
     parse_seeds,
     reachability,
     solve_memc,
@@ -24,10 +26,10 @@ from panlcs.chaining import format_seeds
 TWO_VERTEX = parse_graph("V u abcq\nV w abcq\nE u w\n")
 
 
-def random_seeds(rng, graph, count, max_j=8):
+def random_seeds(rng, graph, count, max_j=8, vertex=None):
     seeds = []
     for _ in range(count):
-        v = rng.randrange(graph.n)
+        v = rng.randrange(graph.n) if vertex is None else vertex
         label = graph.labels[v]
         i = rng.randrange(len(label))
         i2 = rng.randint(i, len(label) - 1)
@@ -48,6 +50,11 @@ class TestSeed:
     def test_negative_start_rejected(self):
         with pytest.raises(SeedError, match="negative"):
             Seed("u", -1, 0, -1, 0)
+
+    def test_bound_beyond_int64_rejected(self):
+        Seed("u", 0, 1, (1 << 63) - 2, (1 << 63) - 1)
+        with pytest.raises(SeedError, match="exceeds 2"):
+            Seed("u", 0, 1, (1 << 63) - 1, 1 << 63)
 
     def test_bounds_checked_against_graph(self):
         with pytest.raises(SeedError, match="exceeds"):
@@ -137,19 +144,21 @@ class TestBuildSeedGraph:
         with pytest.raises(SeedError):
             build_seed_graph((Seed("u", 0, 9, 0, 9),), TWO_VERTEX, r)
 
-    def test_arcs_equal_pairwise_rule(self):
-        rng = random.Random(13)
-        g = parse_graph("V a abab\nV b baba\nV c aabb\nE a b\nE b c\n")
-        r = reachability(g)
-        seeds = random_seeds(rng, g, 5)
-        dag = build_seed_graph(seeds, g, r)
+    @given(helpers.graphs(max_n=4, max_label=4, acyclic=False), st.integers(0, 2**32))
+    @settings(max_examples=60)
+    def test_arcs_equal_pairwise_rule(self, g, salt):
+        rng = random.Random(salt)
+        crowded = rng.randrange(g.n)  # several seeds share this vertex
+        seeds = list(random_seeds(rng, g, 4) + random_seeds(rng, g, 3, vertex=crowded))
+        rng.shuffle(seeds)
+        dag = build_seed_graph(seeds, g, reachability(g))
         expected = {
             (x, y)
             for x, a in enumerate(seeds)
             for y, b in enumerate(seeds)
             if x != y and helpers.seed_precedes_brute(a, b, g)
         }
-        assert set(map(tuple, dag.arcs.tolist())) == expected
+        assert dag.arcs.tolist() == sorted(map(list, expected))
 
     @given(helpers.graphs(max_n=4, max_label=4, acyclic=False))
     @settings(max_examples=40)
@@ -271,3 +280,9 @@ class TestSeedTsv:
     def test_non_integer_bounds(self):
         with pytest.raises(SeedError, match="integers"):
             parse_seeds("u 0 2 one 3\n")
+
+    def test_invalid_interval_names_its_line(self):
+        with pytest.raises(SeedError, match="line 2: .*reversed"):
+            parse_seeds("u 0 0 0 0\nu 2 1 0 0\n")
+        with pytest.raises(SeedError, match="line 3: .*reversed"):
+            parse_instance("V u ab\nS u 0 0 0 0\nS u 2 1 0 0\n")

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import pytest
 
@@ -17,8 +18,10 @@ def graph_file(tmp_path):
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
+    """Run the CLI; ``stdin`` (str or bytes) is fed as a byte stream, like a pipe."""
     if stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        data = stdin if isinstance(stdin, bytes) else stdin.encode()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -124,6 +127,46 @@ class TestFglcsCommand:
     def test_missing_file_exits_3(self, capsys):
         code, _, err = run(capsys, ["lcs", "--graph", "/nonexistent/g.tsv", "--query", "a"])
         assert code == 3
+
+
+class TestByteFidelity:
+    """Every input channel hands the solver the same bytes."""
+
+    GRAPH = b"V a \xc3\xa9x\nV b y\nE a b\n"  # label bytes c3 a9 78: UTF-8 "\u00e9x"
+    QUERY = b"\xc3\xa9xy"
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        graph, query = tmp_path / "g.tsv", tmp_path / "q.txt"
+        graph.write_bytes(self.GRAPH)
+        query.write_bytes(self.QUERY + b"\n")
+        return str(graph), str(query)
+
+    def score(self, capsys, argv, stdin=None, monkeypatch=None):
+        code, out, err = run(capsys, argv + ["--json"], stdin, monkeypatch)
+        assert code == 0, err
+        return json.loads(out)["score"]
+
+    def test_graph_on_stdin_scores_as_from_a_file(self, capsys, files, monkeypatch):
+        graph, query = files
+        assert self.score(capsys, ["lcs", "--graph", graph, "--query-file", query]) == 4
+        assert self.score(capsys, ["lcs", "--query-file", query], self.GRAPH, monkeypatch) == 4
+
+    def test_inline_query_keeps_its_bytes(self, capsys, files, tmp_path):
+        graph, _ = files
+        inline = os.fsdecode(self.QUERY)  # as sys.argv holds it
+        assert self.score(capsys, ["lcs", "--graph", graph, "--query", inline]) == 4
+        seeds = tmp_path / "s.tsv"
+        seeds.write_text("a 0 1 0 1\n")  # label bytes c3 a9 = query bytes 0..1
+        chain = ["chain", "--graph", graph, "--seeds", str(seeds), "--query", inline, "--objective", "len"]
+        assert self.score(capsys, chain) == 2
+
+    def test_non_utf8_label_byte_on_stdin(self, capsys, tmp_path, monkeypatch):
+        query = tmp_path / "q.txt"
+        query.write_bytes(b"\xe9xy\n")
+        graph = b"V a \xe9x\nV b y\nE a b\n"
+        assert self.score(capsys, ["lcs", "--query-file", str(query)], graph, monkeypatch) == 3
+        assert self.score(capsys, ["lcs", "--query", os.fsdecode(b"\xe9xy")], graph, monkeypatch) == 3
 
 
 class TestChainCommand:
