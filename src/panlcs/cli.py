@@ -107,29 +107,45 @@ def _chain_record(problem: str, chain: Chain) -> dict:
     }
 
 
+def _write(text: str) -> None:
+    """Write ``text`` to stdout as the bytes it stands for.
+
+    Labels, vertex ids and seed lines are read as one latin-1 code point
+    per input byte, so encoding with latin-1 gives the input bytes back
+    whatever the locale.  A stream without a byte layer (``io.StringIO``)
+    takes the text as it is."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()  # keep the order of anything written as text before
+    buffer.write(text.encode("latin-1"))
+    buffer.flush()  # show the record before any later work, as a line-buffered print would
+
+
 def _emit(record: dict, mode: str) -> None:
     if mode == "json":
-        print(json.dumps(record))
+        _write(json.dumps(record) + "\n")
         return
+    lines = []
     if mode == "tsv":
         for key, value in record.items():
             if isinstance(value, list):
                 for item in value:
-                    print("\t".join([key] + [str(v) for v in item.values()]))
+                    lines.append("\t".join([key] + [str(v) for v in item.values()]))
             else:
-                print(f"{key}\t{value}")
-        return
-    # human
-    for key, value in record.items():
-        if isinstance(value, list):
-            print(f"{key}:")
-            for item in value:
-                print("  " + "  ".join(f"{k}={v}" for k, v in item.items()))
-        else:
-            text = f"{key}: {value}"
-            if key == "score" and _color_enabled():
-                text = f"{key}: \x1b[32m{value}\x1b[0m"
-            print(text)
+                lines.append(f"{key}\t{value}")
+    else:  # human
+        for key, value in record.items():
+            if isinstance(value, list):
+                lines.append(f"{key}:")
+                for item in value:
+                    lines.append("  " + "  ".join(f"{k}={v}" for k, v in item.items()))
+            elif key == "score" and _color_enabled():
+                lines.append(f"{key}: \x1b[32m{value}\x1b[0m")
+            else:
+                lines.append(f"{key}: {value}")
+    _write("".join(line + "\n" for line in lines))
 
 
 def _output_mode(args: argparse.Namespace) -> str:
@@ -221,7 +237,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         seeds = _load_seeds(args, instance)
         brute = memc_bruteforce if args.problem == "memc" else msp_bruteforce
         optimum = brute(seeds, instance.graph)
-    print(optimum)
+    _write(f"{optimum}\n")
     return EXIT_OK
 
 
@@ -237,8 +253,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         max_seeds=args.max_seeds,
     )
     instance = generate_instance(args.seed, profile)
-    sys.stdout.write(f"# panlcs instance seed={args.seed}\n")
-    sys.stdout.write(instance_to_tsv(instance))
+    _write(f"# panlcs instance seed={args.seed}\n" + instance_to_tsv(instance))
     return EXIT_OK
 
 
@@ -251,7 +266,7 @@ def _cmd_mems(args: argparse.Namespace) -> int:
         max_label_total=max(1, instance.graph.total_label_length),
         max_seeds=1 << 30,
     )
-    sys.stdout.write(format_seeds(enumerate_mems(query, instance.graph, budget)))
+    _write(format_seeds(enumerate_mems(query, instance.graph, budget)))
     return EXIT_OK
 
 

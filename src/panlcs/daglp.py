@@ -1,10 +1,11 @@
 """Longest-path dynamic programming on weighted DAGs.
 
-This module is the solving core every solver reduces to: the shared DAG
-type, the product-DAG arc rule over ordered interval pairs (a dense pair
-scan; character matches and seeds alike), a deterministic topological sort,
-and one longest-path program, vertex or edge weighted, with parent-based
-path reconstruction.
+This module is the solving core of lcs, chaining and the fglcs reference
+construction (fglcs itself fills the same longest-path table row by row
+without arcs): the shared DAG type, the product-DAG arc rule over ordered
+interval pairs (a dense pair scan; character matches and seeds alike), a
+deterministic topological sort, and one longest-path program, vertex or
+edge weighted, with parent-based path reconstruction.
 
 Determinism contract: :func:`topo_sort` returns the lexicographically
 smallest topological order (smallest ready node index first), and both

@@ -1,12 +1,37 @@
 """Gap-bounded sequence-to-graph common subsequence solving.
 
-Same product-graph idea as the unconstrained solver, with two per-step
-bounds: consecutive matched query positions may differ by at most ``k1``,
-and the matched graph characters may be at most ``k2`` apart.  The graph
-side distance is the offset difference within one vertex, and otherwise the
-minimum arc count between the two characters in the character-split graph
-(a bounded-gap connection along some path exists exactly when the shortest
-one qualifies).
+Two per-step bounds apply: consecutive matched query positions may differ by
+at most ``k1``, and the matched graph characters may be at most ``k2`` apart.
+The graph-side distance is the offset difference within one vertex, and
+otherwise the minimum arc count between the two characters in the
+character-split graph (a bounded-gap connection along some path exists
+exactly when the shortest one qualifies).
+
+The paper's reduction is a product DAG over the character matches, with an
+arc wherever both bounds hold; :func:`build_gap_match_graph` builds it (a
+dense pair scan over a dense :func:`~panlcs.graph.char_distances` matrix)
+and stays as the reference construction.  :func:`solve_fglcs_sg` computes
+that DAG's longest-path table directly instead, one query row at a time:
+
+* cell ``(j, c)`` of the table, for query position ``j`` and character node
+  ``c``, holds the longest chain ending by matching ``j`` to ``c`` (0 where
+  the characters differ);
+* a row is ``1 +`` the per-character maximum, over the predecessor
+  relation, of the maxima of the previous ``k1`` rows (a running maximum
+  when ``k1`` is unbounded);
+* with finite ``k2`` the predecessors of ``c`` are the characters whose
+  breadth-first ball of radius ``k2`` holds ``c``
+  (:meth:`~panlcs.graph.CharGraph.ball_pairs`), minus the characters of
+  the same vertex at the same or a later offset (reached around a cycle);
+  with unbounded ``k2`` they are the earlier offsets of the same vertex and
+  every character of another vertex that reaches this one.
+
+Walking back from the first row-major maximum to the first row-major
+predecessor cell one lower reproduces the product DAG's smallest-index
+tie-break, so the emitted alignment is the one the reference construction
+gives.  Cost: O(|Q| * (N + ball pairs)) time, or O(|Q| * (N + V^2)) with
+unbounded ``k2``, and a |Q| x N table of the narrowest sufficient integer
+type, for N label characters and V vertices.
 """
 
 from __future__ import annotations
@@ -15,14 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .daglp import MatchDag, _pair_arcs, longest_path_vertex
-from .graph import (
-    CharDistMatrix,
-    PangenomeGraph,
-    build_char_graph,
-    char_distances,
-)
-from .lcs import Alignment, _match_dag, alignment_from_path, match_points
+from .daglp import MatchDag, _pair_arcs
+from .graph import CharDistMatrix, CharGraph, PangenomeGraph, build_char_graph, reachability
+from .lcs import Alignment, MatchPoint, _match_dag, alignment_from_points, match_points
 
 
 @dataclass(frozen=True)
@@ -86,6 +106,93 @@ def build_gap_match_graph(
     return _match_dag(qi, vert, off, _pair_arcs(len(qi), accept))
 
 
+class _BallRelation:
+    """Predecessors for a finite ``k2``: character pairs at most ``k2`` arcs
+    apart that do not step backwards (or stay put) on one vertex."""
+
+    def __init__(self, cg: CharGraph, k2: int):
+        src, dst = cg.ball_pairs(k2)
+        keep = (cg.origin[src] != cg.origin[dst]) | (cg.offset[src] < cg.offset[dst])
+        self.src = src[keep]
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(dst[keep], minlength=cg.node_count))])
+        self.targets = np.flatnonzero(np.diff(self.indptr))
+
+    def best(self, window: np.ndarray) -> np.ndarray:
+        """Per character, the maximum of ``window`` over its predecessors."""
+        out = np.zeros_like(window)
+        if len(self.src):
+            out[self.targets] = np.maximum.reduceat(window[self.src], self.indptr[self.targets])
+        return out
+
+    def sources(self, c: int) -> np.ndarray:
+        """The predecessors of character ``c``, ascending."""
+        return self.src[self.indptr[c] : self.indptr[c + 1]]
+
+
+class _ReachRelation:
+    """Predecessors for an unbounded ``k2``: earlier offsets of the same
+    vertex, and every character of another vertex that reaches this one."""
+
+    def __init__(self, graph: PangenomeGraph, cg: CharGraph):
+        self.cg = cg
+        self.reach = reachability(graph).matrix.copy()
+        np.fill_diagonal(self.reach, False)
+        self.lifted = cg.origin << 32  # separates the vertices in one running maximum
+
+    def best(self, window: np.ndarray) -> np.ndarray:
+        cg = self.cg
+        inclusive = np.maximum.accumulate(self.lifted + window) - self.lifted
+        earlier = np.where(cg.offset > 0, np.roll(inclusive, 1), 0)
+        per_vertex = inclusive[cg.starts[1:] - 1]
+        across = np.max(self.reach * per_vertex[:, None], axis=0, initial=0)
+        return np.maximum(earlier, across[cg.origin]).astype(window.dtype)
+
+    def sources(self, c: int) -> np.ndarray:
+        cg = self.cg
+        u = cg.origin[c]
+        return np.flatnonzero(((cg.origin == u) & (cg.offset < cg.offset[c])) | self.reach[cg.origin, u])
+
+
+_Relation = _BallRelation | _ReachRelation
+
+
+def _fill_table(q: np.ndarray, cg: CharGraph, k1: int | None, relation: _Relation) -> np.ndarray:
+    """The longest-chain table, row by row.  The maximum over the last
+    ``k1`` rows combines the suffix maxima of the last complete block of
+    ``k1`` rows with the running maximum of the current block, so a row
+    costs O(N) whatever ``k1`` is."""
+    m, n = len(q), cg.node_count
+    table = np.zeros((m, n), dtype=np.min_scalar_type(m))
+    span = m if k1 is None else k1
+    running = np.zeros(n, dtype=table.dtype)
+    suffix = None
+    for j in range(m):
+        if j and j % span == 0:
+            suffix = np.maximum.accumulate(table[j - span : j][::-1], axis=0)[::-1]
+            running = np.zeros(n, dtype=table.dtype)
+        match = cg.chars == q[j]
+        if match.any():
+            window = running if suffix is None else np.maximum(suffix[j % span], running)
+            table[j] = np.where(match, relation.best(window) + 1, 0)
+            np.maximum(running, table[j], out=running)
+    return table
+
+
+def _trace_back(table: np.ndarray, cg: CharGraph, k1: int | None, relation: _Relation) -> list[MatchPoint]:
+    """The chain ending at the first row-major maximum, each parent the first
+    row-major predecessor cell holding one less: the product DAG's
+    smallest-index tie-break."""
+    j, c = divmod(int(np.argmax(table)), cg.node_count)
+    cells = [(j, c)]
+    for value in range(int(table[j, c]) - 1, 0, -1):
+        cols = relation.sources(c)
+        lo = 0 if k1 is None else max(0, j - k1)
+        first = int(np.argmax(table[lo:j, cols] == value))
+        j, c = lo + first // len(cols), int(cols[first % len(cols)])
+        cells.append((j, c))
+    return [MatchPoint(j, int(cg.origin[c]), int(cg.offset[c])) for j, c in reversed(cells)]
+
+
 def solve_fglcs_sg(
     query: bytes,
     graph: PangenomeGraph,
@@ -97,15 +204,21 @@ def solve_fglcs_sg(
 
     The returned alignment records the realized (query gap, graph gap) of
     every consecutive pair; both are validated against the bounds before
-    returning.  ``char_dist`` may be passed to reuse the character-distance
-    preprocessing across queries.
+    returning.  Graph gaps come from ``char_dist`` when it is given and
+    from breadth-first search otherwise; the alignment is the same.
     """
-    if char_dist is None:
-        char_dist = char_distances(build_char_graph(graph))
-    dag = build_gap_match_graph(query, graph, gaps, char_dist)
-    if dag.n_nodes == 0:
+    cg = build_char_graph(graph)
+    q = np.frombuffer(query, dtype=np.uint8)
+    # a bound no step can exceed is no bound
+    k1 = None if gaps.k1 is None or gaps.k1 >= len(q) - 1 else gaps.k1
+    if gaps.k2 is None or gaps.k2 >= cg.node_count - 1:
+        relation: _Relation = _ReachRelation(graph, cg)
+    else:
+        relation = _BallRelation(cg, gaps.k2)
+    table = _fill_table(q, cg, k1, relation)
+    if not table.any():
         return Alignment(0, b"", (), (), gaps=())
-    result = longest_path_vertex(dag)
-    alignment = alignment_from_path(query, graph, dag, result.path, char_dist=char_dist)
-    alignment.validate(query, graph, gap_params=gaps, char_dist=char_dist)
+    distances = cg if char_dist is None else char_dist
+    alignment = alignment_from_points(query, graph, _trace_back(table, cg, k1, relation), distances)
+    alignment.validate(query, graph, gap_params=gaps, char_dist=distances)
     return alignment

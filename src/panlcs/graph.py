@@ -1,21 +1,24 @@
-"""Pangenome graph data model, parsers, and all-pairs preprocessing.
+"""Pangenome graph data model, parsers, and graph-side preprocessing.
 
 A pangenome graph is a directed graph whose vertices carry non-empty byte
 labels.  A path through the graph "spells" the concatenation of its vertex
 labels, and those spelled strings are the graph-side sequences that the
 solver modules align queries against.
 
-Two preprocessing products are computed here because every solver needs one
-of them:
+Preprocessing products computed here:
 
 * :func:`reachability` -- dense vertex-to-vertex reachability (a directed
-  path of at least one edge), via Floyd-Warshall on the adjacency matrix.
+  path of at least one edge), via Floyd-Warshall on the adjacency matrix;
+  lcs, chaining and unbounded-gap fglcs use it.
+* :func:`build_char_graph` -- the character-split graph, one node per label
+  character.  It answers bounded distance questions by breadth-first
+  search: :meth:`CharGraph.ball_pairs` lists every node pair at most ``r``
+  arcs apart (the predecessor relation of gap-bounded fglcs) and
+  :meth:`CharGraph.distance_vf` gives one pair's minimum arc count.
 * :func:`char_distances` -- dense all-pairs minimum arc counts on the
-  character-split graph (:func:`build_char_graph`), via Floyd-Warshall.
-
-Both matrices are dense by design; memory grows quadratically in the vertex
-count and in the total label length respectively, which is the intended
-scaling limit of this library.
+  character-split graph, via Floyd-Warshall: cubic time and quadratic memory
+  in the total label length.  No solver needs it; it backs the reference
+  product-DAG construction of fglcs and the tests.
 
 Labels are raw bytes and all comparisons are exact byte equality.
 """
@@ -278,6 +281,76 @@ class CharGraph:
     def node_id(self, vertex: int, offset: int) -> int:
         return int(self.starts[vertex]) + offset
 
+    @cached_property
+    def _successors(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR adjacency: the successors of node ``a`` are
+        ``targets[indptr[a]:indptr[a + 1]]``."""
+        order = np.argsort(self.arcs[:, 0], kind="stable")
+        counts = np.bincount(self.arcs[:, 0], minlength=self.node_count)
+        return np.concatenate([[0], np.cumsum(counts)]), self.arcs[order, 1]
+
+    def ball_pairs(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every ordered node pair ``(src, dst)`` whose minimum arc count is
+        between 1 and ``radius``, sorted by ``dst`` and then ``src``.
+
+        A breadth-first search from every node at once, one round per
+        depth over the (source, node) pairs first reached at the previous
+        depth; it suits small radii, and the pair count is the size of all
+        radius-``radius`` balls together."""
+        n = self.node_count
+        indptr, targets = self._successors
+        src = node = np.arange(n, dtype=np.int64)
+        seen = src * n + node  # sorted (source, node) keys reached so far
+        found = []
+        for _ in range(radius):
+            degree = indptr[node + 1] - indptr[node]
+            if not degree.sum():
+                break
+            first = np.repeat(indptr[node] - (np.cumsum(degree) - degree), degree)
+            keys = _sorted_unique(np.repeat(src, degree) * n + targets[first + np.arange(len(first))])
+            keys = keys[seen[np.minimum(np.searchsorted(seen, keys), len(seen) - 1)] != keys]
+            if not len(keys):
+                break
+            found.append(keys)
+            # timsort merges the two sorted runs in linear time
+            seen = np.sort(np.concatenate([seen, keys]), kind="stable")
+            src, node = np.divmod(keys, n)
+        src, dst = np.divmod(np.concatenate(found), n) if found else (seen[:0], seen[:0])
+        order = np.lexsort((src, dst))
+        return src[order], dst[order]
+
+    def distance_vf(self, u: int, f: int, v: int, g: int) -> int | None:
+        """Minimum arc count from character ``(u, f)`` to ``(v, g)``, or
+        ``None`` if no path leads there; a breadth-first search that stops
+        at the target.  Interchangeable with
+        :meth:`CharDistMatrix.distance_vf`."""
+        src, dst = self.node_id(u, f), self.node_id(v, g)
+        if src == dst:
+            return 0
+        indptr, targets = self._successors
+        seen, frontier, depth = {src}, [src], 0
+        while frontier:
+            depth += 1
+            nxt = []
+            for a in frontier:
+                for b in targets[indptr[a] : indptr[a + 1]].tolist():
+                    if b == dst:
+                        return depth
+                    if b not in seen:
+                        seen.add(b)
+                        nxt.append(b)
+            frontier = nxt
+        return None
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` by sorting: numpy 2's hash-based ``np.unique`` runs
+    tens of times slower on the large key arrays of :meth:`CharGraph.ball_pairs`."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -368,7 +441,10 @@ class CharDistMatrix:
 
 
 def char_distances(char_graph: CharGraph) -> CharDistMatrix:
-    """All-pairs minimum arc counts via Floyd-Warshall on the split graph."""
+    """All-pairs minimum arc counts via Floyd-Warshall on the split graph.
+
+    The dense reference for :meth:`CharGraph.distance_vf` and
+    :meth:`CharGraph.ball_pairs`: cubic in the character count."""
     total = char_graph.node_count
     dist = np.full((total, total), np.inf)
     if total:

@@ -17,12 +17,12 @@ match count, which is the documented scaling behavior of this solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .daglp import MatchDag, interval_arcs, longest_path_vertex
-from .graph import CharDistMatrix, PangenomeGraph, ReachMatrix, build_char_graph, reachability
+from .graph import CharDistMatrix, CharGraph, PangenomeGraph, ReachMatrix, build_char_graph, reachability
 
 if TYPE_CHECKING:  # pragma: no cover
     from .fglcs import GapParams
@@ -62,12 +62,13 @@ class Alignment:
         graph: PangenomeGraph,
         reach: ReachMatrix | None = None,
         gap_params: "GapParams | None" = None,
-        char_dist: CharDistMatrix | None = None,
+        char_dist: CharDistMatrix | CharGraph | None = None,
     ) -> None:
         """Re-check every invariant against the instance; raise on violation.
 
         ``reach`` enables the cross-vertex ordering check; ``gap_params``
-        plus ``char_dist`` enable the gap-bound checks.
+        plus ``char_dist`` (any source of ``distance_vf``) enable the
+        gap-bound checks.
         """
         k = self.score
         if not (len(self.subsequence) == len(self.q_positions) == len(self.g_positions) == k):
@@ -154,11 +155,22 @@ def alignment_from_path(
     graph: PangenomeGraph,
     dag: MatchDag,
     path: tuple[int, ...],
-    char_dist: CharDistMatrix | None = None,
+    char_dist: CharDistMatrix | CharGraph | None = None,
 ) -> Alignment:
     """Read an alignment off a product-graph path, optionally recording the
     per-step (query gap, graph gap) pairs."""
-    points = [dag.payloads[v] for v in path]
+    return alignment_from_points(query, graph, [dag.payloads[v] for v in path], char_dist)
+
+
+def alignment_from_points(
+    query: bytes,
+    graph: PangenomeGraph,
+    points: Sequence[MatchPoint],
+    char_dist: CharDistMatrix | CharGraph | None = None,
+) -> Alignment:
+    """The alignment through ``points`` in order; with ``char_dist`` it
+    records each step's query gap and graph gap (the offset difference on
+    one vertex, the minimum arc count across vertices)."""
     q_positions = tuple(p.q_index for p in points)
     g_positions = tuple((graph.ids[p.vertex], p.offset) for p in points)
     subsequence = bytes(query[i] for i in q_positions)

@@ -265,6 +265,31 @@ def random_graph(
     return PangenomeGraph.from_items(vertices, edges)
 
 
+def bubble_chain(rng: random.Random, total: int) -> tuple[PangenomeGraph, bytes]:
+    """A path of backbone vertices, each followed by a two-branch bubble,
+    with ACGT labels of 3-12 characters and at least ``total`` characters in
+    all; returns the graph and the spelling of its source-to-sink path
+    through every first branch."""
+    vertices: list[tuple[str, bytes]] = []
+    edges: list[tuple[str, str]] = []
+    path: list[str] = []
+    ends: list[str] = []  # the previous bubble's branches
+
+    def add() -> str:
+        vid = f"v{len(vertices)}"
+        vertices.append((vid, bytes(rng.choice(b"ACGT") for _ in range(rng.randint(3, 12)))))
+        return vid
+
+    while sum(len(label) for _, label in vertices) < total:
+        backbone = add()
+        edges.extend((end, backbone) for end in ends)
+        ends = [add(), add()]
+        edges.extend((backbone, end) for end in ends)
+        path += [backbone, ends[0]]
+    graph = PangenomeGraph.from_items(vertices, edges)
+    return graph, b"".join(graph.label_of(vid) for vid in path)
+
+
 def random_query(rng: random.Random, max_len: int = 8, alphabet: int = 3) -> bytes:
     letters = b"abcdefgh"[:alphabet]
     return bytes(rng.choice(letters) for _ in range(rng.randint(0, max_len)))

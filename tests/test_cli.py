@@ -169,6 +169,54 @@ class TestByteFidelity:
         assert self.score(capsys, ["lcs", "--query", os.fsdecode(b"\xe9xy")], graph, monkeypatch) == 3
 
 
+class TestByteFaithfulText:
+    """Non-JSON output gives the input bytes back unchanged."""
+
+    GRAPH = b"V \xe9v abab\nV w ba\nE \xe9v w\n"  # vertex id byte e9 is not UTF-8
+
+    @pytest.fixture()
+    def graph(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_bytes(self.GRAPH)
+        return str(path)
+
+    def out(self, capsysbinary, argv):
+        code = main(argv)
+        captured = capsysbinary.readouterr()
+        assert code == 0, captured.err
+        return captured.out
+
+    @pytest.mark.parametrize("mode", ["tsv", "human"])
+    def test_vertex_id_bytes_round_trip(self, capsysbinary, graph, mode):
+        out = self.out(capsysbinary, ["lcs", "--graph", graph, "--query", "abba", "--output", mode])
+        assert b"\xe9v" in out and b"\xc3" not in out
+
+    def test_label_bytes_in_subsequence(self, capsysbinary, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_bytes(b"V a \xe9x\n")
+        out = self.out(capsysbinary, ["lcs", "--graph", str(path), "--query", os.fsdecode(b"\xe9x"), "--output", "tsv"])
+        assert b"subsequence\t\xe9x\n" in out
+
+    def test_mems_output_feeds_chain(self, capsysbinary, graph, tmp_path):
+        seeds = tmp_path / "s.tsv"
+        seeds.write_bytes(self.out(capsysbinary, ["mems", "--graph", graph, "--query", "abba"]))
+        out = self.out(capsysbinary, ["chain", "--graph", graph, "--seeds", str(seeds), "--objective", "len"])
+        assert b"score: 4\n" in out and b"vertex=\xe9v" in out
+
+    @pytest.mark.parametrize("mode", ["json", "tsv"])
+    def test_record_written_before_oracle_runs(self, monkeypatch, graph, mode):
+        raw = io.BytesIO()
+        monkeypatch.setattr("sys.stdout", io.TextIOWrapper(io.BufferedWriter(raw)))
+        seen = []
+        monkeypatch.setattr("panlcs.cli.lcs_sg_bruteforce", lambda *args: seen.append(raw.getvalue()) or 4)
+        assert main(["lcs", "--graph", graph, "--query", "abba", "--oracle-check", "--output", mode]) == 0
+        assert len(seen) == 1 and b"score" in seen[0]
+
+    def test_ascii_json_unchanged(self, capsysbinary, graph):
+        out = self.out(capsysbinary, ["lcs", "--graph", graph, "--query", "abba", "--json"])
+        assert out.isascii() and b'"vertex": "\\u00e9v"' in out
+
+
 class TestChainCommand:
     def test_objectives(self, capsys, tmp_path, graph_file):
         seeds = tmp_path / "seeds.tsv"

@@ -1,27 +1,58 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import panlcs
+import panlcs.fglcs
+import panlcs.graph
 from panlcs import (
+    Alignment,
     GapParams,
     build_char_graph,
     build_gap_match_graph,
     build_match_graph,
     char_distances,
     fglcs_bruteforce,
+    longest_path_vertex,
     parse_graph,
     reachability,
     solve_fglcs_sg,
     solve_lcs_sg,
     topo_sort,
 )
+from panlcs.lcs import alignment_from_path
 
 K_GRID = [1, 2, 3, None]
 
 
 def dist_of(g):
     return char_distances(build_char_graph(g))
+
+
+def reference_solve(q, g, gaps):
+    """The paper's reduction: longest path in the gap-bounded product DAG."""
+    dist = dist_of(g)
+    dag = build_gap_match_graph(q, g, gaps, dist)
+    if dag.n_nodes == 0:
+        return Alignment(0, b"", (), (), gaps=())
+    return alignment_from_path(q, g, dag, longest_path_vertex(dag).path, char_dist=dist)
+
+
+@pytest.fixture()
+def no_dense_path(monkeypatch):
+    """Make the dense reference construction fail if the solver reaches it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver called the dense reference construction")
+
+    for module in (panlcs, panlcs.fglcs, panlcs.graph):
+        for name in ("char_distances", "build_gap_match_graph"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
 
 
 class TestGapParams:
@@ -153,3 +184,47 @@ class TestSolve:
         for dq, dg in alignment.gaps:
             assert 0 < dq <= 2
             assert 0 < dg <= 2
+
+
+class TestTableDp:
+    """The row DP against the product-DAG reduction it replaces."""
+
+    @given(
+        helpers.graphs(acyclic=False),
+        helpers.queries(max_len=10),
+        st.sampled_from(K_GRID),
+        st.sampled_from(K_GRID),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_product_dag_alignment(self, g, q, k1, k2):
+        gaps = GapParams(k1, k2)
+        expected = reference_solve(q, g, gaps)
+        assert solve_fglcs_sg(q, g, gaps) == expected  # score, embedding and gaps
+        assert solve_fglcs_sg(q, g, gaps, char_dist=dist_of(g)) == expected
+        if k1 is None and k2 is None:
+            lcs = solve_lcs_sg(q, g)
+            assert (expected.q_positions, expected.g_positions) == (lcs.q_positions, lcs.g_positions)
+
+    def test_dense_reference_is_not_called(self, no_dense_path):
+        g = parse_graph("V a ab\nV b ba\nE a b\nE b a\n")
+        for k1 in K_GRID:
+            for k2 in K_GRID:
+                assert solve_fglcs_sg(b"abab", g, GapParams(k1, k2)).score >= 2
+
+    def test_wall_size_path_copy(self, no_dense_path):
+        # 4,000 characters: the dense distance matrix would hold 16 M entries
+        g, spelled = helpers.bubble_chain(random.Random(11), 4000)
+        assert g.total_label_length >= 4000 and len(spelled) >= 500
+        query = spelled[:500]
+        for gaps in (GapParams(1, 1), GapParams(3, 3)):
+            alignment = solve_fglcs_sg(query, g, gaps)
+            assert alignment.score == 500 and alignment.subsequence == query
+
+    def test_table_uses_narrowest_integer_type(self, monkeypatch):
+        tables = []
+        fill = panlcs.fglcs._fill_table
+        monkeypatch.setattr(panlcs.fglcs, "_fill_table", lambda *args: tables.append(fill(*args)) or tables[-1])
+        g = parse_graph("V a ab\nV b ab\nE a b\nE b a\n")  # spells (ab)* along the cycle
+        assert solve_fglcs_sg(b"ab" * 127, g, GapParams(1, 1)).score == 254
+        assert solve_fglcs_sg(b"ab" * 128, g, GapParams(1, 1)).score == 256
+        assert [t.dtype for t in tables] == [np.uint8, np.uint16]

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 from panlcs import (
@@ -230,6 +231,32 @@ class TestCharDistances:
             for b in range(total):
                 via = (m[a, :] + m[:, b]).min() if total else np.inf
                 assert m[a, b] <= via or np.isinf(via)
+
+
+class TestCharGraphDistances:
+    """The breadth-first distance queries against the independent BFS
+    reference of the helpers."""
+
+    @given(helpers.graphs(acyclic=False, max_n=5, max_label=4))
+    def test_distance_vf_matches_bfs(self, g):
+        cg = build_char_graph(g)
+        expected = helpers.bfs_char_distances(g)
+        for a in range(cg.node_count):
+            for b in range(cg.node_count):
+                u, f, v, w = cg.origin[a], cg.offset[a], cg.origin[b], cg.offset[b]
+                assert cg.distance_vf(u, f, v, w) == expected.get((a, b))
+
+    @given(helpers.graphs(acyclic=False, max_n=5, max_label=4), st.integers(1, 6))
+    def test_ball_pairs_are_the_pairs_within_radius(self, g, radius):
+        src, dst = build_char_graph(g).ball_pairs(radius)
+        expected = sorted(
+            (b, a) for (a, b), d in helpers.bfs_char_distances(g).items() if 1 <= d <= radius
+        )
+        assert list(zip(dst.tolist(), src.tolist())) == expected  # sorted by dst, then src
+
+    def test_empty_graph_has_no_pairs(self):
+        src, dst = build_char_graph(PangenomeGraph((), (), ())).ball_pairs(3)
+        assert len(src) == len(dst) == 0
 
 
 class TestConstruction:
