@@ -128,11 +128,14 @@ def _emit(record: dict, mode: str) -> None:
         _write(json.dumps(record) + "\n")
         return
     lines = []
+    # a list renders one line per item; an item is a record (embedding,
+    # chain) or a scalar (an lp path's node)
     if mode == "tsv":
         for key, value in record.items():
             if isinstance(value, list):
                 for item in value:
-                    lines.append("\t".join([key] + [str(v) for v in item.values()]))
+                    cells = item.values() if isinstance(item, dict) else [item]
+                    lines.append("\t".join([key] + [str(v) for v in cells]))
             else:
                 lines.append(f"{key}\t{value}")
     else:  # human
@@ -140,7 +143,8 @@ def _emit(record: dict, mode: str) -> None:
             if isinstance(value, list):
                 lines.append(f"{key}:")
                 for item in value:
-                    lines.append("  " + "  ".join(f"{k}={v}" for k, v in item.items()))
+                    text = "  ".join(f"{k}={v}" for k, v in item.items()) if isinstance(item, dict) else item
+                    lines.append(f"  {text}")
             elif key == "score" and _color_enabled():
                 lines.append(f"{key}: \x1b[32m{value}\x1b[0m")
             else:

@@ -14,9 +14,16 @@ a parent among equally good in-neighbors and when picking the path end among
 equally good nodes.  Repeated runs on the same DAG therefore reproduce the
 same path, not just the same score.
 
-Adjacency is kept in CSR form over numpy arrays so the per-node work inside
-the DP loop is vectorized; DAGs in the tens of thousands of nodes and tens
-of millions of arcs stay workable.
+The product DAGs of lcs and chaining number their nodes in query order and
+every arc ascends, so index order is already topological: the sort is one
+vectorized check, and the out-arcs come grouped by source from the pair
+scan without a sort.  The longest-path program pushes run by run, a run
+being a maximal stretch of the order with no arc inside (one query row of
+the lcs product DAG): its scores are final, and one scatter-max over its
+out-arcs raises every successor at once.  Any other DAG is relabelled by
+its topological order and solved the same way, so there is no per-node
+Python loop; DAGs in the tens of thousands of nodes and tens of millions
+of arcs stay workable.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -126,36 +133,47 @@ class MatchDag:
     def n_arcs(self) -> int:
         return len(self.arcs)
 
-    def _csr(self, end: int) -> tuple[np.ndarray, np.ndarray]:
-        """Arc order sorted by (``arcs[:, end]``, other endpoint) and its
-        indptr over nodes."""
-        order = np.lexsort((self.arcs[:, 1 - end], self.arcs[:, end]))
-        counts = np.bincount(self.arcs[:, end], minlength=self.n_nodes)
-        return np.concatenate([[0], np.cumsum(counts)]), order
+    @cached_property
+    def _forward(self) -> bool:
+        """Whether every arc ascends, so that index order is topological."""
+        return bool(np.all(self.arcs[:, 0] < self.arcs[:, 1]))
 
     @cached_property
-    def _out_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._csr(0)
+    def _out_csr(self) -> tuple[np.ndarray, np.ndarray | slice]:
+        """Indptr over source nodes and the arc order grouped by ascending
+        source (a stable sort); the order is ``slice(None)`` when the arcs
+        already are, as the pair scan emits them."""
+        src = self.arcs[:, 0]
+        order = slice(None) if np.all(src[:-1] <= src[1:]) else np.argsort(src, kind="stable")
+        return np.searchsorted(src[order], np.arange(self.n_nodes + 1)), order
 
-    @cached_property
-    def _in_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._csr(1)
+
+_BLOCK_CELLS = 4_000_000  # pair cells per scan block: bounds the block's temporaries
 
 
 def _pair_arcs(m: int, accept_block) -> np.ndarray:
-    """Dense scan over the ``m * m`` ordered node pairs; ``accept_block``
-    evaluates the arc predicate for a block of source rows against all
-    destinations.  Arcs come out sorted by (source, destination)."""
-    chunks: list[np.ndarray] = []
-    block = max(1, int(32_000_000 // max(m, 1)))
+    """Dense scan over the ``m * m`` ordered node pairs.  ``accept_block(lo,
+    hi)`` returns ``(first, mask)``: the arc predicate for source rows
+    ``lo:hi`` against destinations ``first:``, none of the destinations
+    before ``first`` being accepted.  Arcs come out sorted by (source,
+    destination)."""
+    chunks: list[np.ndarray] = [np.empty((0, 2), dtype=np.int64)]
+    block = max(1, _BLOCK_CELLS // max(m, 1))
     for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        rows, cols = np.nonzero(accept_block(lo, hi))
-        if len(rows):
-            chunks.append(np.stack([rows + lo, cols], axis=1))
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
+        first, mask = accept_block(lo, min(lo + block, m))
+        rows, cols = np.divmod(np.flatnonzero(mask), mask.shape[1])  # 2-d nonzero is slower
+        del mask  # free the block's cells before its arcs are built
+        rows += lo
+        cols += first
+        chunks.append(np.stack([rows, cols], axis=1))
     return np.concatenate(chunks)
+
+
+def _distinct_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``(a, b)`` pairs, as two arrays, and each input
+    position's index among them."""
+    keys, inverse = np.unique(np.stack([a, b], axis=1), axis=0, return_inverse=True)
+    return keys[:, 0], keys[:, 1], inverse.reshape(-1)
 
 
 def interval_arcs(
@@ -174,16 +192,26 @@ def interval_arcs(
     ``x`` ends before ``y`` starts on the query and, on the graph, also
     before it within one shared vertex, or ``reach[vert[x], vert[y]]``
     holds across vertices.
-    """
 
-    def accept(lo: int, hi: int) -> np.ndarray:
-        same = vert[lo:hi, None] == vert[None, :]
-        graph_ok = np.where(
-            same,
-            label_end[lo:hi, None] < label_start[None, :],
-            reach[vert[lo:hi, None], vert[None, :]],
+    The graph side depends only on (``vert``, ``label_end``) of ``x`` and
+    (``vert``, ``label_start``) of ``y``, so each block of source rows
+    gathers it from a small table over the distinct keys.  When
+    ``q_start`` ascends (character matches in query order), a block scans
+    only the destinations that start after its earliest ``q_end``.
+    """
+    y_vert, y_label, y_key = _distinct_pairs(vert, label_start)
+    ascending = bool(np.all(q_start[:-1] <= q_start[1:]))
+
+    def accept(lo: int, hi: int) -> tuple[int, np.ndarray]:
+        first = int(np.searchsorted(q_start, q_end[lo:hi].min(), "right")) if ascending else 0
+        x_vert, x_label, x_key = _distinct_pairs(vert[lo:hi], label_end[lo:hi])
+        precedes = np.where(
+            x_vert[:, None] == y_vert[None, :],
+            x_label[:, None] < y_label[None, :],
+            reach[x_vert[:, None], y_vert[None, :]],
         )
-        return (q_end[lo:hi, None] < q_start[None, :]) & graph_ok
+        graph_ok = precedes[:, y_key[first:]][x_key]
+        return first, (q_end[lo:hi, None] < q_start[None, first:]) & graph_ok
 
     return _pair_arcs(len(q_start), accept)
 
@@ -191,10 +219,14 @@ def interval_arcs(
 def topo_sort(dag: MatchDag) -> list[int]:
     """Topologically sort ``dag``, smallest ready node index first.
 
-    Returns the lexicographically smallest topological order.  Raises
-    :class:`CycleError` naming one back arc if the graph has a cycle.
+    Returns the lexicographically smallest topological order: index order
+    itself when every arc ascends (one vectorized check), else the order
+    of a Kahn loop over a heap of ready nodes.  Raises :class:`CycleError`
+    naming one back arc if the graph has a cycle.
     """
     n = dag.n_nodes
+    if dag._forward:
+        return list(range(n))
     indeg = np.bincount(dag.arcs[:, 1], minlength=n).astype(np.int64)
     indptr, order = dag._out_csr
     dst_sorted = dag.arcs[order, 1]
@@ -266,40 +298,86 @@ def _reconstruct(parent: np.ndarray, end: int) -> tuple[int, ...]:
     path = [end]
     while parent[path[-1]] >= 0:
         path.append(int(parent[path[-1]]))
+        assert len(path) <= len(parent), "parent pointers must not cycle"
     path.reverse()
     return tuple(path)
+
+
+def _runs(first_dst: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Split index order into maximal runs ``[a, b)`` with no arc inside,
+    given each node's smallest out-neighbor (``n`` when it has none) in a
+    DAG whose arcs all ascend."""
+    start, limit = 0, len(first_dst)
+    for v, f in enumerate(first_dst.tolist()):
+        if v >= limit:  # an arc from inside [start, v) lands on v
+            yield start, v
+            start, limit = v, f
+        else:
+            limit = min(limit, f)
+    yield start, len(first_dst)
+
+
+def _forward_dp(
+    dag: MatchDag, node_w: np.ndarray, arc_w: np.ndarray | None, label: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``dist`` and ``parent`` of a DAG whose arcs all ascend, pushed run by
+    run: a run's ``dist`` is final once every earlier run has pushed, and
+    its out-arcs then raise each successor's best in-arc value together.
+    A parent is the in-neighbor reaching that best value with the smallest
+    ``label`` (its index when ``label`` is ``None``)."""
+    n = dag.n_nodes
+    indptr, pick = dag._out_csr
+    src, dst = dag.arcs[pick, 0], dag.arcs[pick, 1]
+    w = None if arc_w is None else arc_w[pick]
+    has_out = indptr[1:] > indptr[:-1]
+    first_dst = np.full(n, n, dtype=np.int64)
+    first_dst[has_out] = np.minimum.reduceat(dst, indptr[:-1][has_out])
+
+    dist = node_w.astype(np.int64)  # always a fresh copy
+    best = np.full(n, -1, dtype=np.int64)  # best in-arc value so far; -1: no in-arc
+    parent = np.full(n, -1, dtype=np.int64)
+    for a, b in _runs(first_dst):
+        dist[a:b] += np.maximum(best[a:b], 0)
+        lo, hi = indptr[a], indptr[b]
+        if lo == hi:
+            continue
+        s, d = src[lo:hi], dst[lo:hi]
+        cand = dist[s] if w is None else dist[s] + w[lo:hi]
+        before = best[d]
+        np.maximum.at(best, d, cand)
+        after = best[d]
+        parent[d[after > before]] = n  # a new best: forget the old parent
+        tight = cand == after
+        s = s[tight]
+        np.minimum.at(parent, d[tight], s if label is None else label[s])
+    return dist, parent
 
 
 def _longest_path(dag: MatchDag, node_w: np.ndarray, arc_w: np.ndarray | None) -> LongestPathResult:
     """The DP behind both solvers: a node scores its own weight plus the best
     in-neighbor score, plus the connecting arc's weight when ``arc_w`` is
-    given.  Without ``arc_w`` no per-arc array is built."""
+    given.  A DAG whose arcs do not all ascend is relabelled by
+    :func:`topo_sort` order, solved the same way and mapped back."""
     order = topo_sort(dag)
     n = dag.n_nodes
-    dist = node_w.astype(np.int64)  # always a fresh copy
-    parent = np.full(n, -1, dtype=np.int64)
+    if dag._forward:
+        dist, parent = _forward_dp(dag, node_w, arc_w, None)
+    else:
+        order = np.asarray(order, dtype=np.int64)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        relabelled = MatchDag(weights=node_w[order], arcs=rank[dag.arcs])
+        dist, parent = np.empty_like(rank), np.empty_like(rank)
+        dist[order], parent[order] = _forward_dp(relabelled, relabelled.weights, arc_w, order)
     if n == 0:
         return LongestPathResult(0, (), dist, parent)
-    indptr, arc_order = dag._in_csr
-    src_sorted = dag.arcs[arc_order, 0]
-    w_sorted = None if arc_w is None else arc_w[arc_order]
-    taken_w = np.zeros(n, dtype=np.int64)  # weight of the arc into each node
-    for v in order:
-        lo, hi = indptr[v], indptr[v + 1]
-        if lo == hi:
-            continue
-        cand = dist[src_sorted[lo:hi]]
-        if w_sorted is not None:
-            cand += w_sorted[lo:hi]
-        k = int(np.argmax(cand))  # first max: smallest in-neighbor index wins
-        dist[v] = cand[k] + node_w[v]
-        parent[v] = src_sorted[lo + k]
-        if w_sorted is not None:
-            taken_w[v] = w_sorted[lo + k]
-    end = int(np.argmax(dist))
+    end = int(np.argmax(dist))  # first max: smallest index wins
     path = _reconstruct(parent, end)
     score = int(dist[end])
-    assert score == int(node_w[list(path)].sum() + taken_w[list(path[1:])].sum())
+    steps = np.asarray(path, dtype=np.int64)
+    taken_w = dist[steps[1:]] - node_w[steps[1:]] - dist[steps[:-1]]  # weight of each arc taken
+    assert score == int(node_w[steps].sum() + taken_w.sum())
+    assert arc_w is not None or not taken_w.any()
     return LongestPathResult(score, path, dist, parent)
 
 

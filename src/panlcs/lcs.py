@@ -10,8 +10,12 @@ product graph then reads off a common subsequence, and a maximum-node path
 
 The product graph is materialized explicitly with the dense pair scan of
 :func:`panlcs.daglp.interval_arcs`, which also builds the seed DAG of
-chaining (a match is a length-one seed); cost grows with the square of the
-match count, which is the documented scaling behavior of this solver.
+chaining (a match is a length-one seed).  Matches are numbered in query
+order and every arc ascends, so the scan visits only pairs whose query
+index grows and emits the arcs sorted by (source, destination), and the
+longest path needs neither a topological sort nor an arc sort.  Cost still
+grows with the square of the match count, which is the documented scaling
+behavior of this solver.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ as an independent cross-check.
 
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import permutations
 
@@ -118,6 +119,56 @@ def brute_longest_edge(dag: MatchDag) -> int:
         total = sum(weight[(a, b)] for a, b in zip(path, path[1:]))
         best = max(best, total)
     return best
+
+
+def kahn_order(n: int, arcs: list[tuple[int, int]]) -> list[int]:
+    """Kahn's algorithm over a heap of ready nodes: the lexicographically
+    smallest topological order (cycles leave nodes out)."""
+    indeg = [0] * n
+    out: dict[int, list[int]] = {k: [] for k in range(n)}
+    for u, v in arcs:
+        indeg[v] += 1
+        out[u].append(v)
+    ready = [v for v in range(n) if indeg[v] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
+        for v in out[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(ready, v)
+    return order
+
+
+def per_node_longest_path(dag: MatchDag, mode: str):
+    """The longest-path DP node by node in :func:`kahn_order`: a node takes
+    the first maximum over its in-arcs listed by ascending source, the path
+    ends at the first maximum of ``dist``.  Returns (score, path, dist,
+    parent) as plain Python values."""
+    n = dag.n_nodes
+    arcs = [(int(u), int(v)) for u, v in dag.arcs]
+    arc_w = [int(w) for w in dag.arc_weights] if mode == "edge" and arcs else [0] * len(arcs)
+    node_w = [int(w) for w in dag.weights] if mode == "vertex" else [0] * n
+    in_arcs: dict[int, list[tuple[int, int]]] = {k: [] for k in range(n)}
+    for (u, v), w in zip(arcs, arc_w):
+        in_arcs[v].append((u, w))
+    dist, parent = list(node_w), [-1] * n
+    for v in kahn_order(n, arcs):
+        best = None
+        for u, w in sorted(in_arcs[v], key=lambda arc: arc[0]):
+            if best is None or dist[u] + w > best:
+                best, parent[v] = dist[u] + w, u
+        if best is not None:
+            dist[v] = best + node_w[v]
+    if not n:
+        return 0, (), dist, parent
+    end = max(range(n), key=lambda k: (dist[k], -k))
+    path = [end]
+    while parent[path[-1]] >= 0:
+        path.append(parent[path[-1]])
+    return dist[end], tuple(reversed(path)), dist, parent
 
 
 def residual_ok(dag: MatchDag, dist, mode: str) -> bool:
@@ -325,9 +376,12 @@ def queries(draw, max_len=7, alphabet=3):
 
 
 @st.composite
-def match_dags(draw, max_nodes=7, weighted_arcs=False, max_weight=5):
+def match_dags(draw, max_nodes=7, weighted_arcs=False, max_weight=5, shuffled=True):
+    """Random DAGs, parallel arcs included, their arcs in drawn or sorted
+    order; with ``shuffled=False`` every arc ascends, as in the product
+    DAGs of lcs and chaining."""
     n = draw(st.integers(0, max_nodes))
-    perm = draw(st.permutations(list(range(n)))) if n else []
+    perm = draw(st.permutations(list(range(n)))) if n and shuffled else list(range(n))
     candidates = [
         (perm[a], perm[b]) for a in range(n) for b in range(a + 1, n)
     ]
@@ -337,4 +391,6 @@ def match_dags(draw, max_nodes=7, weighted_arcs=False, max_weight=5):
         arc_tuples = [(u, v, draw(st.integers(0, max_weight))) for u, v in arcs]
     else:
         arc_tuples = arcs
+    if draw(st.booleans()):  # arcs in (source, destination) order, as the pair scan emits them
+        arc_tuples = sorted(arc_tuples)
     return MatchDag.from_lists(nodes=[(None, w) for w in weights], arcs=arc_tuples)

@@ -1,10 +1,12 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from panlcs import daglp
 from panlcs import (
     Seed,
     SeedError,
@@ -36,6 +38,17 @@ def random_seeds(rng, graph, count, max_j=8, vertex=None):
         j = rng.randint(0, max_j)
         seeds.append(Seed(graph.ids[v], i, i2, j, j + (i2 - i)))
     return tuple(seeds)
+
+
+def pairwise_arcs(seeds, graph):
+    """The seed DAG's arc list by the pairwise rule, in (source,
+    destination) order."""
+    return [
+        [x, y]
+        for x, a in enumerate(seeds)
+        for y, b in enumerate(seeds)
+        if x != y and helpers.seed_precedes_brute(a, b, graph)
+    ]
 
 
 class TestSeed:
@@ -152,13 +165,18 @@ class TestBuildSeedGraph:
         seeds = list(random_seeds(rng, g, 4) + random_seeds(rng, g, 3, vertex=crowded))
         rng.shuffle(seeds)
         dag = build_seed_graph(seeds, g, reachability(g))
-        expected = {
-            (x, y)
-            for x, a in enumerate(seeds)
-            for y, b in enumerate(seeds)
-            if x != y and helpers.seed_precedes_brute(a, b, g)
-        }
-        assert dag.arcs.tolist() == sorted(map(list, expected))
+        assert dag.arcs.tolist() == pairwise_arcs(seeds, g)
+
+    @given(helpers.graphs(max_n=4, max_label=4, acyclic=False), st.integers(0, 2**32))
+    @settings(max_examples=60)
+    def test_query_sorted_seeds_scan_past_each_block_start(self, g, salt):
+        # seeds in query order let each one-row block skip the destinations
+        # that start before its query end
+        rng = random.Random(salt)
+        seeds = sorted(random_seeds(rng, g, 4) + random_seeds(rng, g, 3), key=lambda s: s.j)
+        with patch.object(daglp, "_BLOCK_CELLS", 1):
+            dag = build_seed_graph(seeds, g, reachability(g))
+        assert dag.arcs.tolist() == pairwise_arcs(seeds, g)
 
     @given(helpers.graphs(max_n=4, max_label=4, acyclic=False))
     @settings(max_examples=40)

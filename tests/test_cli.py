@@ -277,6 +277,20 @@ class TestLpCommand:
         code, out, _ = run(capsys, ["lp", "--dag", str(dag), "--json"])
         assert json.loads(out)["score"] == 5
 
+    def test_human_output_lists_the_path(self, capsys, tmp_path):
+        dag = tmp_path / "dag.tsv"
+        dag.write_text("N 0 1\nN 1 2\nN 2 3\nA 0 1 3\nA 1 2 4\nA 0 2 5\n")
+        code, out, _ = run(capsys, ["lp", "--dag", str(dag), "--mode", "edge"])
+        assert code == 0
+        assert out == "problem: lp\nmode: edge\nscore: 7\npath:\n  0\n  1\n  2\n"
+
+    def test_tsv_output_lists_the_path(self, capsys, tmp_path):
+        dag = tmp_path / "dag.tsv"
+        dag.write_text("N 0 1\nN 1 2\nN 2 3\nA 0 1 3\nA 1 2 4\nA 0 2 5\n")
+        code, out, _ = run(capsys, ["lp", "--dag", str(dag), "--output", "tsv"])
+        assert code == 0
+        assert out == "problem\tlp\nmode\tvertex\nscore\t6\npath\t0\npath\t1\npath\t2\n"
+
     def test_cycle_exits_3(self, capsys, tmp_path):
         dag = tmp_path / "dag.tsv"
         dag.write_text("N 0 1\nN 1 1\nA 0 1\nA 1 0\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from panlcs import (
@@ -126,6 +127,53 @@ class TestVertexWeighted:
     @given(helpers.match_dags(max_nodes=7))
     def test_deterministic_path(self, d):
         assert longest_path_vertex(d).path == longest_path_vertex(d).path
+
+
+class TestAgainstPerNodeReference:
+    """The solvers equal a per-node DP in Kahn order in every table, on DAGs
+    whose index order is topological and on shuffled ones."""
+
+    @staticmethod
+    def check(d, mode):
+        res = longest_path_edge(d) if mode == "edge" else longest_path_vertex(d)
+        score, path, dist, parent = helpers.per_node_longest_path(d, mode)
+        assert (res.score, res.path) == (score, path)
+        assert res.dist.tolist() == dist
+        assert res.parent.tolist() == parent
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_vertex_weighted(self, shuffled, data):
+        self.check(data.draw(helpers.match_dags(max_nodes=9, shuffled=shuffled)), "vertex")
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_edge_weighted(self, shuffled, data):
+        self.check(data.draw(helpers.match_dags(max_nodes=9, weighted_arcs=True, shuffled=shuffled)), "edge")
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @given(data=st.data())
+    def test_topo_order(self, shuffled, data):
+        d = data.draw(helpers.match_dags(max_nodes=9, shuffled=shuffled))
+        assert topo_sort(d) == helpers.kahn_order(d.n_nodes, [tuple(map(int, a)) for a in d.arcs])
+
+    def test_index_order_when_arcs_ascend(self):
+        assert topo_sort(dag(4, [(2, 3), (0, 3), (1, 2)])) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("arcs", [[(0, 2, 1), (1, 2, 4), (0, 2, 5)], [(2, 0, 1), (1, 0, 4), (2, 0, 5)]])
+    def test_parallel_arcs_take_the_heaviest(self, arcs):
+        d = dag(3, [a[:2] for a in arcs], arc_weights=[a[2] for a in arcs])
+        self.check(d, "edge")
+        res = longest_path_edge(d)
+        assert res.score == 5 and len(res.path) == 2 and res.path[0] == arcs[0][0]
+
+    def test_equal_sources_break_toward_smallest_index(self):
+        # relabelled by topological order 1, 0, 2: node 0 still wins the tie into 2
+        d = dag(3, [(1, 0), (0, 2), (1, 2)], weights=[0, 1, 1])
+        self.check(d, "vertex")
+        assert longest_path_vertex(d).parent.tolist() == [1, -1, 0]
 
 
 class TestMatchDagValidation:

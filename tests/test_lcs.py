@@ -1,9 +1,11 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 
 import helpers
+from panlcs import daglp
 from panlcs import (
     AlignmentError,
     CycleError,
@@ -58,6 +60,16 @@ class TestBuildMatchGraph:
     def test_arc_rule_on_random_instances(self, g, q):
         dag = build_match_graph(q, g, reachability(g))
         assert set(map(tuple, dag.arcs.tolist())) == helpers.h_arcs_by_rule(q, g)
+
+    @pytest.mark.parametrize("block_cells", [daglp._BLOCK_CELLS, 7])
+    @given(g=helpers.graphs(max_n=4, max_label=3, acyclic=False), q=helpers.queries(max_len=7))
+    @settings(max_examples=60)
+    def test_arc_list_in_scan_order(self, block_cells, g, q):
+        # a tiny block budget splits the scan into many row blocks, each
+        # starting its columns past the block's earliest query index
+        with patch.object(daglp, "_BLOCK_CELLS", block_cells):
+            dag = build_match_graph(q, g, reachability(g))
+        assert dag.arcs.tolist() == [list(a) for a in sorted(helpers.h_arcs_by_rule(q, g))]
 
     @given(helpers.graphs(max_n=4, max_label=3, acyclic=False), helpers.queries(max_len=6))
     @settings(max_examples=60)
