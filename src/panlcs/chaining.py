@@ -9,9 +9,11 @@ same order, across vertices ``b``'s vertex must be reachable from ``a``'s.
 Chaining builds one DAG node per seed with arcs for every strictly ordered
 pair, then solves a vertex-weighted longest path: seed lengths as weights
 maximize total matched characters, unit weights maximize the seed count.
-The arcs come from the same vectorized dense pair scan that builds the lcs
-product DAG (:func:`panlcs.daglp.interval_arcs`; a character match is a
-length-one seed), so the cost is K^2 cells for K seeds.
+The arcs come from the same construction as the lcs product DAG
+(:func:`panlcs.daglp.interval_arcs`; a character match is a length-one
+seed).  Seeds listed in query order have their arcs copied from
+successor lists, at about the cost of the arcs; otherwise a vectorized
+dense pair scan visits K^2 cells for K seeds.
 :func:`strictly_precedes` is the scalar form of that rule, used to
 re-check emitted chains.
 """
@@ -140,7 +142,7 @@ def build_seed_graph(
 ) -> MatchDag:
     """One DAG node per seed (weight = seed length, or 1 when
     ``unit_weights``), one arc per strictly ordered pair, found by the
-    same :func:`interval_arcs` scan that builds the lcs product DAG."""
+    same :func:`interval_arcs` construction as the lcs product DAG."""
     for seed in seeds:
         seed.validate(graph, query)
     cols = np.array(

@@ -3,9 +3,9 @@
 This module is the solving core of lcs, chaining and the fglcs reference
 construction (fglcs itself fills the same longest-path table row by row
 without arcs): the shared DAG type, the product-DAG arc rule over ordered
-interval pairs (a dense pair scan; character matches and seeds alike), a
-deterministic topological sort, and one longest-path program, vertex or
-edge weighted, with parent-based path reconstruction.
+interval pairs (character matches and seeds alike), a deterministic
+topological sort, and one longest-path program, vertex or edge weighted,
+with parent-based path reconstruction.
 
 Determinism contract: :func:`topo_sort` returns the lexicographically
 smallest topological order (smallest ready node index first), and both
@@ -14,22 +14,27 @@ a parent among equally good in-neighbors and when picking the path end among
 equally good nodes.  Repeated runs on the same DAG therefore reproduce the
 same path, not just the same score.
 
-The product DAGs of lcs and chaining number their nodes in query order and
-every arc ascends, so index order is already topological: the sort is one
-vectorized check, and the out-arcs come grouped by source from the pair
-scan without a sort.  The longest-path program pushes run by run, a run
-being a maximal stretch of the order with no arc inside (one query row of
-the lcs product DAG): its scores are final, and one scatter-max over its
-out-arcs raises every successor at once.  Any other DAG is relabelled by
-its topological order and solved the same way, so there is no per-node
+The product DAG of lcs, and the seed DAG of seeds listed in query order,
+number their nodes in query order.  The out-arcs of a node are then a
+suffix of one successor list shared by every node with its graph key, so
+:func:`interval_arcs` copies them into one preallocated array, at a cost close
+to writing the arcs; only seeds not in query order take a dense scan over
+all node pairs.  On these DAGs every arc ascends, so index order is
+already topological: the sort is one vectorized check, and the out-arcs come
+grouped by source without a sort.  The longest-path program pushes run by
+run, a run being a maximal stretch of the order with no arc inside (one
+query row of the lcs product DAG): its scores are final, and one
+scatter-max over its out-arcs raises every successor at once; parents
+come from one pass over the arcs afterwards.  Any other DAG is relabelled
+by its topological order and solved the same way, so there is no per-node
 Python loop; DAGs in the tens of thousands of nodes and tens of millions
-of arcs stay workable.
+of arcs stay workable, with temporaries bounded by a block size.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -49,7 +54,9 @@ class CycleError(ValueError):
 
 
 def _int_array(values: Any, shape_hint: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
+    """A read-only int64 view of ``values``; the caller's own array, when
+    it needs no conversion, is shared but stays writeable."""
+    arr = np.asarray(values, dtype=np.int64).view()
     if arr.size == 0:
         arr = arr.reshape(0) if shape_hint == "1d" else arr.reshape(0, 2)
     arr.flags.writeable = False
@@ -64,12 +71,19 @@ class MatchDag:
     of ordered node-index pairs, and ``arc_weights`` an optional parallel
     array for edge-weighted solving.  Acyclicity is not checked here; it is
     established by :func:`topo_sort` when the DAG is solved.
+
+    Int64 arrays are held without a copy, as read-only views: the caller
+    must not mutate them afterwards.
     """
 
     weights: np.ndarray
     arcs: np.ndarray
     payloads: tuple[Any, ...] | None = None
     arc_weights: np.ndarray | None = None
+    # whether the sources ascend, and whether every arc ascends (so that
+    # index order is topological)
+    _src_sorted: bool = field(init=False, repr=False, compare=False)
+    _forward: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _int_array(self.weights, "1d"))
@@ -80,8 +94,14 @@ class MatchDag:
             raise DagError("node weights must be non-negative")
         if self.payloads is not None and len(self.payloads) != self.n_nodes:
             raise DagError("payloads must match the node count")
-        if self.arcs.size:
-            lo, hi = int(self.arcs.min()), int(self.arcs.max())
+        src, dst = self.arcs[:, 0], self.arcs[:, 1]
+        object.__setattr__(self, "_src_sorted", bool(np.all(src[:-1] <= src[1:])))
+        object.__setattr__(self, "_forward", bool(np.all(src < dst)))
+        if self.arcs.size:  # forward arcs span their smallest source to their largest destination
+            lo = int(src[0]) if self._src_sorted else int(src.min())
+            hi = int(dst.max())
+            if not self._forward:
+                lo, hi = min(lo, int(dst.min())), max(hi, int(src.max()))
             if lo < 0 or hi >= self.n_nodes:
                 raise DagError(f"arc endpoint {lo if lo < 0 else hi} out of range")
         if self.arc_weights is not None:
@@ -134,37 +154,35 @@ class MatchDag:
         return len(self.arcs)
 
     @cached_property
-    def _forward(self) -> bool:
-        """Whether every arc ascends, so that index order is topological."""
-        return bool(np.all(self.arcs[:, 0] < self.arcs[:, 1]))
-
-    @cached_property
     def _out_csr(self) -> tuple[np.ndarray, np.ndarray | slice]:
         """Indptr over source nodes and the arc order grouped by ascending
         source (a stable sort); the order is ``slice(None)`` when the arcs
-        already are, as the pair scan emits them."""
+        already are, as :func:`interval_arcs` emits them."""
         src = self.arcs[:, 0]
-        order = slice(None) if np.all(src[:-1] <= src[1:]) else np.argsort(src, kind="stable")
+        order = slice(None) if self._src_sorted else np.argsort(src, kind="stable")
         return np.searchsorted(src[order], np.arange(self.n_nodes + 1)), order
 
 
-_BLOCK_CELLS = 4_000_000  # pair cells per scan block: bounds the block's temporaries
+_BLOCK_CELLS = 4_000_000  # pair cells per block of a scan or list build: bounds its temporaries
+
+
+def _arc_block() -> int:
+    """Arcs per block of an arc copy or pass: their int64 temporaries take
+    twice a cell block's bytes."""
+    return max(1, _BLOCK_CELLS // 16)
 
 
 def _pair_arcs(m: int, accept_block) -> np.ndarray:
     """Dense scan over the ``m * m`` ordered node pairs.  ``accept_block(lo,
-    hi)`` returns ``(first, mask)``: the arc predicate for source rows
-    ``lo:hi`` against destinations ``first:``, none of the destinations
-    before ``first`` being accepted.  Arcs come out sorted by (source,
-    destination)."""
+    hi)`` returns the arc predicate for source rows ``lo:hi`` against every
+    destination.  Arcs come out sorted by (source, destination)."""
     chunks: list[np.ndarray] = [np.empty((0, 2), dtype=np.int64)]
     block = max(1, _BLOCK_CELLS // max(m, 1))
     for lo in range(0, m, block):
-        first, mask = accept_block(lo, min(lo + block, m))
-        rows, cols = np.divmod(np.flatnonzero(mask), mask.shape[1])  # 2-d nonzero is slower
+        mask = accept_block(lo, min(lo + block, m))
+        rows, cols = np.divmod(np.flatnonzero(mask), m)  # 2-d nonzero is slower
         del mask  # free the block's cells before its arcs are built
         rows += lo
-        cols += first
         chunks.append(np.stack([rows, cols], axis=1))
     return np.concatenate(chunks)
 
@@ -174,6 +192,18 @@ def _distinct_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     position's index among them."""
     keys, inverse = np.unique(np.stack([a, b], axis=1), axis=0, return_inverse=True)
     return keys[:, 0], keys[:, 1], inverse.reshape(-1)
+
+
+def _precedes(
+    x_vert: np.ndarray, x_label: np.ndarray, y_vert: np.ndarray, y_label: np.ndarray, reach: np.ndarray
+) -> np.ndarray:
+    """The graph side of the arc rule between source keys (``vert``,
+    ``label_end``) and destination keys (``vert``, ``label_start``)."""
+    return np.where(
+        x_vert[:, None] == y_vert[None, :],
+        x_label[:, None] < y_label[None, :],
+        reach[x_vert[:, None], y_vert[None, :]],
+    )
 
 
 def interval_arcs(
@@ -191,29 +221,95 @@ def interval_arcs(
     character match is the length-one case.  ``x -> y`` is an arc when
     ``x`` ends before ``y`` starts on the query and, on the graph, also
     before it within one shared vertex, or ``reach[vert[x], vert[y]]``
-    holds across vertices.
+    holds across vertices.  Arcs come out sorted by (source, destination).
 
     The graph side depends only on (``vert``, ``label_end``) of ``x`` and
-    (``vert``, ``label_start``) of ``y``, so each block of source rows
-    gathers it from a small table over the distinct keys.  When
-    ``q_start`` ascends (character matches in query order), a block scans
-    only the destinations that start after its earliest ``q_end``.
+    (``vert``, ``label_start``) of ``y``.  When ``q_start`` ascends
+    (character matches, seeds in query order), the out-arcs of ``x`` are
+    the suffix, from the first node starting after ``q_end[x]``, of one
+    successor list per source key, so the arcs are copied from those lists
+    (:func:`_successor_arcs`).  Otherwise a dense scan over all pairs
+    gathers the graph side from a table over the distinct keys.
     """
+    if np.all(q_start[:-1] <= q_start[1:]):
+        return _successor_arcs(q_start, q_end, vert, label_start, label_end, reach)
     y_vert, y_label, y_key = _distinct_pairs(vert, label_start)
-    ascending = bool(np.all(q_start[:-1] <= q_start[1:]))
 
-    def accept(lo: int, hi: int) -> tuple[int, np.ndarray]:
-        first = int(np.searchsorted(q_start, q_end[lo:hi].min(), "right")) if ascending else 0
+    def accept(lo: int, hi: int) -> np.ndarray:
         x_vert, x_label, x_key = _distinct_pairs(vert[lo:hi], label_end[lo:hi])
-        precedes = np.where(
-            x_vert[:, None] == y_vert[None, :],
-            x_label[:, None] < y_label[None, :],
-            reach[x_vert[:, None], y_vert[None, :]],
-        )
-        graph_ok = precedes[:, y_key[first:]][x_key]
-        return first, (q_end[lo:hi, None] < q_start[None, first:]) & graph_ok
+        graph_ok = _precedes(x_vert, x_label, y_vert, y_label, reach)[:, y_key][x_key]
+        return (q_end[lo:hi, None] < q_start[None, :]) & graph_ok
 
     return _pair_arcs(len(q_start), accept)
+
+
+def _successor_arcs(
+    q_start: np.ndarray,
+    q_end: np.ndarray,
+    vert: np.ndarray,
+    label_start: np.ndarray,
+    label_end: np.ndarray,
+    reach: np.ndarray,
+) -> np.ndarray:
+    """:func:`interval_arcs` for an ascending ``q_start``.
+
+    The successor list of a source key holds, in index order, the nodes
+    whose key it precedes on the graph, from the earliest ``first`` among
+    its sources on; ``first[x]`` is the first node starting after
+    ``q_end[x]``.  The lists cost keys x nodes cells, built a block of keys
+    at a time.  Each source's arcs are then counted and copied, a block of
+    arcs at a time, into one preallocated array.
+    """
+    m = len(q_start)
+    first = np.searchsorted(q_start, q_end, "right")
+    x_vert, x_label, x_key = _distinct_pairs(vert, label_end)
+    y_vert, y_label, y_key = _distinct_pairs(vert, label_start)
+    n_keys = len(x_vert)
+    key_first = np.full(n_keys, m, dtype=np.int64)
+    np.minimum.at(key_first, x_key, first)
+    by_key = np.argsort(x_key, kind="stable")
+    key_ptr = np.searchsorted(x_key[by_key], np.arange(n_keys + 1))
+
+    # start/stop: each source's arc suffix within the concatenated lists
+    start, stop = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
+    lists: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    base = 0
+    rows = max(1, _BLOCK_CELLS // max(m, 1))
+    for ka in range(0, n_keys, rows):
+        kb = min(ka + rows, n_keys)
+        col = int(key_first[ka:kb].min())
+        width = m - col
+        mask = _precedes(x_vert[ka:kb], x_label[ka:kb], y_vert, y_label, reach)[:, y_key[col:]]
+        mask &= np.arange(col, m)[None, :] >= key_first[ka:kb, None]
+        flat = np.flatnonzero(mask)  # key row r, node col + c at r * width + c
+        del mask
+        xs = by_key[key_ptr[ka] : key_ptr[kb]]
+        row = x_key[xs] - ka
+        start[xs] = base + np.searchsorted(flat, row * width + first[xs] - col)
+        stop[xs] = base + np.searchsorted(flat, (row + 1) * width)
+        flat %= max(width, 1)
+        flat += col
+        lists.append(flat)
+        base += len(flat)
+    succ = np.concatenate(lists)
+    del lists
+
+    counts = stop - start
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    arcs = np.empty((int(offsets[-1]), 2), dtype=np.int64)
+    block, a = _arc_block(), 0
+    while a < m:  # sources a:b hold at most a block of arcs, or a lone source more
+        b = max(a + 1, int(np.searchsorted(offsets, offsets[a] + block, "right")) - 1)
+        lo, hi = int(offsets[a]), int(offsets[b])
+        if lo < hi:
+            c = counts[a:b]
+            arcs[lo:hi, 0] = np.repeat(np.arange(a, b), c)
+            pick = np.repeat(start[a:b] - (offsets[a:b] - lo), c)
+            pick += np.arange(hi - lo)
+            arcs[lo:hi, 1] = succ[pick]
+        a = b
+    return arcs
 
 
 def topo_sort(dag: MatchDag) -> list[int]:
@@ -324,7 +420,8 @@ def _forward_dp(
     run: a run's ``dist`` is final once every earlier run has pushed, and
     its out-arcs then raise each successor's best in-arc value together.
     A parent is the in-neighbor reaching that best value with the smallest
-    ``label`` (its index when ``label`` is ``None``)."""
+    ``label`` (its index when ``label`` is ``None``), found by one pass
+    over the arcs, a block at a time, once every ``dist`` is final."""
     n = dag.n_nodes
     indptr, pick = dag._out_csr
     src, dst = dag.arcs[pick, 0], dag.arcs[pick, 1]
@@ -335,21 +432,22 @@ def _forward_dp(
 
     dist = node_w.astype(np.int64)  # always a fresh copy
     best = np.full(n, -1, dtype=np.int64)  # best in-arc value so far; -1: no in-arc
-    parent = np.full(n, -1, dtype=np.int64)
     for a, b in _runs(first_dst):
         dist[a:b] += np.maximum(best[a:b], 0)
         lo, hi = indptr[a], indptr[b]
-        if lo == hi:
-            continue
-        s, d = src[lo:hi], dst[lo:hi]
-        cand = dist[s] if w is None else dist[s] + w[lo:hi]
-        before = best[d]
-        np.maximum.at(best, d, cand)
-        after = best[d]
-        parent[d[after > before]] = n  # a new best: forget the old parent
-        tight = cand == after
+        if lo < hi:
+            s = src[lo:hi]
+            np.maximum.at(best, dst[lo:hi], dist[s] if w is None else dist[s] + w[lo:hi])
+
+    parent = np.full(n, n, dtype=np.int64)
+    block = _arc_block()
+    for lo in range(0, len(src), block):
+        s, d = src[lo : lo + block], dst[lo : lo + block]
+        cand = dist[s] if w is None else dist[s] + w[lo : lo + block]
+        tight = cand == best[d]
         s = s[tight]
         np.minimum.at(parent, d[tight], s if label is None else label[s])
+    parent[best < 0] = -1
     return dist, parent
 
 

@@ -93,7 +93,7 @@ def build_gap_match_graph(
     cid = char_dist.starts[vert] + off if len(vert) else np.array([], dtype=np.int64)
     dmat = char_dist.matrix
 
-    def accept(lo: int, hi: int) -> tuple[int, np.ndarray]:
+    def accept(lo: int, hi: int) -> np.ndarray:
         dq = qi[None, :] - qi[lo:hi, None]
         query_ok = (dq > 0) & (dq <= k1)
         same = vert[lo:hi, None] == vert[None, :]
@@ -101,7 +101,7 @@ def build_gap_match_graph(
         intra_ok = (df > 0) & (df <= k2)
         dist = dmat[cid[lo:hi, None], cid[None, :]]
         inter_ok = np.isfinite(dist) & (dist <= k2)
-        return 0, query_ok & np.where(same, intra_ok, inter_ok)
+        return query_ok & np.where(same, intra_ok, inter_ok)
 
     return _match_dag(qi, vert, off, _pair_arcs(len(qi), accept))
 

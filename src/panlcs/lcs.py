@@ -8,14 +8,16 @@ vertex label or on a vertex reachable through the graph.  Every path in the
 product graph then reads off a common subsequence, and a maximum-node path
 (unit node weights) is a longest one.
 
-The product graph is materialized explicitly with the dense pair scan of
+The product graph is materialized explicitly by
 :func:`panlcs.daglp.interval_arcs`, which also builds the seed DAG of
 chaining (a match is a length-one seed).  Matches are numbered in query
-order and every arc ascends, so the scan visits only pairs whose query
-index grows and emits the arcs sorted by (source, destination), and the
-longest path needs neither a topological sort nor an arc sort.  Cost still
-grows with the square of the match count, which is the documented scaling
-behavior of this solver.
+order, so the out-arcs of a match are the suffix, past its query index,
+of the successor list of its (vertex, offset) character: each suffix is
+copied into one preallocated arc array, sorted by (source,
+destination), and the longest path needs neither a topological sort nor
+an arc sort.  Time and memory grow with the arc count, up to the square
+of the match count, which is the documented scaling behavior of this
+solver.
 """
 
 from __future__ import annotations

@@ -164,8 +164,13 @@ class TestBuildSeedGraph:
         crowded = rng.randrange(g.n)  # several seeds share this vertex
         seeds = list(random_seeds(rng, g, 4) + random_seeds(rng, g, 3, vertex=crowded))
         rng.shuffle(seeds)
-        dag = build_seed_graph(seeds, g, reachability(g))
-        assert dag.arcs.tolist() == pairwise_arcs(seeds, g)
+        expected = pairwise_arcs(seeds, g)
+        # shuffled seeds are mostly not in query order: the dense scan, one
+        # source row per block at a budget of one cell
+        for block_cells in (daglp._BLOCK_CELLS, 1):
+            with patch.object(daglp, "_BLOCK_CELLS", block_cells):
+                dag = build_seed_graph(seeds, g, reachability(g))
+            assert dag.arcs.tolist() == expected
 
     @given(helpers.graphs(max_n=4, max_label=4, acyclic=False), st.integers(0, 2**32))
     @settings(max_examples=60)

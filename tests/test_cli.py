@@ -1,9 +1,13 @@
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import panlcs
 from panlcs import Alignment, Chain, Seed, parse_graph, reachability
 from panlcs.cli import main
 
@@ -84,6 +88,15 @@ class TestLcsCommand:
             ["lcs", "--graph", str(gfa), "--graph-format", "gfa", "--query", "aba", "--json"],
         )
         assert code == 0 and json.loads(out)["score"] == 3
+
+    def test_runs_as_python_dash_m(self, capsys, graph_file):
+        argv = ["lcs", "--graph", graph_file, "--query", "aba", "--json"]
+        package_root = str(Path(panlcs.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "panlcs", *argv], capture_output=True, env=env, timeout=60)
+        code, out, _ = run(capsys, argv)
+        assert proc.returncode == code == 0, proc.stderr
+        assert proc.stdout == out.encode()
 
 
 class TestFglcsCommand:

@@ -181,6 +181,29 @@ class TestMatchDagValidation:
         with pytest.raises(DagError, match="out of range"):
             MatchDag(weights=np.ones(2), arcs=np.array([[0, 5]]))
 
+    @pytest.mark.parametrize(
+        "arcs, endpoint",
+        [
+            ([[-1, 0]], -1),  # forward, sources sorted
+            ([[0, 1], [-1, 1]], -1),  # forward, sources unsorted
+            ([[0, 1], [1, 0], [0, 2]], 2),  # a backward arc, largest endpoint a destination
+            ([[2, 0]], 2),  # a backward arc, largest endpoint a source
+            ([[1, 0], [0, -1]], -1),  # a backward arc, smallest endpoint a destination
+        ],
+    )
+    def test_range_check_in_every_arc_order(self, arcs, endpoint):
+        with pytest.raises(DagError, match=f"arc endpoint {endpoint} out of range"):
+            MatchDag(weights=np.ones(2), arcs=np.array(arcs))
+
+    def test_caller_arrays_stay_writeable(self):
+        weights, arcs, arc_weights = np.array([1, 2, 3]), np.array([[0, 1], [1, 2]]), np.array([4, 5])
+        d = MatchDag(weights=weights, arcs=arcs, arc_weights=arc_weights)
+        for mine in (weights, arcs, arc_weights):
+            assert mine.flags.writeable
+        weights[0] = 0  # the caller still owns its array
+        for held in (d.weights, d.arcs, d.arc_weights):
+            assert not held.flags.writeable
+
     def test_negative_arc_weight(self):
         with pytest.raises(DagError, match="non-negative"):
             MatchDag(weights=np.ones(2), arcs=np.array([[0, 1]]), arc_weights=np.array([-2]))

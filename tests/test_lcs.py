@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -14,12 +16,16 @@ from panlcs import (
     classic_lcs_dp,
     embeddable,
     lcs_sg_bruteforce,
+    longest_path_vertex,
     parse_graph,
     reachability,
     solve_lcs_sg,
     spell,
     topo_sort,
 )
+from test_acceptance import stress_instance
+
+BLOCK_BUDGETS = [daglp._BLOCK_CELLS, 7, 1]
 
 TWO_VERTEX = parse_graph("V a ab\nV b ba\nE a b\n")
 
@@ -61,15 +67,38 @@ class TestBuildMatchGraph:
         dag = build_match_graph(q, g, reachability(g))
         assert set(map(tuple, dag.arcs.tolist())) == helpers.h_arcs_by_rule(q, g)
 
-    @pytest.mark.parametrize("block_cells", [daglp._BLOCK_CELLS, 7])
+    @pytest.mark.parametrize("block_cells", BLOCK_BUDGETS)
     @given(g=helpers.graphs(max_n=4, max_label=3, acyclic=False), q=helpers.queries(max_len=7))
     @settings(max_examples=60)
     def test_arc_list_in_scan_order(self, block_cells, g, q):
-        # a tiny block budget splits the scan into many row blocks, each
-        # starting its columns past the block's earliest query index
+        # a tiny block budget builds the successor lists a few keys at a
+        # time and copies the arcs a few sources at a time
         with patch.object(daglp, "_BLOCK_CELLS", block_cells):
             dag = build_match_graph(q, g, reachability(g))
         assert dag.arcs.tolist() == [list(a) for a in sorted(helpers.h_arcs_by_rule(q, g))]
+
+    @pytest.mark.parametrize("block_cells", BLOCK_BUDGETS)
+    @pytest.mark.parametrize(
+        "graph, query, out_degrees",
+        [
+            ("V v ab\n", b"z", []),  # no matches
+            ("V v ab\n", b"a", [0]),  # a single node
+            # 'd' ends the label: three sources without arcs between sources with many
+            ("V v abcd\n", b"aadddbcd", [6, 6, 0, 0, 0, 2, 1, 0]),
+            ("V v abcd\nV w d\nE v w\n", b"adddd", [8, 3, 0, 2, 0, 1, 0, 0, 0]),
+        ],
+    )
+    def test_successor_copy_at_tiny_blocks(self, block_cells, graph, query, out_degrees):
+        g = parse_graph(graph)
+
+        def dense_scan(*args):
+            raise AssertionError("matches ascend in the query: no dense scan")
+
+        with patch.object(daglp, "_BLOCK_CELLS", block_cells), patch.object(daglp, "_pair_arcs", dense_scan):
+            dag = build_match_graph(query, g, reachability(g))
+        assert dag.arcs.tolist() == [list(a) for a in sorted(helpers.h_arcs_by_rule(query, g))]
+        assert dag.arcs.dtype == np.int64 and dag.arcs.shape == (sum(out_degrees), 2)
+        assert np.bincount(dag.arcs[:, 0], minlength=dag.n_nodes).tolist() == out_degrees
 
     @given(helpers.graphs(max_n=4, max_label=3, acyclic=False), helpers.queries(max_len=6))
     @settings(max_examples=60)
@@ -80,6 +109,27 @@ class TestBuildMatchGraph:
         except CycleError:  # pragma: no cover - the property under test
             pytest.fail("product graph must be acyclic")
         assert len(order) == dag.n_nodes
+
+
+class TestProductDagMemory:
+    def test_peaks_at_stress_scale(self):
+        # 17.4 M arcs (279 MB): holding every block's arcs before joining
+        # them into one array would peak at twice the arc array
+        g, _, q200 = stress_instance()
+        reach = reachability(g)
+        tracemalloc.start()
+        try:
+            dag = build_match_graph(q200, g, reach)
+            _, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            longest_path_vertex(dag)
+            _, solve_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dag.n_arcs == 17_440_087
+        assert build_peak <= 1.3 * dag.arcs.nbytes
+        assert solve_peak - held < dag.arcs.nbytes / 3  # no whole-array pass over the arcs
 
 
 class TestSolve:
