@@ -21,6 +21,7 @@ re-check emitted chains.
 from __future__ import annotations
 
 import io
+import logging
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -28,6 +29,8 @@ import numpy as np
 
 from .daglp import MatchDag, interval_arcs, longest_path_vertex
 from .graph import PangenomeGraph, ReachMatrix, reachability
+
+log = logging.getLogger(__name__)
 
 
 class SeedError(ValueError):
@@ -149,11 +152,13 @@ def build_seed_graph(
         [(graph.vertex_index(s.vertex), s.i, s.i2, s.j, s.j2) for s in seeds], dtype=np.int64
     ).reshape(-1, 5)
     vert, i, i2, j, j2 = cols.T
-    return MatchDag(
+    dag = MatchDag(
         weights=np.ones(len(seeds), dtype=np.int64) if unit_weights else i2 - i + 1,
         arcs=interval_arcs(j, j2, vert, i, i2, reach.matrix),
         payloads=tuple(seeds),
     )
+    log.info("seed DAG: %d seeds, %d arcs", dag.n_nodes, dag.n_arcs)
+    return dag
 
 
 def _solve(

@@ -8,12 +8,15 @@ JSON is the canonical machine output; the human and tsv modes render the
 same record.  Exit codes: 0 success, 2 usage error, 3 parse or validation
 error, 4 oracle mismatch under ``--oracle-check``.  The only environment
 variable honored is ``NO_COLOR``, which disables colored human output.
+``-v`` on the solver subcommands logs each stage's sizes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import os
 import sys
 from pathlib import Path
@@ -295,6 +298,8 @@ def _add_query_flags(p: argparse.ArgumentParser) -> None:
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="shorthand for --output json")
     p.add_argument("--output", choices=("human", "json", "tsv"), default="human")
+    p.add_argument("-v", dest="verbose", action="store_true",
+                   help="log solver stages and their sizes to stderr")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,6 +371,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _log_to_stderr(enabled: bool):
+    """Under ``-v``, send the ``panlcs`` loggers' INFO records to stderr
+    while one command runs."""
+    if not enabled:
+        yield
+        return
+    logger = logging.getLogger("panlcs")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -376,7 +401,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        with _log_to_stderr(getattr(args, "verbose", False)):
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

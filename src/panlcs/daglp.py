@@ -24,21 +24,29 @@ already topological: the sort is one vectorized check, and the out-arcs come
 grouped by source without a sort.  The longest-path program pushes run by
 run, a run being a maximal stretch of the order with no arc inside (one
 query row of the lcs product DAG): its scores are final, and one
-scatter-max over its out-arcs raises every successor at once; parents
-come from one pass over the arcs afterwards.  Any other DAG is relabelled
+scatter-max over its out-arcs raises every successor at once.  The value
+scattered packs a score above its source's tie-break rank, so that one
+pass yields both the best score and the parent; scores are therefore
+bounded (:func:`_check_score_bound`).  Any other DAG is relabelled
 by its topological order and solved the same way, so there is no per-node
 Python loop; DAGs in the tens of thousands of nodes and tens of millions
 of arcs stay workable, with temporaries bounded by a block size.
+
+Arc arrays are built column-major (``arcs[:, 0]`` and ``arcs[:, 1]`` each
+contiguous), since every pass over them reads or writes one column.
 """
 
 from __future__ import annotations
 
 import heapq
+import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 
 class DagError(ValueError):
@@ -56,7 +64,10 @@ class CycleError(ValueError):
 def _int_array(values: Any, shape_hint: str) -> np.ndarray:
     """A read-only int64 view of ``values``; the caller's own array, when
     it needs no conversion, is shared but stays writeable."""
-    arr = np.asarray(values, dtype=np.int64).view()
+    try:
+        arr = np.asarray(values, dtype=np.int64).view()
+    except OverflowError:
+        raise DagError("weights and arc endpoints must fit in 64-bit signed integers") from None
     if arr.size == 0:
         arr = arr.reshape(0) if shape_hint == "1d" else arr.reshape(0, 2)
     arr.flags.writeable = False
@@ -71,6 +82,9 @@ class MatchDag:
     of ordered node-index pairs, and ``arc_weights`` an optional parallel
     array for edge-weighted solving.  Acyclicity is not checked here; it is
     established by :func:`topo_sort` when the DAG is solved.
+
+    The builders of this module return column-major arcs (each column
+    contiguous, as from ``np.empty((2, m)).T``); any layout is accepted.
 
     Int64 arrays are held without a copy, as read-only views: the caller
     must not mutate them afterwards.
@@ -138,12 +152,7 @@ class MatchDag:
             pairs.append((arc[0], arc[1]))
             if now:
                 arc_weights.append(arc[2])
-        return cls(
-            weights=np.asarray(weights, dtype=np.int64),
-            arcs=np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
-            payloads=payloads,
-            arc_weights=np.asarray(arc_weights, dtype=np.int64) if weighted else None,
-        )
+        return cls(weights=weights, arcs=pairs, payloads=payloads, arc_weights=arc_weights if weighted else None)
 
     @property
     def n_nodes(self) -> int:
@@ -167,31 +176,50 @@ _BLOCK_CELLS = 4_000_000  # pair cells per block of a scan or list build: bounds
 
 
 def _arc_block() -> int:
-    """Arcs per block of an arc copy or pass: their int64 temporaries take
-    twice a cell block's bytes."""
-    return max(1, _BLOCK_CELLS // 16)
+    """Arcs per block of an arc copy: its few int64 temporaries stay
+    cache-sized, and add about 2 MB to the peak beside the arcs."""
+    return max(1, _BLOCK_CELLS // 64)
+
+
+def _column_major(m: int) -> np.ndarray:
+    """An uninitialized (m, 2) int64 arc array whose columns are contiguous."""
+    return np.empty((2, m), dtype=np.int64).T
 
 
 def _pair_arcs(m: int, accept_block) -> np.ndarray:
     """Dense scan over the ``m * m`` ordered node pairs.  ``accept_block(lo,
     hi)`` returns the arc predicate for source rows ``lo:hi`` against every
-    destination.  Arcs come out sorted by (source, destination)."""
-    chunks: list[np.ndarray] = [np.empty((0, 2), dtype=np.int64)]
+    destination.  Arcs come out sorted by (source, destination).
+
+    Each block's hits are kept as flat cell indices in the narrowest type
+    that spans a block (a quarter of their arcs' bytes at most), then
+    split into one preallocated arc array."""
     block = max(1, _BLOCK_CELLS // max(m, 1))
+    cell_type = np.min_scalar_type(block * m)
+    hits = []
     for lo in range(0, m, block):
         mask = accept_block(lo, min(lo + block, m))
-        rows, cols = np.divmod(np.flatnonzero(mask), m)  # 2-d nonzero is slower
-        del mask  # free the block's cells before its arcs are built
+        hits.append(np.flatnonzero(mask).astype(cell_type))  # 2-d nonzero is slower
+        del mask  # free the block's cells before the next block's
+    arcs = _column_major(sum(map(len, hits)))
+    end = 0
+    for k, lo in enumerate(range(0, m, block)):
+        flat, hits[k] = hits[k], None
+        rows, cols = arcs[end : end + len(flat), 0], arcs[end : end + len(flat), 1]
+        np.divmod(flat, m, out=(rows, cols))
         rows += lo
-        chunks.append(np.stack([rows, cols], axis=1))
-    return np.concatenate(chunks)
+        end += len(flat)
+    return arcs
 
 
 def _distinct_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct ``(a, b)`` pairs, as two arrays, and each input
-    position's index among them."""
-    keys, inverse = np.unique(np.stack([a, b], axis=1), axis=0, return_inverse=True)
-    return keys[:, 0], keys[:, 1], inverse.reshape(-1)
+    """The distinct pairs of non-negative ``(a, b)``, in ascending order,
+    as two arrays, and each input position's index among them.  The pairs
+    are uniqued as one combined key, which fits in int64 for the vertex
+    indices and label offsets this module pairs."""
+    span = int(b.max(initial=0)) + 1
+    keys, inverse = np.unique(a * span + b, return_inverse=True)
+    return keys // span, keys % span, inverse
 
 
 def _precedes(
@@ -257,8 +285,9 @@ def _successor_arcs(
     whose key it precedes on the graph, from the earliest ``first`` among
     its sources on; ``first[x]`` is the first node starting after
     ``q_end[x]``.  The lists cost keys x nodes cells, built a block of keys
-    at a time.  Each source's arcs are then counted and copied, a block of
-    arcs at a time, into one preallocated array.
+    at a time: a key's row of the precedence table with its prefix before
+    that earliest ``first`` cleared.  Each source's arcs are then counted
+    and copied, a block of arcs at a time, into one preallocated array.
     """
     m = len(q_start)
     first = np.searchsorted(q_start, q_end, "right")
@@ -272,7 +301,8 @@ def _successor_arcs(
 
     # start/stop: each source's arc suffix within the concatenated lists
     start, stop = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
-    lists: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    node_type = np.min_scalar_type(m)  # list entries are node indices: the lists stay small beside the arcs
+    lists: list[np.ndarray] = [np.empty(0, dtype=node_type)]
     base = 0
     rows = max(1, _BLOCK_CELLS // max(m, 1))
     for ka in range(0, n_keys, rows):
@@ -280,7 +310,8 @@ def _successor_arcs(
         col = int(key_first[ka:kb].min())
         width = m - col
         mask = _precedes(x_vert[ka:kb], x_label[ka:kb], y_vert, y_label, reach)[:, y_key[col:]]
-        mask &= np.arange(col, m)[None, :] >= key_first[ka:kb, None]
+        for r, f in enumerate(key_first[ka:kb].tolist()):
+            mask[r, : f - col] = False
         flat = np.flatnonzero(mask)  # key row r, node col + c at r * width + c
         del mask
         xs = by_key[key_ptr[ka] : key_ptr[kb]]
@@ -289,7 +320,7 @@ def _successor_arcs(
         stop[xs] = base + np.searchsorted(flat, (row + 1) * width)
         flat %= max(width, 1)
         flat += col
-        lists.append(flat)
+        lists.append(flat.astype(node_type))
         base += len(flat)
     succ = np.concatenate(lists)
     del lists
@@ -297,7 +328,7 @@ def _successor_arcs(
     counts = stop - start
     offsets = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    arcs = np.empty((int(offsets[-1]), 2), dtype=np.int64)
+    arcs = _column_major(int(offsets[-1]))
     block, a = _arc_block(), 0
     while a < m:  # sources a:b hold at most a block of arcs, or a lone source more
         b = max(a + 1, int(np.searchsorted(offsets, offsets[a] + block, "right")) - 1)
@@ -413,42 +444,62 @@ def _runs(first_dst: np.ndarray) -> Iterator[tuple[int, int]]:
     yield start, len(first_dst)
 
 
+def _check_score_bound(n: int, node_w: np.ndarray, arc_w: np.ndarray | None) -> None:
+    """Refuse weights under which a path could score ``2**(62 - n.bit_length())``
+    or more: the scores are int64, and :func:`_forward_dp` packs each one
+    above ``n.bit_length()`` tie-break bits.  No path scores more than the
+    total node weight plus ``n - 1`` times the largest arc weight."""
+    limit = 1 << (62 - n.bit_length())
+    top_arc = 0 if arc_w is None else int(arc_w.max(initial=0))
+    # checked last: fewer than 2**bit_length node weights below the limit sum without wrapping
+    fits = int(node_w.max(initial=0)) < limit and top_arc < limit
+    if fits and int(node_w.sum()) + max(n - 1, 0) * top_arc < limit:
+        return
+    raise DagError(
+        f"weights too large: on {n} nodes, the total node weight plus {max(n - 1, 0)} times "
+        f"the largest arc weight must stay below 2**{62 - n.bit_length()}"
+    )
+
+
 def _forward_dp(
     dag: MatchDag, node_w: np.ndarray, arc_w: np.ndarray | None, label: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``dist`` and ``parent`` of a DAG whose arcs all ascend, pushed run by
     run: a run's ``dist`` is final once every earlier run has pushed, and
-    its out-arcs then raise each successor's best in-arc value together.
-    A parent is the in-neighbor reaching that best value with the smallest
-    ``label`` (its index when ``label`` is ``None``), found by one pass
-    over the arcs, a block at a time, once every ``dist`` is final."""
+    its out-arcs then raise each successor's best in-arc key together.
+
+    The key of an in-arc packs its value (source ``dist`` plus arc weight)
+    above ``b = n.bit_length()`` low bits holding ``2**b - 1 - label`` of
+    its source (``label`` defaults to the index).  One scatter-max of the
+    keys thus yields both the best value and, among the in-neighbors that
+    reach it, the one with the smallest label: the parent.  Keys stay below
+    2**62 by :func:`_check_score_bound`."""
     n = dag.n_nodes
+    b = n.bit_length()
+    low = (1 << b) - 1
     indptr, pick = dag._out_csr
     src, dst = dag.arcs[pick, 0], dag.arcs[pick, 1]
-    w = None if arc_w is None else arc_w[pick]
+    arc_key = None if arc_w is None else arc_w[pick] << b
     has_out = indptr[1:] > indptr[:-1]
     first_dst = np.full(n, n, dtype=np.int64)
     first_dst[has_out] = np.minimum.reduceat(dst, indptr[:-1][has_out])
 
     dist = node_w.astype(np.int64)  # always a fresh copy
-    best = np.full(n, -1, dtype=np.int64)  # best in-arc value so far; -1: no in-arc
-    for a, b in _runs(first_dst):
-        dist[a:b] += np.maximum(best[a:b], 0)
-        lo, hi = indptr[a], indptr[b]
+    key = low - (np.arange(n) if label is None else label)  # a source's tie bits; its dist joins when final
+    best = np.full(n, -1, dtype=np.int64)  # best in-arc key so far; -1: no in-arc
+    runs = 0
+    for lo_v, hi_v in _runs(first_dst):
+        runs += 1
+        dist[lo_v:hi_v] += np.maximum(best[lo_v:hi_v] >> b, 0)
+        key[lo_v:hi_v] += dist[lo_v:hi_v] << b
+        lo, hi = indptr[lo_v], indptr[hi_v]
         if lo < hi:
-            s = src[lo:hi]
-            np.maximum.at(best, dst[lo:hi], dist[s] if w is None else dist[s] + w[lo:hi])
-
-    parent = np.full(n, n, dtype=np.int64)
-    block = _arc_block()
-    for lo in range(0, len(src), block):
-        s, d = src[lo : lo + block], dst[lo : lo + block]
-        cand = dist[s] if w is None else dist[s] + w[lo : lo + block]
-        tight = cand == best[d]
-        s = s[tight]
-        np.minimum.at(parent, d[tight], s if label is None else label[s])
-    parent[best < 0] = -1
-    return dist, parent
+            cand = key[src[lo:hi]]
+            if arc_key is not None:
+                cand += arc_key[lo:hi]
+            np.maximum.at(best, dst[lo:hi], cand)
+    log.info("longest path: %d nodes, %d arcs, %d runs", n, dag.n_arcs, runs)
+    return dist, np.where(best < 0, -1, low - (best & low))
 
 
 def _longest_path(dag: MatchDag, node_w: np.ndarray, arc_w: np.ndarray | None) -> LongestPathResult:
@@ -456,15 +507,18 @@ def _longest_path(dag: MatchDag, node_w: np.ndarray, arc_w: np.ndarray | None) -
     in-neighbor score, plus the connecting arc's weight when ``arc_w`` is
     given.  A DAG whose arcs do not all ascend is relabelled by
     :func:`topo_sort` order, solved the same way and mapped back."""
-    order = topo_sort(dag)
     n = dag.n_nodes
+    _check_score_bound(n, node_w, arc_w)
+    order = topo_sort(dag)
     if dag._forward:
         dist, parent = _forward_dp(dag, node_w, arc_w, None)
     else:
         order = np.asarray(order, dtype=np.int64)
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
-        relabelled = MatchDag(weights=node_w[order], arcs=rank[dag.arcs])
+        arcs = _column_major(dag.n_arcs)
+        arcs[:, 0], arcs[:, 1] = rank[dag.arcs[:, 0]], rank[dag.arcs[:, 1]]
+        relabelled = MatchDag(weights=node_w[order], arcs=arcs)
         dist, parent = np.empty_like(rank), np.empty_like(rank)
         dist[order], parent[order] = _forward_dp(relabelled, relabelled.weights, arc_w, order)
     if n == 0:

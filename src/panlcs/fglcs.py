@@ -36,6 +36,7 @@ type, for N label characters and V vertices.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ import numpy as np
 from .daglp import MatchDag, _pair_arcs
 from .graph import CharDistMatrix, CharGraph, PangenomeGraph, build_char_graph, reachability
 from .lcs import Alignment, MatchPoint, _match_dag, alignment_from_points, match_points
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -215,6 +218,10 @@ def solve_fglcs_sg(
         relation: _Relation = _ReachRelation(graph, cg)
     else:
         relation = _BallRelation(cg, gaps.k2)
+    log.info(
+        "fglcs table: %d query rows x %d characters, predecessors by %s",
+        len(q), cg.node_count, "reachability" if isinstance(relation, _ReachRelation) else f"radius-{gaps.k2} balls",
+    )
     table = _fill_table(q, cg, k1, relation)
     if not table.any():
         return Alignment(0, b"", (), (), gaps=())

@@ -22,6 +22,7 @@ solver.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -32,6 +33,8 @@ from .graph import CharDistMatrix, CharGraph, PangenomeGraph, ReachMatrix, build
 
 if TYPE_CHECKING:  # pragma: no cover
     from .fglcs import GapParams
+
+log = logging.getLogger(__name__)
 
 
 class MatchPoint(NamedTuple):
@@ -136,9 +139,7 @@ def match_points(query: bytes, graph: PangenomeGraph) -> tuple[np.ndarray, np.nd
 def _match_dag(qi: np.ndarray, vert: np.ndarray, off: np.ndarray, arcs: np.ndarray) -> MatchDag:
     """Unit-weight DAG over the matches ``(qi, vert, off)``, one
     :class:`MatchPoint` payload per node."""
-    payloads = tuple(
-        MatchPoint(int(i), int(u), int(f)) for i, u, f in zip(qi, vert, off)
-    )
+    payloads = tuple(map(MatchPoint, qi.tolist(), vert.tolist(), off.tolist()))
     return MatchDag(weights=np.ones(len(qi), dtype=np.int64), arcs=arcs, payloads=payloads)
 
 
@@ -153,7 +154,9 @@ def build_match_graph(
     other vertex: :func:`interval_arcs` with every interval of length one.
     """
     qi, vert, off = match_points(query, graph)
-    return _match_dag(qi, vert, off, interval_arcs(qi, qi, vert, off, off, reach.matrix))
+    dag = _match_dag(qi, vert, off, interval_arcs(qi, qi, vert, off, off, reach.matrix))
+    log.info("product DAG: %d matches, %d arcs", dag.n_nodes, dag.n_arcs)
+    return dag
 
 
 def alignment_from_path(

@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -310,6 +311,60 @@ class TestLpCommand:
         code, _, err = run(capsys, ["lp", "--dag", str(dag)])
         assert code == 3
         assert "cycle" in err
+
+    @pytest.mark.parametrize(
+        "text, mode, message",
+        [
+            # 2**62 + 2**62 wraps in int64: refused instead of a wrong score
+            ("N 0 4611686018427387904\nN 1 4611686018427387904\nA 0 1\n", "vertex", "must stay below 2**60"),
+            # an arc weight beyond int64 is refused instead of a traceback
+            ("N 0 1\nN 1 1\nA 0 1 9223372036854775808\n", "edge", "64-bit"),
+        ],
+    )
+    def test_overflowing_weights_exit_3(self, capsys, tmp_path, text, mode, message):
+        dag = tmp_path / "dag.tsv"
+        dag.write_text(text)
+        code, out, err = run(capsys, ["lp", "--dag", str(dag), "--mode", mode, "--json"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and message in err
+
+
+class TestVerbose:
+    SEEDS = "a 0 1 0 1\nb 0 1 3 4\n"
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (["lcs", "--query", "aba"], ["panlcs.lcs: product DAG: 6 matches, 5 arcs", "panlcs.daglp: longest path: 6 nodes, 5 arcs, 3 runs"]),
+            (["fglcs", "--query", "aba", "--k1", "2", "--k2", "2"], ["panlcs.fglcs: fglcs table: 3 query rows x 4 characters, predecessors by radius-2 balls"]),
+            (["chain", "--seeds", "SEEDS", "--objective", "len"], ["panlcs.chaining: seed DAG: 2 seeds, 1 arcs", "panlcs.daglp: longest path: 2 nodes, 1 arcs, 2 runs"]),
+        ],
+        ids=["lcs", "fglcs", "chain"],
+    )
+    @pytest.mark.parametrize("output", [["--json"], ["--output", "tsv"], []], ids=["json", "tsv", "human"])
+    def test_logs_to_stderr_and_keeps_stdout(self, capsys, tmp_path, graph_file, argv, lines, output):
+        seeds = tmp_path / "s.tsv"
+        seeds.write_text(self.SEEDS)
+        argv = [str(seeds) if a == "SEEDS" else a for a in argv] + ["--graph", graph_file] + output
+        code, quiet_out, quiet_err = run(capsys, argv)
+        assert code == 0 and quiet_err == ""
+        code, out, err = run(capsys, argv + ["-v"])
+        assert code == 0 and out == quiet_out
+        assert err.splitlines() == lines
+
+    def test_handler_removed_after_the_command(self, capsys, graph_file):
+        logger = logging.getLogger("panlcs")
+        handlers, level = list(logger.handlers), logger.level
+        run(capsys, ["lcs", "--graph", graph_file, "--query", "aba", "-v"])
+        assert logger.handlers == handlers and logger.level == level
+        _, _, err = run(capsys, ["lcs", "--graph", graph_file, "--query", "aba"])
+        assert err == ""
+
+    def test_lp_logs_the_solve(self, capsys, tmp_path):
+        dag = tmp_path / "dag.tsv"
+        dag.write_text("N 0 1\nN 1 2\nA 1 0\n")
+        code, _, err = run(capsys, ["lp", "--dag", str(dag), "-v"])
+        assert code == 0 and err == "panlcs.daglp: longest path: 2 nodes, 1 arcs, 2 runs\n"
 
 
 class TestOracleCommand:

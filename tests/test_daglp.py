@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from panlcs import daglp
 from panlcs import (
     CycleError,
     DagError,
@@ -174,6 +175,113 @@ class TestAgainstPerNodeReference:
         d = dag(3, [(1, 0), (0, 2), (1, 2)], weights=[0, 1, 1])
         self.check(d, "vertex")
         assert longest_path_vertex(d).parent.tolist() == [1, -1, 0]
+
+
+def score_limit(n):
+    """The exclusive bound on path scores for ``n`` nodes."""
+    return 1 << (62 - n.bit_length())
+
+
+def near_bound(d, mode):
+    """``d`` with its weights lifted so that the score bound is just met:
+    vertex weights summing to ``limit - 1``, or arc weights whose largest,
+    times ``n - 1``, is at most ``limit - 1``; the drawn differences stay."""
+    n, limit = d.n_nodes, score_limit(d.n_nodes)
+    weights, arc_weights = d.weights.tolist(), None
+    if mode == "vertex":
+        base = (limit - 1 - sum(weights)) // max(n, 1)
+        weights = [base + w for w in weights]
+    elif d.n_arcs:
+        drawn = d.arc_weights.tolist()
+        base = (limit - 1) // max(n - 1, 1) - max(drawn)
+        arc_weights = [base + w for w in drawn]
+    return MatchDag(weights=weights, arcs=d.arcs, arc_weights=arc_weights)
+
+
+class TestPackedKey:
+    """The DP scatters one key per arc: the score above the source's
+    tie-break bits.  Ties, parallel arcs and scores just under the bound
+    must come out as in the per-node reference."""
+
+    check = staticmethod(TestAgainstPerNodeReference.check)
+
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_ties_equal_the_reference(self, mode, shuffled, data):
+        # weights of 0 and 1 tie many sources at one value
+        d = data.draw(helpers.match_dags(max_nodes=10, weighted_arcs=mode == "edge", max_weight=1, shuffled=shuffled))
+        self.check(d, mode)
+
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_scores_just_under_the_bound(self, mode, shuffled, data):
+        d = data.draw(helpers.match_dags(max_nodes=9, weighted_arcs=mode == "edge", shuffled=shuffled))
+        self.check(near_bound(d, mode), mode)
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [4, 2, 0, 3, 1]])
+    def test_many_tied_sources_pick_the_smallest_index(self, order):
+        # sources order[0:4] all reach the sink order[4] with score 1, by
+        # parallel arcs too; in the relabelled case the smallest original
+        # index is not the first in topological order
+        *sources, sink = order
+        arcs = [(u, sink) for u in sources] + [(u, sink) for u in reversed(sources)]
+        d = dag(5, arcs, weights=[1] * 5)
+        self.check(d, "vertex")
+        assert longest_path_vertex(d).parent[sink] == min(sources)
+
+    def test_parallel_arcs_at_the_bound(self):
+        top = score_limit(2) - 1  # two nodes: one arc on any path
+        d = dag(2, [(0, 1), (0, 1), (0, 1)], arc_weights=[top - 1, top, top - 2])
+        self.check(d, "edge")
+        assert longest_path_edge(d).score == top
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])
+    def test_vertex_weights_at_the_bound_refused(self, n):
+        limit, arcs = score_limit(n), [(k, k + 1) for k in range(n - 1)]
+        weights = [limit // n] * n
+        weights[0] += limit - sum(weights)  # total exactly the limit
+        with pytest.raises(DagError, match="must stay below"):
+            longest_path_vertex(dag(n, arcs, weights=weights))
+        weights[0] -= 1
+        assert longest_path_vertex(dag(n, arcs, weights=weights)).score == limit - 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_arc_weight_at_the_bound_refused(self, n):
+        limit = score_limit(n)
+        top = -(-limit // (n - 1))  # n - 1 arcs of the largest weight reach the limit
+        arcs = [(k, k + 1) for k in range(n - 1)]
+        with pytest.raises(DagError, match="must stay below"):
+            longest_path_edge(dag(n, arcs, arc_weights=[top] + [0] * (n - 2)))
+        top = (limit - 1) // (n - 1)
+        assert longest_path_edge(dag(n, arcs, arc_weights=[top] * (n - 1))).score == top * (n - 1)
+
+    def test_arc_weights_ignored_in_vertex_mode(self):
+        d = dag(2, [(0, 1)], weights=[1, 1], arc_weights=[score_limit(2)])
+        assert longest_path_vertex(d).score == 2
+        with pytest.raises(DagError, match="must stay below"):
+            longest_path_edge(d)
+
+    @pytest.mark.parametrize("arcs", [[(0, 1, 2**63)], [(0, 2**63)]])
+    def test_beyond_int64_refused(self, arcs):
+        with pytest.raises(DagError, match="64-bit"):
+            MatchDag.from_lists(nodes=[(None, 1)] * 2, arcs=arcs)
+
+
+class TestColumnLayout:
+    @pytest.mark.parametrize("q_start", [[0, 0, 1, 2, 3], [3, 0, 2, 1, 0]], ids=["successor", "dense"])
+    def test_builders_return_contiguous_columns(self, q_start):
+        q = np.array(q_start, dtype=np.int64)
+        vert = np.array([0, 1, 0, 1, 0], dtype=np.int64)
+        off = np.array([0, 0, 1, 1, 2], dtype=np.int64)
+        arcs = daglp.interval_arcs(q, q, vert, off, off, np.ones((2, 2), dtype=bool))
+        assert len(arcs) and arcs.shape[1] == 2 and arcs.dtype == np.int64
+        assert arcs[:, 0].flags.c_contiguous and arcs[:, 1].flags.c_contiguous
+        d = MatchDag(weights=np.ones(5), arcs=arcs)
+        assert d.arcs[:, 0].flags.c_contiguous
 
 
 class TestMatchDagValidation:

@@ -12,7 +12,9 @@ from panlcs import (
     AlignmentError,
     CycleError,
     MatchPoint,
+    Seed,
     build_match_graph,
+    build_seed_graph,
     classic_lcs_dp,
     embeddable,
     lcs_sg_bruteforce,
@@ -130,6 +132,30 @@ class TestProductDagMemory:
         assert dag.n_arcs == 17_440_087
         assert build_peak <= 1.3 * dag.arcs.nbytes
         assert solve_peak - held < dag.arcs.nbytes / 3  # no whole-array pass over the arcs
+
+    def test_dense_scan_peak(self):
+        # the |Q| = 100 matches as length-one seeds listed by vertex are not
+        # in query order, so the dense scan builds their 4.06 M arcs (65 MB):
+        # holding every block's arcs before joining them would peak at twice that
+        g, q100, _ = stress_instance()
+        reach = reachability(g)
+        seeds = sorted(
+            (Seed(g.ids[p.vertex], p.offset, p.offset, p.q_index, p.q_index) for p in build_match_graph(q100, g, reach).payloads),
+            key=lambda s: (g.vertex_index(s.vertex), s.i, s.j),
+        )
+
+        def successor_copy(*args):
+            raise AssertionError("seeds listed by vertex: no successor copy")
+
+        tracemalloc.start()
+        try:
+            with patch.object(daglp, "_successor_arcs", successor_copy):
+                dag = build_seed_graph(seeds, g, reach)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(seeds) == 6_227 and dag.n_arcs == 4_061_882
+        assert peak <= 1.5 * dag.arcs.nbytes
 
 
 class TestSolve:
