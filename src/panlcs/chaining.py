@@ -152,9 +152,9 @@ def build_seed_graph(
         [(graph.vertex_index(s.vertex), s.i, s.i2, s.j, s.j2) for s in seeds], dtype=np.int64
     ).reshape(-1, 5)
     vert, i, i2, j, j2 = cols.T
-    dag = MatchDag(
-        weights=np.ones(len(seeds), dtype=np.int64) if unit_weights else i2 - i + 1,
-        arcs=interval_arcs(j, j2, vert, i, i2, reach.matrix),
+    dag = MatchDag.from_csr(
+        np.ones(len(seeds), dtype=np.int64) if unit_weights else i2 - i + 1,
+        *interval_arcs(j, j2, vert, i, i2, reach.matrix),
         payloads=tuple(seeds),
     )
     log.info("seed DAG: %d seeds, %d arcs", dag.n_nodes, dag.n_arcs)

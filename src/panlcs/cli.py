@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import os
@@ -302,6 +303,7 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help="log solver stages and their sizes to stderr")
 
 
+@functools.cache  # built on first use, not at import; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="panlcs",

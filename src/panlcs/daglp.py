@@ -14,26 +14,31 @@ a parent among equally good in-neighbors and when picking the path end among
 equally good nodes.  Repeated runs on the same DAG therefore reproduce the
 same path, not just the same score.
 
+A DAG holds its arcs in CSR form: per-source offsets into one column of
+destinations, of the narrowest unsigned dtype that spans the node count
+(two bytes per arc up to 65,535 nodes, where a pair of int64 endpoints
+takes sixteen).  No source column is stored; the builders emit the arcs
+grouped by source, and a source is expanded only for the few arcs a
+longest-path step reads at once.
+
 The product DAG of lcs, and the seed DAG of seeds listed in query order,
 number their nodes in query order.  The out-arcs of a node are then a
 suffix of one successor list shared by every node with its graph key, so
-:func:`interval_arcs` copies them into one preallocated array, at a cost close
-to writing the arcs; only seeds not in query order take a dense scan over
-all node pairs.  On these DAGs every arc ascends, so index order is
-already topological: the sort is one vectorized check, and the out-arcs come
-grouped by source without a sort.  The longest-path program pushes run by
-run, a run being a maximal stretch of the order with no arc inside (one
-query row of the lcs product DAG): its scores are final, and one
-scatter-max over its out-arcs raises every successor at once.  The value
-scattered packs a score above its source's tie-break rank, so that one
-pass yields both the best score and the parent; scores are therefore
-bounded (:func:`_check_score_bound`).  Any other DAG is relabelled
-by its topological order and solved the same way, so there is no per-node
-Python loop; DAGs in the tens of thousands of nodes and tens of millions
-of arcs stay workable, with temporaries bounded by a block size.
-
-Arc arrays are built column-major (``arcs[:, 0]`` and ``arcs[:, 1]`` each
-contiguous), since every pass over them reads or writes one column.
+:func:`interval_arcs` copies them into one preallocated column, at a cost
+close to writing the arcs; only seeds not in query order take a dense scan
+over all node pairs.  On these DAGs every arc ascends, so index order is
+already topological: one reduction over the destinations finds each
+node's smallest out-neighbor, which proves it and marks where runs end.
+The longest-path program pushes run by run, a run being a maximal stretch
+of the order with no arc inside (one query row of the lcs product DAG):
+its scores are final, and one scatter-max over its out-arcs raises every
+successor at once.  The value scattered packs a score above its source's
+tie-break rank, so that one pass yields both the best score and the
+parent; scores are therefore bounded (:func:`_check_score_bound`).  Any
+other DAG is relabelled by its topological order and solved the same way.
+Python touches each node a few times and no arc; DAGs in the tens of
+thousands of nodes and tens of millions of arcs stay workable, with
+temporaries bounded by a block size.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -74,56 +78,94 @@ def _int_array(values: Any, shape_hint: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class MatchDag:
-    """Weighted DAG over opaque node payloads.
+def _node_type(n: int) -> np.dtype:
+    """The narrowest unsigned dtype that spans ``n``: the destination
+    column of a DAG on ``n`` nodes."""
+    return np.min_scalar_type(n)
 
-    ``weights`` are per-node non-negative integers, ``arcs`` an (m, 2) array
-    of ordered node-index pairs, and ``arc_weights`` an optional parallel
-    array for edge-weighted solving.  Acyclicity is not checked here; it is
+
+@dataclass(frozen=True, init=False, eq=False)
+class MatchDag:
+    """Weighted DAG over opaque node payloads, its arcs held in CSR form.
+
+    ``weights`` are per-node non-negative integers.  The out-arcs of node
+    ``u`` end at ``dst[indptr[u]:indptr[u + 1]]``: ``indptr`` is int64 of
+    length n + 1, ``dst`` is of the narrowest unsigned dtype that spans n,
+    and ``arc_weights``, when present, are in the same order, for
+    edge-weighted solving.  Acyclicity is not checked here; it is
     established by :func:`topo_sort` when the DAG is solved.
 
-    The builders of this module return column-major arcs (each column
-    contiguous, as from ``np.empty((2, m)).T``); any layout is accepted.
+    ``MatchDag(weights, arcs)`` takes an (m, 2) array of node-index pairs
+    and groups it by source with a stable sort, permuting ``arc_weights``
+    alike; the builders of this module hand their CSR arrays to
+    :meth:`from_csr`.  :attr:`arcs` gives the pairs back, grouped by
+    source.
 
-    Int64 arrays are held without a copy, as read-only views: the caller
-    must not mutate them afterwards.
+    ``weights``, and the CSR arrays given to :meth:`from_csr`, are held
+    without a copy where no conversion is needed, as read-only views: the
+    caller must not mutate them afterwards.
     """
 
     weights: np.ndarray
-    arcs: np.ndarray
+    indptr: np.ndarray
+    dst: np.ndarray
     payloads: tuple[Any, ...] | None = None
     arc_weights: np.ndarray | None = None
-    # whether the sources ascend, and whether every arc ascends (so that
-    # index order is topological)
-    _src_sorted: bool = field(init=False, repr=False, compare=False)
-    _forward: bool = field(init=False, repr=False, compare=False)
+    # each node's smallest out-neighbor (n when it has none), and whether
+    # every arc ascends (so that index order is topological)
+    _first_dst: np.ndarray = field(default=None, repr=False)
+    _forward: bool = field(default=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _int_array(self.weights, "1d"))
-        object.__setattr__(self, "arcs", _int_array(self.arcs, "2d"))
-        if self.arcs.ndim != 2 or (self.arcs.size and self.arcs.shape[1] != 2):
+    def __init__(self, weights: Any, arcs: Any, payloads: Any = None, arc_weights: Any = None) -> None:
+        weights, arcs = _int_array(weights, "1d"), _int_array(arcs, "2d")
+        if arcs.ndim != 2 or (arcs.size and arcs.shape[1] != 2):
             raise DagError("arcs must be an (m, 2) array of node index pairs")
-        if self.weights.size and int(self.weights.min()) < 0:
-            raise DagError("node weights must be non-negative")
-        if self.payloads is not None and len(self.payloads) != self.n_nodes:
-            raise DagError("payloads must match the node count")
-        src, dst = self.arcs[:, 0], self.arcs[:, 1]
-        object.__setattr__(self, "_src_sorted", bool(np.all(src[:-1] <= src[1:])))
-        object.__setattr__(self, "_forward", bool(np.all(src < dst)))
-        if self.arcs.size:  # forward arcs span their smallest source to their largest destination
-            lo = int(src[0]) if self._src_sorted else int(src.min())
-            hi = int(dst.max())
-            if not self._forward:
-                lo, hi = min(lo, int(dst.min())), max(hi, int(src.max()))
-            if lo < 0 or hi >= self.n_nodes:
+        n = len(weights)
+        if arcs.size:
+            lo, hi = int(arcs.min()), int(arcs.max())
+            if lo < 0 or hi >= n:
                 raise DagError(f"arc endpoint {lo if lo < 0 else hi} out of range")
-        if self.arc_weights is not None:
-            object.__setattr__(self, "arc_weights", _int_array(self.arc_weights, "1d"))
-            if len(self.arc_weights) != self.n_arcs:
+        src = arcs[:, 0]
+        order = np.argsort(src, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+        if arc_weights is not None:
+            arc_weights = _int_array(arc_weights, "1d")
+            if len(arc_weights) != len(arcs):
                 raise DagError("arc_weights must match the arc count")
-            if self.arc_weights.size and int(self.arc_weights.min()) < 0:
+            if arc_weights.size and int(arc_weights.min()) < 0:
                 raise DagError("arc weights must be non-negative")
+            arc_weights = arc_weights[order]
+            arc_weights.flags.writeable = False
+        self._init(weights, indptr, arcs[order, 1].astype(_node_type(n)), payloads, arc_weights)
+
+    @classmethod
+    def from_csr(cls, weights: Any, indptr: np.ndarray, dst: np.ndarray, payloads: Any = None) -> "MatchDag":
+        """The DAG whose out-arcs of node ``u`` end at ``dst[indptr[u]:indptr[u + 1]]``."""
+        dag = cls.__new__(cls)
+        dag._init(_int_array(weights, "1d"), _int_array(indptr, "1d"), dst, payloads, None)
+        return dag
+
+    def _init(self, weights: np.ndarray, indptr: np.ndarray, dst: np.ndarray, payloads: Any, arc_weights: Any):
+        n = len(weights)
+        if weights.size and int(weights.min()) < 0:
+            raise DagError("node weights must be non-negative")
+        if payloads is not None and len(payloads) != n:
+            raise DagError("payloads must match the node count")
+        if not (
+            dst.dtype.kind == "u" and len(indptr) == n + 1 and indptr[0] == 0 and indptr[-1] == len(dst)
+        ) or np.any(indptr[1:] < indptr[:-1]):
+            raise DagError("CSR arcs need n + 1 ascending offsets from 0 to the arc count, unsigned destinations")
+        if len(dst) and int(dst.max()) >= n:
+            raise DagError(f"arc endpoint {int(dst.max())} out of range")
+        has_out = indptr[1:] > indptr[:-1]
+        first_dst = np.full(n, n, dtype=np.int64)
+        first_dst[has_out] = np.minimum.reduceat(dst, indptr[:-1][has_out])
+        dst = dst.view()
+        dst.flags.writeable = first_dst.flags.writeable = False
+        values = dict(weights=weights, indptr=indptr, dst=dst, payloads=payloads, arc_weights=arc_weights)
+        values.update(_first_dst=first_dst, _forward=bool(np.all(first_dst > np.arange(n))))
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_lists(
@@ -133,26 +175,15 @@ class MatchDag:
     ) -> "MatchDag":
         """Convenience constructor from (payload, weight) pairs and arc
         tuples, each ``(src, dst)`` or ``(src, dst, weight)``."""
-        payloads = tuple(p for p, _ in nodes)
-        weights = [w for _, w in nodes]
-        pairs: list[tuple[int, int]] = []
-        arc_weights: list[int] = []
-        weighted = None
+        arcs = list(arcs)
         for arc in arcs:
-            if len(arc) == 2:
-                now = False
-            elif len(arc) == 3:
-                now = True
-            else:
+            if len(arc) not in (2, 3):
                 raise DagError(f"arc tuple {arc!r} must have 2 or 3 entries")
-            if weighted is None:
-                weighted = now
-            elif weighted != now:
+            if len(arc) != len(arcs[0]):
                 raise DagError("either all arcs or no arcs may carry weights")
-            pairs.append((arc[0], arc[1]))
-            if now:
-                arc_weights.append(arc[2])
-        return cls(weights=weights, arcs=pairs, payloads=payloads, arc_weights=arc_weights if weighted else None)
+        arc_weights = [arc[2] for arc in arcs] if arcs and len(arcs[0]) == 3 else None
+        payloads, weights = tuple(p for p, _ in nodes), [w for _, w in nodes]
+        return cls(weights=weights, arcs=[arc[:2] for arc in arcs], payloads=payloads, arc_weights=arc_weights)
 
     @property
     def n_nodes(self) -> int:
@@ -160,56 +191,39 @@ class MatchDag:
 
     @property
     def n_arcs(self) -> int:
-        return len(self.arcs)
+        return len(self.dst)
 
-    @cached_property
-    def _out_csr(self) -> tuple[np.ndarray, np.ndarray | slice]:
-        """Indptr over source nodes and the arc order grouped by ascending
-        source (a stable sort); the order is ``slice(None)`` when the arcs
-        already are, as :func:`interval_arcs` emits them."""
-        src = self.arcs[:, 0]
-        order = slice(None) if self._src_sorted else np.argsort(src, kind="stable")
-        return np.searchsorted(src[order], np.arange(self.n_nodes + 1)), order
+    @property
+    def arcs(self) -> np.ndarray:
+        """A fresh read-only (m, 2) int64 array of (source, destination)
+        pairs, grouped by source: for inspection; the solvers read the CSR."""
+        arcs = np.empty((self.n_arcs, 2), dtype=np.int64)
+        arcs[:, 0] = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
+        arcs[:, 1] = self.dst
+        arcs.flags.writeable = False
+        return arcs
 
 
 _BLOCK_CELLS = 4_000_000  # pair cells per block of a scan or list build: bounds its temporaries
 
 
-def _arc_block() -> int:
-    """Arcs per block of an arc copy: its few int64 temporaries stay
-    cache-sized, and add about 2 MB to the peak beside the arcs."""
-    return max(1, _BLOCK_CELLS // 64)
-
-
-def _column_major(m: int) -> np.ndarray:
-    """An uninitialized (m, 2) int64 arc array whose columns are contiguous."""
-    return np.empty((2, m), dtype=np.int64).T
-
-
-def _pair_arcs(m: int, accept_block) -> np.ndarray:
+def _pair_arcs(m: int, accept_block) -> tuple[np.ndarray, np.ndarray]:
     """Dense scan over the ``m * m`` ordered node pairs.  ``accept_block(lo,
     hi)`` returns the arc predicate for source rows ``lo:hi`` against every
-    destination.  Arcs come out sorted by (source, destination).
+    destination.  Returns CSR arcs ``(indptr, dst)``, each source's
+    destinations ascending.
 
-    Each block's hits are kept as flat cell indices in the narrowest type
-    that spans a block (a quarter of their arcs' bytes at most), then
-    split into one preallocated arc array."""
+    Each block's destinations are kept at the node dtype, then joined."""
     block = max(1, _BLOCK_CELLS // max(m, 1))
-    cell_type = np.min_scalar_type(block * m)
-    hits = []
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    pieces = [np.empty(0, dtype=_node_type(m))]
     for lo in range(0, m, block):
-        mask = accept_block(lo, min(lo + block, m))
-        hits.append(np.flatnonzero(mask).astype(cell_type))  # 2-d nonzero is slower
-        del mask  # free the block's cells before the next block's
-    arcs = _column_major(sum(map(len, hits)))
-    end = 0
-    for k, lo in enumerate(range(0, m, block)):
-        flat, hits[k] = hits[k], None
-        rows, cols = arcs[end : end + len(flat), 0], arcs[end : end + len(flat), 1]
-        np.divmod(flat, m, out=(rows, cols))
-        rows += lo
-        end += len(flat)
-    return arcs
+        hi = min(lo + block, m)
+        flat = np.flatnonzero(accept_block(lo, hi))  # row r, column c at r * m + c; 2-d nonzero is slower
+        indptr[lo + 1 : hi + 1] = indptr[lo] + np.searchsorted(flat, np.arange(1, hi - lo + 1) * m)
+        pieces.append(np.remainder(flat, m, out=flat).astype(pieces[0].dtype))
+        del flat  # free the block's cell indices before the next block's
+    return indptr, np.concatenate(pieces)
 
 
 def _distinct_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,7 +244,7 @@ def _precedes(
     return np.where(
         x_vert[:, None] == y_vert[None, :],
         x_label[:, None] < y_label[None, :],
-        reach[x_vert[:, None], y_vert[None, :]],
+        reach[x_vert].take(y_vert, axis=1),
     )
 
 
@@ -241,7 +255,7 @@ def interval_arcs(
     label_start: np.ndarray,
     label_end: np.ndarray,
     reach: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Arcs between ordered interval pairs: the product-DAG arc rule.
 
     Node ``x`` pins the inclusive query interval ``[q_start, q_end]`` to the
@@ -249,7 +263,8 @@ def interval_arcs(
     character match is the length-one case.  ``x -> y`` is an arc when
     ``x`` ends before ``y`` starts on the query and, on the graph, also
     before it within one shared vertex, or ``reach[vert[x], vert[y]]``
-    holds across vertices.  Arcs come out sorted by (source, destination).
+    holds across vertices.  Returns CSR arcs ``(indptr, dst)`` (see
+    :class:`MatchDag`), each source's destinations ascending.
 
     The graph side depends only on (``vert``, ``label_end``) of ``x`` and
     (``vert``, ``label_start``) of ``y``.  When ``q_start`` ascends
@@ -265,8 +280,9 @@ def interval_arcs(
 
     def accept(lo: int, hi: int) -> np.ndarray:
         x_vert, x_label, x_key = _distinct_pairs(vert[lo:hi], label_end[lo:hi])
-        graph_ok = _precedes(x_vert, x_label, y_vert, y_label, reach)[:, y_key][x_key]
-        return (q_end[lo:hi, None] < q_start[None, :]) & graph_ok
+        mask = _precedes(x_vert, x_label, y_vert, y_label, reach)[x_key].take(y_key, axis=1)
+        mask &= q_end[lo:hi, None] < q_start[None, :]
+        return mask
 
     return _pair_arcs(len(q_start), accept)
 
@@ -278,7 +294,7 @@ def _successor_arcs(
     label_start: np.ndarray,
     label_end: np.ndarray,
     reach: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """:func:`interval_arcs` for an ascending ``q_start``.
 
     The successor list of a source key holds, in index order, the nodes
@@ -287,7 +303,8 @@ def _successor_arcs(
     ``q_end[x]``.  The lists cost keys x nodes cells, built a block of keys
     at a time: a key's row of the precedence table with its prefix before
     that earliest ``first`` cleared.  Each source's arcs are then counted
-    and copied, a block of arcs at a time, into one preallocated array.
+    and their destinations copied, one slice per source, into one
+    preallocated column.
     """
     m = len(q_start)
     first = np.searchsorted(q_start, q_end, "right")
@@ -301,7 +318,7 @@ def _successor_arcs(
 
     # start/stop: each source's arc suffix within the concatenated lists
     start, stop = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
-    node_type = np.min_scalar_type(m)  # list entries are node indices: the lists stay small beside the arcs
+    node_type = _node_type(m)  # list entries are node indices, as in ``dst``
     lists: list[np.ndarray] = [np.empty(0, dtype=node_type)]
     base = 0
     rows = max(1, _BLOCK_CELLS // max(m, 1))
@@ -309,7 +326,7 @@ def _successor_arcs(
         kb = min(ka + rows, n_keys)
         col = int(key_first[ka:kb].min())
         width = m - col
-        mask = _precedes(x_vert[ka:kb], x_label[ka:kb], y_vert, y_label, reach)[:, y_key[col:]]
+        mask = _precedes(x_vert[ka:kb], x_label[ka:kb], y_vert, y_label, reach).take(y_key[col:], axis=1)
         for r, f in enumerate(key_first[ka:kb].tolist()):
             mask[r, : f - col] = False
         flat = np.flatnonzero(mask)  # key row r, node col + c at r * width + c
@@ -325,22 +342,14 @@ def _successor_arcs(
     succ = np.concatenate(lists)
     del lists
 
-    counts = stop - start
-    offsets = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    arcs = _column_major(int(offsets[-1]))
-    block, a = _arc_block(), 0
-    while a < m:  # sources a:b hold at most a block of arcs, or a lone source more
-        b = max(a + 1, int(np.searchsorted(offsets, offsets[a] + block, "right")) - 1)
-        lo, hi = int(offsets[a]), int(offsets[b])
-        if lo < hi:
-            c = counts[a:b]
-            arcs[lo:hi, 0] = np.repeat(np.arange(a, b), c)
-            pick = np.repeat(start[a:b] - (offsets[a:b] - lo), c)
-            pick += np.arange(hi - lo)
-            arcs[lo:hi, 1] = succ[pick]
-        a = b
-    return arcs
+    indptr = np.concatenate(([0], np.cumsum(stop - start)))
+    dst = np.empty(int(indptr[-1]), dtype=node_type)
+    block = max(1, _BLOCK_CELLS // 1024)  # sources per copy: their list of views stays near half a megabyte
+    for a in range(0, m, block):  # one memory copy per source
+        b = min(a + block, m)
+        views = [succ[x:y] for x, y in zip(start[a:b].tolist(), stop[a:b].tolist())]
+        np.concatenate(views, out=dst[indptr[a] : indptr[b]])
+    return indptr, dst
 
 
 def topo_sort(dag: MatchDag) -> list[int]:
@@ -354,9 +363,8 @@ def topo_sort(dag: MatchDag) -> list[int]:
     n = dag.n_nodes
     if dag._forward:
         return list(range(n))
-    indeg = np.bincount(dag.arcs[:, 1], minlength=n).astype(np.int64)
-    indptr, order = dag._out_csr
-    dst_sorted = dag.arcs[order, 1]
+    indptr, dst = dag.indptr, dag.dst
+    indeg = np.bincount(dst, minlength=n)
 
     ready = [int(v) for v in np.flatnonzero(indeg == 0)]
     heapq.heapify(ready)
@@ -364,7 +372,7 @@ def topo_sort(dag: MatchDag) -> list[int]:
     while ready:
         u = heapq.heappop(ready)
         out.append(u)
-        nbrs = dst_sorted[indptr[u] : indptr[u + 1]]
+        nbrs = dst[indptr[u] : indptr[u + 1]]
         if not len(nbrs):
             continue
         np.subtract.at(indeg, nbrs, 1)
@@ -378,11 +386,8 @@ def topo_sort(dag: MatchDag) -> list[int]:
 
 def _find_back_arc(dag: MatchDag, residual: set[int]) -> tuple[int, int]:
     """Locate one arc of a cycle within the unsortable residual nodes."""
-    adj: dict[int, list[int]] = {v: [] for v in residual}
-    for u, v in dag.arcs:
-        u, v = int(u), int(v)
-        if u in adj and v in adj:
-            adj[u].append(v)
+    out = {u: dag.dst[dag.indptr[u] : dag.indptr[u + 1]].tolist() for u in residual}
+    adj = {u: [v for v in vs if v in residual] for u, vs in out.items()}
     color: dict[int, int] = {}  # 1 = on stack, 2 = done
     for root in sorted(residual):
         if color.get(root):
@@ -439,8 +444,8 @@ def _runs(first_dst: np.ndarray) -> Iterator[tuple[int, int]]:
         if v >= limit:  # an arc from inside [start, v) lands on v
             yield start, v
             start, limit = v, f
-        else:
-            limit = min(limit, f)
+        elif f < limit:
+            limit = f
     yield start, len(first_dst)
 
 
@@ -467,6 +472,7 @@ def _forward_dp(
     """``dist`` and ``parent`` of a DAG whose arcs all ascend, pushed run by
     run: a run's ``dist`` is final once every earlier run has pushed, and
     its out-arcs then raise each successor's best in-arc key together.
+    ``arc_w``, if given, is in the order of ``dag.dst``.
 
     The key of an in-arc packs its value (source ``dist`` plus arc weight)
     above ``b = n.bit_length()`` low bits holding ``2**b - 1 - label`` of
@@ -477,27 +483,22 @@ def _forward_dp(
     n = dag.n_nodes
     b = n.bit_length()
     low = (1 << b) - 1
-    indptr, pick = dag._out_csr
-    src, dst = dag.arcs[pick, 0], dag.arcs[pick, 1]
-    arc_key = None if arc_w is None else arc_w[pick] << b
-    has_out = indptr[1:] > indptr[:-1]
-    first_dst = np.full(n, n, dtype=np.int64)
-    first_dst[has_out] = np.minimum.reduceat(dst, indptr[:-1][has_out])
-
+    indptr, dst = dag.indptr, dag.dst
+    counts = np.diff(indptr)
     dist = node_w.astype(np.int64)  # always a fresh copy
     key = low - (np.arange(n) if label is None else label)  # a source's tie bits; its dist joins when final
     best = np.full(n, -1, dtype=np.int64)  # best in-arc key so far; -1: no in-arc
     runs = 0
-    for lo_v, hi_v in _runs(first_dst):
+    for lo_v, hi_v in _runs(dag._first_dst):
         runs += 1
         dist[lo_v:hi_v] += np.maximum(best[lo_v:hi_v] >> b, 0)
         key[lo_v:hi_v] += dist[lo_v:hi_v] << b
         lo, hi = indptr[lo_v], indptr[hi_v]
         if lo < hi:
-            cand = key[src[lo:hi]]
-            if arc_key is not None:
-                cand += arc_key[lo:hi]
-            np.maximum.at(best, dst[lo:hi], cand)
+            cand = np.repeat(key[lo_v:hi_v], counts[lo_v:hi_v])
+            if arc_w is not None:
+                cand += arc_w[lo:hi] << b
+            np.maximum.at(best, dst[lo:hi].astype(np.intp), cand)  # intp indices: the faster scatter
     log.info("longest path: %d nodes, %d arcs, %d runs", n, dag.n_arcs, runs)
     return dist, np.where(best < 0, -1, low - (best & low))
 
@@ -514,12 +515,15 @@ def _longest_path(dag: MatchDag, node_w: np.ndarray, arc_w: np.ndarray | None) -
         dist, parent = _forward_dp(dag, node_w, arc_w, None)
     else:
         order = np.asarray(order, dtype=np.int64)
-        rank = np.empty(n, dtype=np.int64)
+        rank = np.empty(n, dtype=dag.dst.dtype)
         rank[order] = np.arange(n)
-        arcs = _column_major(dag.n_arcs)
-        arcs[:, 0], arcs[:, 1] = rank[dag.arcs[:, 0]], rank[dag.arcs[:, 1]]
-        relabelled = MatchDag(weights=node_w[order], arcs=arcs)
-        dist, parent = np.empty_like(rank), np.empty_like(rank)
+        counts = np.diff(dag.indptr)[order]
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        # the out-arcs of order[0], then of order[1], ...: their positions in dag
+        pick = np.repeat(dag.indptr[:-1][order] - indptr[:-1], counts) + np.arange(dag.n_arcs)
+        relabelled = MatchDag.from_csr(node_w[order], indptr, rank[dag.dst[pick]])
+        dist, parent = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        arc_w = None if arc_w is None else arc_w[pick]
         dist[order], parent[order] = _forward_dp(relabelled, relabelled.weights, arc_w, order)
     if n == 0:
         return LongestPathResult(0, (), dist, parent)

@@ -13,11 +13,10 @@ The product graph is materialized explicitly by
 chaining (a match is a length-one seed).  Matches are numbered in query
 order, so the out-arcs of a match are the suffix, past its query index,
 of the successor list of its (vertex, offset) character: each suffix is
-copied into one preallocated arc array, sorted by (source,
-destination), and the longest path needs neither a topological sort nor
-an arc sort.  Time and memory grow with the arc count, up to the square
-of the match count, which is the documented scaling behavior of this
-solver.
+copied into one preallocated destination column, grouped by source (CSR),
+and the longest path needs neither a topological sort nor an arc sort.
+Time and memory grow with the arc count, up to the square of the match
+count, which is the documented scaling behavior of this solver.
 """
 
 from __future__ import annotations
@@ -136,11 +135,11 @@ def match_points(query: bytes, graph: PangenomeGraph) -> tuple[np.ndarray, np.nd
     return qi.astype(np.int64), cg.origin[ci], cg.offset[ci]
 
 
-def _match_dag(qi: np.ndarray, vert: np.ndarray, off: np.ndarray, arcs: np.ndarray) -> MatchDag:
-    """Unit-weight DAG over the matches ``(qi, vert, off)``, one
-    :class:`MatchPoint` payload per node."""
+def _match_dag(qi: np.ndarray, vert: np.ndarray, off: np.ndarray, csr: tuple[np.ndarray, ...]) -> MatchDag:
+    """Unit-weight DAG over the matches ``(qi, vert, off)`` with the CSR
+    arcs ``csr``, one :class:`MatchPoint` payload per node."""
     payloads = tuple(map(MatchPoint, qi.tolist(), vert.tolist(), off.tolist()))
-    return MatchDag(weights=np.ones(len(qi), dtype=np.int64), arcs=arcs, payloads=payloads)
+    return MatchDag.from_csr(np.ones(len(qi), dtype=np.int64), *csr, payloads=payloads)
 
 
 def build_match_graph(

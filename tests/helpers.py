@@ -174,8 +174,9 @@ def per_node_longest_path(dag: MatchDag, mode: str):
 def residual_ok(dag: MatchDag, dist, mode: str) -> bool:
     """Check the final dist table against the recurrence, node by node."""
     n = dag.n_nodes
+    arcs = dag.arcs
     in_arcs: dict[int, list[int]] = {k: [] for k in range(n)}
-    for k, (u, v) in enumerate(dag.arcs):
+    for k, (u, v) in enumerate(arcs):
         in_arcs[int(v)].append(k)
     for v in range(n):
         if mode == "edge":
@@ -183,7 +184,7 @@ def residual_ok(dag: MatchDag, dist, mode: str) -> bool:
                 expected = 0
             else:
                 expected = max(
-                    int(dist[int(dag.arcs[k][0])]) + int(dag.arc_weights[k])
+                    int(dist[int(arcs[k][0])]) + int(dag.arc_weights[k])
                     for k in in_arcs[v]
                 )
         else:
@@ -191,7 +192,7 @@ def residual_ok(dag: MatchDag, dist, mode: str) -> bool:
             if not in_arcs[v]:
                 expected = w
             else:
-                expected = max(int(dist[int(dag.arcs[k][0])]) for k in in_arcs[v]) + w
+                expected = max(int(dist[int(arcs[k][0])]) for k in in_arcs[v]) + w
         if int(dist[v]) != expected:
             return False
     return True
@@ -376,10 +377,10 @@ def queries(draw, max_len=7, alphabet=3):
 
 
 @st.composite
-def match_dags(draw, max_nodes=7, weighted_arcs=False, max_weight=5, shuffled=True):
-    """Random DAGs, parallel arcs included, their arcs in drawn or sorted
-    order; with ``shuffled=False`` every arc ascends, as in the product
-    DAGs of lcs and chaining."""
+def dag_lists(draw, max_nodes=7, weighted_arcs=False, max_weight=5, shuffled=True):
+    """Random DAGs as (node weights, arc tuples), parallel arcs included,
+    the arcs in drawn or sorted order; with ``shuffled=False`` every arc
+    ascends, as in the product DAGs of lcs and chaining."""
     n = draw(st.integers(0, max_nodes))
     perm = draw(st.permutations(list(range(n)))) if n and shuffled else list(range(n))
     candidates = [
@@ -393,4 +394,11 @@ def match_dags(draw, max_nodes=7, weighted_arcs=False, max_weight=5, shuffled=Tr
         arc_tuples = arcs
     if draw(st.booleans()):  # arcs in (source, destination) order, as the pair scan emits them
         arc_tuples = sorted(arc_tuples)
-    return MatchDag.from_lists(nodes=[(None, w) for w in weights], arcs=arc_tuples)
+    return weights, arc_tuples
+
+
+def match_dags(max_nodes=7, weighted_arcs=False, max_weight=5, shuffled=True):
+    """:func:`dag_lists` as :class:`MatchDag` instances."""
+    return dag_lists(max_nodes, weighted_arcs, max_weight, shuffled).map(
+        lambda drawn: MatchDag.from_lists(nodes=[(None, w) for w in drawn[0]], arcs=drawn[1])
+    )

@@ -308,16 +308,20 @@ def test_criterion_9_complexity_smoke():
     ratios = []
     for _ in range(3):
         t0 = time.perf_counter()
-        build_match_graph(q100, g, reach)
+        small = build_match_graph(q100, g, reach)
         t1 = time.perf_counter()
-        build_match_graph(q200, g, reach)
+        large = build_match_graph(q200, g, reach)
         t2 = time.perf_counter()
         ratios.append((t2 - t1) / (t1 - t0))
     factor = sorted(ratios)[1]
+    # the build's linear parts scale 2x and its arcs about 4x, so a faster
+    # arc copy moves the factor toward 2; the cost per arc must not grow
+    per_arc = factor * small.n_arcs / large.n_arcs
     report(
         "criterion 9 (complexity smoke)",
-        pipeline < 60.0 and 3.0 <= factor <= 6.0,
-        f"pipeline {pipeline:.1f}s < 60s; doubling |Q| scales build by {factor:.2f}x in [3, 6]",
+        pipeline < 60.0 and factor <= 6.0 and per_arc <= 1.5,
+        f"pipeline {pipeline:.1f}s < 60s; doubling |Q| scales build by {factor:.2f}x <= 6 "
+        f"and its seconds per arc by {per_arc:.2f}x <= 1.5",
     )
 
 

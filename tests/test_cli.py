@@ -32,6 +32,14 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
+def run_fresh(argv):
+    """Run the CLI in a new interpreter, as ``python -m panlcs``."""
+    package_root = str(Path(panlcs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "panlcs", *argv], capture_output=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
 class TestLcsCommand:
     def test_json_output(self, capsys, graph_file):
         code, out, _ = run(capsys, ["lcs", "--graph", graph_file, "--query", "aba", "--json"])
@@ -92,12 +100,9 @@ class TestLcsCommand:
 
     def test_runs_as_python_dash_m(self, capsys, graph_file):
         argv = ["lcs", "--graph", graph_file, "--query", "aba", "--json"]
-        package_root = str(Path(panlcs.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "panlcs", *argv], capture_output=True, env=env, timeout=60)
-        code, out, _ = run(capsys, argv)
-        assert proc.returncode == code == 0, proc.stderr
-        assert proc.stdout == out.encode()
+        code, out, err = run_fresh(argv)
+        assert code == 0, err
+        assert (code, out, err) == run(capsys, argv)
 
 
 class TestFglcsCommand:
@@ -452,6 +457,41 @@ class TestGenAndMems:
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(capsys, ["--help"])
         assert code == 0
+
+
+class TestParserReuse:
+    """``main`` builds its argument parser once per process; each call must
+    still behave as in a fresh process."""
+
+    def test_consecutive_calls_match_fresh_processes(self, capsys, tmp_path, graph_file):
+        seeds, dag = tmp_path / "s.tsv", tmp_path / "d.tsv"
+        seeds.write_text("a 0 1 0 1\nb 0 1 3 4\n")
+        dag.write_text("N 0 1\nN 1 2\nN 2 3\nA 2 1 3\nA 1 0 4\nA 2 0 5\n")
+        lcs = ["lcs", "--graph", graph_file, "--query", "aba"]
+        fglcs = ["fglcs", "--graph", graph_file, "--query", "aba", "--k1", "2", "--k2", "2"]
+        sequence = [
+            lcs + ["--json"],
+            lcs,
+            fglcs + ["-v"],
+            fglcs,
+            ["chain", "--graph", graph_file, "--seeds", str(seeds), "--objective", "count", "--output", "tsv", "-v"],
+            ["lp", "--dag", str(dag), "--mode", "edge", "--json"],
+            lcs + ["--k1", "2"],  # usage error
+            [],  # no subcommand
+            lcs + ["--json"],
+        ]
+        for argv in sequence:
+            assert run(capsys, argv) == run_fresh(argv), argv
+
+    def test_patched_module_globals_are_reached(self, capsys, graph_file, monkeypatch):
+        argv = ["lcs", "--graph", graph_file, "--query", "aba", "--oracle-check"]
+        assert run(capsys, argv)[0] == 0
+        monkeypatch.setattr("panlcs.cli.lcs_sg_bruteforce", lambda *a, **k: 99)
+        code, _, err = run(capsys, argv)
+        assert code == 4 and "99" in err
+
+    def test_parser_built_once(self):
+        assert panlcs.cli.build_parser() is panlcs.cli.build_parser()
 
 
 class TestJsonRoundTrip:

@@ -1,3 +1,6 @@
+from types import SimpleNamespace
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,20 +274,120 @@ class TestPackedKey:
             MatchDag.from_lists(nodes=[(None, 1)] * 2, arcs=arcs)
 
 
-class TestColumnLayout:
+def reversed_chain(n):
+    """Arcs k + 1 -> k: none ascends, so the solve relabels every node."""
+    return MatchDag(weights=np.ones(n, dtype=np.int64), arcs=np.column_stack((np.arange(1, n), np.arange(n - 1))))
+
+
+class TestCsrLayout:
+    """The builders return int64 offsets over the n + 1 source bounds and
+    destinations of the narrowest unsigned dtype that spans n."""
+
+    @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32)])
+    def test_successor_copy(self, n, dtype):
+        # one vertex, every node at offset 0 but the last: n - 1 arcs into it
+        q, vert, off = np.arange(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        off[-1] = 1
+        indptr, dst = daglp.interval_arcs(q, q, vert, off, off, np.zeros((1, 1), dtype=bool))
+        assert indptr.dtype == np.int64 and indptr.tolist() == list(range(n)) + [n - 1]
+        assert dst.dtype == dtype and (dst == n - 1).all()
+
+    @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_dense_scan(self, n, dtype):
+        # query order reversed: the last node in the query, node 0, is the only arc head
+        q, vert, off = np.arange(n)[::-1].copy(), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        off[0] = 1
+
+        def successor_copy(*args):
+            raise AssertionError("matches descend in the query: no successor copy")
+
+        with patch.object(daglp, "_successor_arcs", successor_copy):
+            indptr, dst = daglp.interval_arcs(q, q, vert, off, off, np.zeros((1, 1), dtype=bool))
+        assert indptr.dtype == np.int64 and indptr.tolist() == [0] + list(range(n))
+        assert dst.dtype == dtype and (dst == 0).all()
+
     @pytest.mark.parametrize("q_start", [[0, 0, 1, 2, 3], [3, 0, 2, 1, 0]], ids=["successor", "dense"])
-    def test_builders_return_contiguous_columns(self, q_start):
+    def test_builders_return_csr(self, q_start):
         q = np.array(q_start, dtype=np.int64)
         vert = np.array([0, 1, 0, 1, 0], dtype=np.int64)
         off = np.array([0, 0, 1, 1, 2], dtype=np.int64)
-        arcs = daglp.interval_arcs(q, q, vert, off, off, np.ones((2, 2), dtype=bool))
-        assert len(arcs) and arcs.shape[1] == 2 and arcs.dtype == np.int64
-        assert arcs[:, 0].flags.c_contiguous and arcs[:, 1].flags.c_contiguous
-        d = MatchDag(weights=np.ones(5), arcs=arcs)
-        assert d.arcs[:, 0].flags.c_contiguous
+        indptr, dst = daglp.interval_arcs(q, q, vert, off, off, np.ones((2, 2), dtype=bool))
+        assert indptr.dtype == np.int64 and len(indptr) == 6 and dst.dtype == np.uint8
+        expected = [
+            [x, y] for x in range(5) for y in range(5) if q[x] < q[y] and (vert[x] != vert[y] or off[x] < off[y])
+        ]
+        assert MatchDag.from_csr(np.ones(5), indptr, dst).arcs.tolist() == expected
+
+
+class TestArcConversion:
+    """``MatchDag(weights, arcs)`` groups (m, 2) arcs by source with a
+    stable sort and permutes their weights alike."""
+
+    @given(helpers.dag_lists(max_nodes=9, weighted_arcs=True))
+    @settings(max_examples=150)
+    def test_stable_grouping_and_solve(self, drawn):
+        weights, arc_tuples = drawn
+        d = MatchDag.from_lists(nodes=[(None, w) for w in weights], arcs=arc_tuples)
+        grouped = sorted(arc_tuples, key=lambda arc: arc[0])
+        assert d.arcs.tolist() == [[u, v] for u, v, _ in grouped]
+        if arc_tuples:
+            assert d.arc_weights.tolist() == [w for *_, w in grouped]
+        assert d.dst.dtype == np.min_scalar_type(len(weights)) and d.indptr.dtype == np.int64
+        # the reference reads the arcs as drawn, not as converted
+        drawn_dag = SimpleNamespace(
+            n_nodes=len(weights),
+            weights=weights,
+            arcs=[arc[:2] for arc in arc_tuples],
+            arc_weights=[arc[2] for arc in arc_tuples],
+        )
+        for mode, solve in (("vertex", longest_path_vertex), ("edge", longest_path_edge)):
+            if mode == "edge" and not arc_tuples:
+                continue
+            res = solve(d)
+            score, path, dist, parent = helpers.per_node_longest_path(drawn_dag, mode)
+            assert (res.score, res.path, res.dist.tolist(), res.parent.tolist()) == (score, path, dist, parent)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_no_arcs(self, n):
+        for arcs in ([], np.empty((0, 2), dtype=np.int64)):
+            d = MatchDag(weights=np.ones(n), arcs=arcs)
+            assert d.indptr.tolist() == [0] * (n + 1) and d.n_arcs == 0 and d.arcs.shape == (0, 2)
+            assert longest_path_vertex(d).score == min(n, 1)
+
+    @pytest.mark.parametrize("arcs", [[(0, 2, 4), (1, 2, 1), (0, 2, 6)], [(2, 0, 4), (1, 0, 1), (2, 0, 6)]])
+    def test_parallel_arcs_keep_their_weights(self, arcs):
+        d = dag(3, [a[:2] for a in arcs], arc_weights=[a[2] for a in arcs])
+        held = [[u, v, w] for (u, v), w in zip(d.arcs.tolist(), d.arc_weights.tolist())]
+        assert held == [list(a) for a in sorted(arcs, key=lambda arc: arc[0])]
+        res = longest_path_edge(d)
+        assert res.score == 6 and res.path == arcs[2][:2]
+
+    @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32)])
+    def test_destination_dtype_at_its_bounds(self, n, dtype):
+        d = reversed_chain(n)
+        assert d.dst.dtype == dtype and d.arcs.tolist() == [[k + 1, k] for k in range(n - 1)]
+        res = longest_path_vertex(d)
+        assert res.score == n and res.path[0] == n - 1 and res.path[-1] == 0
+        assert res.dist.tolist() == list(range(n, 0, -1))
+        assert res.parent.tolist() == list(range(1, n)) + [-1]
 
 
 class TestMatchDagValidation:
+    @pytest.mark.parametrize(
+        "indptr, dst, message",
+        [
+            ([0, 1, 1], np.array([5], dtype=np.uint8), "arc endpoint 5 out of range"),
+            ([0, 1, 1], np.array([1], dtype=np.int64), "CSR arcs need"),
+            ([0, 2, 1], np.array([1], dtype=np.uint8), "CSR arcs need"),
+            ([0, 1], np.array([1], dtype=np.uint8), "CSR arcs need"),
+            ([1, 1, 1], np.array([1], dtype=np.uint8), "CSR arcs need"),
+        ],
+        ids=["out-of-range", "signed", "descending", "short", "nonzero-start"],
+    )
+    def test_csr_checked(self, indptr, dst, message):
+        with pytest.raises(DagError, match=message):
+            MatchDag.from_csr(np.ones(2), np.array(indptr), dst)
+
     def test_arc_endpoint_out_of_range(self):
         with pytest.raises(DagError, match="out of range"):
             MatchDag(weights=np.ones(2), arcs=np.array([[0, 5]]))

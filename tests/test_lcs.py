@@ -113,10 +113,14 @@ class TestBuildMatchGraph:
         assert len(order) == dag.n_nodes
 
 
+def csr_bytes(dag):
+    return dag.indptr.nbytes + dag.dst.nbytes
+
+
 class TestProductDagMemory:
     def test_peaks_at_stress_scale(self):
-        # 17.4 M arcs (279 MB): holding every block's arcs before joining
-        # them into one array would peak at twice the arc array
+        # 17.4 M arcs: 279 MB as int64 pairs, 35 MB as CSR with uint16
+        # destinations; a source column or any (m, 2) array would show
         g, _, q200 = stress_instance()
         reach = reachability(g)
         tracemalloc.start()
@@ -129,14 +133,17 @@ class TestProductDagMemory:
             _, solve_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert dag.n_arcs == 17_440_087
-        assert build_peak <= 1.3 * dag.arcs.nbytes
-        assert solve_peak - held < dag.arcs.nbytes / 3  # no whole-array pass over the arcs
+        assert dag.n_arcs == 17_440_087 and dag.dst.dtype == np.uint16
+        assert build_peak <= 1.3 * csr_bytes(dag)
+        assert build_peak < 0.25 * 16 * dag.n_arcs
+        assert solve_peak - held < csr_bytes(dag) / 3  # no whole-array pass over the arcs
 
     def test_dense_scan_peak(self):
         # the |Q| = 100 matches as length-one seeds listed by vertex are not
-        # in query order, so the dense scan builds their 4.06 M arcs (65 MB):
-        # holding every block's arcs before joining them would peak at twice that
+        # in query order, so the dense scan builds their 4.06 M arcs (65 MB
+        # as int64 pairs, 8 MB as CSR): it holds each block's destinations,
+        # then joins them, so it peaks near twice the CSR bytes; a block's
+        # int64 cell indices held into the next block would show
         g, q100, _ = stress_instance()
         reach = reachability(g)
         seeds = sorted(
@@ -154,8 +161,8 @@ class TestProductDagMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(seeds) == 6_227 and dag.n_arcs == 4_061_882
-        assert peak <= 1.5 * dag.arcs.nbytes
+        assert len(seeds) == 6_227 and dag.n_arcs == 4_061_882 and dag.dst.dtype == np.uint16
+        assert peak <= 2.25 * csr_bytes(dag)
 
 
 class TestSolve:
