@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import io
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .daglp import MatchDag, interval_arcs, longest_path_vertex
-from .graph import PangenomeGraph, ReachMatrix, reachability
+from .graph import PangenomeGraph, ReachMatrix, reachability, records, token_text
 
 log = logging.getLogger(__name__)
 
@@ -161,15 +161,8 @@ def build_seed_graph(
     return dag
 
 
-def _solve(
-    seeds: Sequence[Seed],
-    graph: PangenomeGraph,
-    reach: ReachMatrix | None,
-    unit_weights: bool,
-    query: bytes | None,
-) -> Chain:
-    if reach is None:
-        reach = reachability(graph)
+def _solve(seeds: Sequence[Seed], graph: PangenomeGraph, unit_weights: bool, query: bytes | None) -> Chain:
+    reach = reachability(graph)
     if not seeds:
         return EMPTY_CHAIN
     dag = build_seed_graph(seeds, graph, reach, unit_weights=unit_weights, query=query)
@@ -180,27 +173,15 @@ def _solve(
     return chain
 
 
-def solve_memc(
-    seeds: Sequence[Seed],
-    graph: PangenomeGraph,
-    *,
-    reach: ReachMatrix | None = None,
-    query: bytes | None = None,
-) -> Chain:
+def solve_memc(seeds: Sequence[Seed], graph: PangenomeGraph, *, query: bytes | None = None) -> Chain:
     """Chain maximizing the total matched length over strictly ordered
     subsets of ``seeds``.  ``query`` is optional and only adds validation."""
-    return _solve(seeds, graph, reach, unit_weights=False, query=query)
+    return _solve(seeds, graph, unit_weights=False, query=query)
 
 
-def solve_msp(
-    seeds: Sequence[Seed],
-    graph: PangenomeGraph,
-    *,
-    reach: ReachMatrix | None = None,
-    query: bytes | None = None,
-) -> Chain:
+def solve_msp(seeds: Sequence[Seed], graph: PangenomeGraph, *, query: bytes | None = None) -> Chain:
     """Chain maximizing the number of seeds (unit weights, same machinery)."""
-    return _solve(seeds, graph, reach, unit_weights=True, query=query)
+    return _solve(seeds, graph, unit_weights=True, query=query)
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +189,13 @@ def solve_msp(
 # ---------------------------------------------------------------------------
 
 
-def parse_seed_line(tokens: Sequence[str], lineno: int, maximal: bool = False) -> Seed:
+def parse_seed_line(tokens: Sequence[bytes], lineno: int, maximal: bool = False) -> Seed:
     """One `<vertex> <i> <i'> <j> <j'>` record, already split into tokens;
     errors name ``lineno``."""
     if len(tokens) != 5:
         raise SeedError(f"line {lineno}: expected `<vertex> <i> <i'> <j> <j'>`")
     try:
-        return Seed(tokens[0], *[int(t) for t in tokens[1:]], maximal=maximal)
+        return Seed(token_text(tokens[0]), *[int(t) for t in tokens[1:]], maximal=maximal)
     except SeedError as exc:
         raise SeedError(f"line {lineno}: {exc}") from None
     except ValueError:
@@ -222,16 +203,9 @@ def parse_seed_line(tokens: Sequence[str], lineno: int, maximal: bool = False) -
 
 
 def parse_seeds(text: bytes | str, maximal: bool = False) -> tuple[Seed, ...]:
-    """Parse `<vertex> <i> <i'> <j> <j'>` lines (inclusive bounds);
-    ``#`` comment lines are ignored."""
-    if isinstance(text, bytes):
-        text = text.decode("latin-1")
-    seeds: list[Seed] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            seeds.append(parse_seed_line(line.split(), lineno, maximal))
-    return tuple(seeds)
+    """Parse `<vertex> <i> <i'> <j> <j'>` records (inclusive bounds; see
+    :func:`~panlcs.graph.records`)."""
+    return tuple(parse_seed_line(tokens, lineno, maximal) for lineno, tokens in records(text))
 
 
 def format_seeds(seeds: Iterable[Seed]) -> str:
@@ -240,8 +214,3 @@ def format_seeds(seeds: Iterable[Seed]) -> str:
     for s in seeds:
         out.write(f"{s.vertex}\t{s.i}\t{s.i2}\t{s.j}\t{s.j2}\n")
     return out.getvalue()
-
-
-def drop_maximal_flags(seeds: Iterable[Seed]) -> tuple[Seed, ...]:
-    """Copies of ``seeds`` with the maximality claim cleared."""
-    return tuple(replace(s, maximal=False) for s in seeds)

@@ -27,7 +27,7 @@ from .chaining import Chain, Seed, SeedError, format_seeds, parse_seeds, solve_m
 from .daglp import CycleError, DagError, longest_path_edge, longest_path_vertex, parse_dag
 from .fglcs import GapParams, solve_fglcs_sg
 from .generate import GenProfile, Instance, generate_instance, instance_to_tsv, parse_instance
-from .graph import GraphError, parse_graph
+from .graph import GRAPH_FORMATS, GraphError, parse_graph
 from .lcs import Alignment, AlignmentError, solve_lcs_sg
 from .oracle import (
     OracleBudget,
@@ -51,26 +51,25 @@ class UsageError(ValueError):
     """Missing or contradictory flags detected after argparse."""
 
 
-def _read(path: str) -> str:
-    """The bytes of ``path`` (or stdin for ``-``) as one latin-1 code point
-    each, so every channel yields the same bytes."""
+def _read(path: str) -> bytes:
+    """The bytes of ``path``, or of stdin for ``-``."""
     if path == "-":
-        return sys.stdin.buffer.read().decode("latin-1")
-    return Path(path).read_text(encoding="latin-1")
+        return sys.stdin.buffer.read()
+    return Path(path).read_bytes()
 
 
 def _load_instance(args: argparse.Namespace) -> Instance:
-    text = _read(args.graph)
+    data = _read(args.graph)
     if args.graph_format == "gfa":
-        return Instance(graph=parse_graph(text, "gfa"))
-    return parse_instance(text)
+        return Instance(graph=parse_graph(data, "gfa"))
+    return parse_instance(data)
 
 
 def _resolve_query(args: argparse.Namespace, instance: Instance) -> bytes:
     if getattr(args, "query", None) is not None:
         return os.fsencode(args.query)  # the argument's bytes as given
     if getattr(args, "query_file", None) is not None:
-        return _read(args.query_file).rstrip("\r\n").encode("latin-1")
+        return _read(args.query_file).rstrip(b"\r\n")
     if instance.query is not None:
         return instance.query
     raise UsageError("no query: pass --query/--query-file or embed a Q line in the instance")
@@ -114,7 +113,7 @@ def _chain_record(problem: str, chain: Chain) -> dict:
 def _write(text: str) -> None:
     """Write ``text`` to stdout as the bytes it stands for.
 
-    Labels, vertex ids and seed lines are read as one latin-1 code point
+    Vertex ids are held, and labels rendered, as one latin-1 code point
     per input byte, so encoding with latin-1 gives the input bytes back
     whatever the locale.  A stream without a byte layer (``io.StringIO``)
     takes the text as it is."""
@@ -286,7 +285,7 @@ def _cmd_mems(args: argparse.Namespace) -> int:
 def _add_graph_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", default="-", metavar="FILE",
                    help="graph or instance file ('-' = stdin, the default)")
-    p.add_argument("--graph-format", choices=("tsv", "gfa"), default="tsv",
+    p.add_argument("--graph-format", choices=GRAPH_FORMATS, default="tsv",
                    help="input graph format (default tsv)")
 
 

@@ -50,6 +50,8 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .graph import records, token_text
+
 log = logging.getLogger(__name__)
 
 
@@ -553,34 +555,25 @@ def longest_path_vertex(dag: MatchDag) -> LongestPathResult:
 
 
 def parse_dag(text: bytes | str) -> MatchDag:
-    """Parse the debug DAG format: ``N <idx> <weight>`` node lines and
-    ``A <src> <dst> [weight]`` arc lines.
+    """Parse the debug DAG format: ``N <idx> <weight>`` node records and
+    ``A <src> <dst> [weight]`` arc records (see :func:`~panlcs.graph.records`).
 
     Node indices must cover 0..n-1 exactly once.  Omitted arc weights
     default to 1.
     """
-    if isinstance(text, bytes):
-        text = text.decode("latin-1")
     node_weights: dict[int, int] = {}
     arcs: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        try:
-            if tokens[0] == "N" and len(tokens) == 3:
-                idx, weight = int(tokens[1]), int(tokens[2])
-                if idx in node_weights:
-                    raise DagError(f"line {lineno}: duplicate node index {idx}")
-                node_weights[idx] = weight
-            elif tokens[0] == "A" and len(tokens) in (3, 4):
-                w = int(tokens[3]) if len(tokens) == 4 else 1
-                arcs.append((int(tokens[1]), int(tokens[2]), w))
-            else:
-                raise DagError(f"line {lineno}: expected `N <idx> <weight>` or `A <src> <dst> [weight]`")
-        except ValueError as exc:
-            raise DagError(f"line {lineno}: {exc}") from None
+    for lineno, tokens in records(text):
+        tag, fields = tokens[0], tokens[1:]
+        if not ((tag == b"N" and len(fields) == 2) or (tag == b"A" and len(fields) in (2, 3))):
+            raise DagError(f"line {lineno}: expected `N <idx> <weight>` or `A <src> <dst> [weight]`")
+        values = [_parse_int(field, lineno) for field in fields]
+        if tag == b"A":
+            arcs.append((values[0], values[1], values[2] if len(values) == 3 else 1))
+        elif values[0] in node_weights:
+            raise DagError(f"line {lineno}: duplicate node index {values[0]}")
+        else:
+            node_weights[values[0]] = values[1]
     n = len(node_weights)
     if set(node_weights) != set(range(n)):
         raise DagError("node indices must cover 0..n-1 exactly once")
@@ -588,3 +581,10 @@ def parse_dag(text: bytes | str) -> MatchDag:
         nodes=[(None, node_weights[k]) for k in range(n)],
         arcs=arcs,
     )
+
+
+def _parse_int(token: bytes, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise DagError(f"line {lineno}: invalid literal for int() with base 10: {token_text(token)!r}") from None

@@ -196,19 +196,12 @@ def _trace_back(table: np.ndarray, cg: CharGraph, k1: int | None, relation: _Rel
     return [MatchPoint(j, int(cg.origin[c]), int(cg.offset[c])) for j, c in reversed(cells)]
 
 
-def solve_fglcs_sg(
-    query: bytes,
-    graph: PangenomeGraph,
-    gaps: GapParams,
-    *,
-    char_dist: CharDistMatrix | None = None,
-) -> Alignment:
+def solve_fglcs_sg(query: bytes, graph: PangenomeGraph, gaps: GapParams) -> Alignment:
     """Longest gap-bounded common subsequence between ``query`` and ``graph``.
 
     The returned alignment records the realized (query gap, graph gap) of
-    every consecutive pair; both are validated against the bounds before
-    returning.  Graph gaps come from ``char_dist`` when it is given and
-    from breadth-first search otherwise; the alignment is the same.
+    every consecutive pair, the graph gaps found by breadth-first search;
+    both are validated against the bounds before returning.
     """
     cg = build_char_graph(graph)
     q = np.frombuffer(query, dtype=np.uint8)
@@ -225,7 +218,6 @@ def solve_fglcs_sg(
     table = _fill_table(q, cg, k1, relation)
     if not table.any():
         return Alignment(0, b"", (), (), gaps=())
-    distances = cg if char_dist is None else char_dist
-    alignment = alignment_from_points(query, graph, _trace_back(table, cg, k1, relation), distances)
-    alignment.validate(query, graph, gap_params=gaps, char_dist=distances)
+    alignment = alignment_from_points(query, graph, _trace_back(table, cg, k1, relation), cg)
+    alignment.validate(query, graph, gap_params=gaps, char_dist=cg)
     return alignment

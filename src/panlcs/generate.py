@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .chaining import Seed, parse_seed_line
-from .graph import GraphError, PangenomeGraph, parse_graph
+from .graph import GraphError, PangenomeGraph, records, tsv_record
 from .oracle import OracleBudget, enumerate_mems
 
 _LETTERS = b"abcdefghijklmnopqrstuvwxyz"
@@ -103,7 +103,8 @@ def generate_instance(seed: int, profile: GenProfile = GenProfile()) -> Instance
 
 
 def instance_to_tsv(instance: Instance) -> str:
-    """Render an instance in the bundled TSV format."""
+    """Render an instance in the bundled TSV format; :func:`parse_instance`
+    reads back the same instance, maximality claims of seeds aside."""
     lines = []
     graph = instance.graph
     for vid, label in zip(graph.ids, graph.labels):
@@ -111,37 +112,30 @@ def instance_to_tsv(instance: Instance) -> str:
     for u, v in graph.edges:
         lines.append(f"E\t{graph.ids[u]}\t{graph.ids[v]}")
     if instance.query is not None:
-        lines.append(f"Q\t{instance.query.decode('latin-1')}".rstrip())
+        lines.append(f"Q\t{instance.query.decode('latin-1')}" if instance.query else "Q")
     for s in instance.seeds:
         lines.append(f"S\t{s.vertex}\t{s.i}\t{s.i2}\t{s.j}\t{s.j2}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_instance(text: bytes | str) -> Instance:
-    """Parse the bundled format; plain V/E graph files parse as instances
-    with no query and no seeds."""
-    if isinstance(text, bytes):
-        text = text.decode("latin-1")
-    graph_lines: list[str] = []
+    """Parse the bundled format in one pass over its records (see
+    :func:`~panlcs.graph.records`); plain V/E graph files parse as
+    instances with no query and no seeds."""
+    vertices: list[tuple[str, bytes]] = []
+    edges: list[tuple[str, str]] = []
     query: bytes | None = None
     seeds: list[Seed] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for lineno, tokens in records(text):
         tag = tokens[0]
-        if tag in ("V", "E"):
-            graph_lines.append(line)
-        elif tag == "Q":
+        if tag == b"Q":
             if query is not None:
                 raise GraphError(f"line {lineno}: more than one Q line")
             if len(tokens) > 2:
                 raise GraphError(f"line {lineno}: queries may not contain whitespace")
-            query = tokens[1].encode("latin-1") if len(tokens) == 2 else b""
-        elif tag == "S":
+            query = tokens[1] if len(tokens) == 2 else b""
+        elif tag == b"S":
             seeds.append(parse_seed_line(tokens[1:], lineno))
         else:
-            raise GraphError(f"line {lineno}: unknown record tag {tag!r}")
-    graph = parse_graph("\n".join(graph_lines), "tsv")
-    return Instance(graph=graph, query=query, seeds=tuple(seeds))
+            tsv_record(lineno, tokens, vertices, edges)
+    return Instance(PangenomeGraph.from_items(vertices, edges), query, tuple(seeds))

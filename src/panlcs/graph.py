@@ -28,7 +28,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,9 +94,6 @@ class PangenomeGraph:
             ids.append(str(vid))
             labels.append(_as_bytes(label))
         index = {vid: k for k, vid in enumerate(ids)}
-        if len(index) != len(ids):
-            dup = next(v for k, v in enumerate(ids) if v in ids[:k])
-            raise GraphError(f"duplicate vertex id {dup!r}")
         idx_edges = []
         for src, dst in edges:
             for vid in (src, dst):
@@ -165,19 +162,39 @@ def spell(graph: PangenomeGraph, path: Sequence[str]) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+def records(data: bytes | str) -> Iterator[tuple[int, list[bytes]]]:
+    """The records of a line-oriented input file: ``(line number, tokens)``
+    for every line that is neither blank nor a comment.
+
+    Every input format (graph, instance, seed and DAG files) follows one
+    rule: lines end at ``\\n``, ``\\r\\n`` or ``\\r``; tokens are separated
+    by ASCII whitespace (space, tab, ``\\v``, ``\\f``); a line whose first
+    token starts with ``#`` is a comment; every other byte is data.  A
+    ``str`` argument stands for its latin-1 bytes.
+    """
+    for lineno, line in enumerate(_as_bytes(data).splitlines(), start=1):
+        tokens = line.split()
+        if tokens and not tokens[0].startswith(b"#"):
+            yield lineno, tokens
+
+
+def token_text(token: bytes) -> str:
+    """A token as text, one latin-1 code point per byte: the form of vertex
+    ids, and of tokens quoted in error messages."""
+    return token.decode("latin-1")
+
+
 def parse_graph(text: bytes | str, fmt: str = "tsv") -> PangenomeGraph:
-    """Parse a graph from text in the ``tsv`` or ``gfa`` subset format.
+    """Parse a graph in the ``tsv`` or ``gfa`` subset format (records as
+    :func:`records` splits them).
 
-    TSV: ``V <id> <label>`` and ``E <src> <dst>`` lines, whitespace
-    separated, ``#`` comment lines ignored.
+    TSV: ``V <id> <label>`` and ``E <src> <dst>`` records.
 
-    GFA subset: ``S <id> <seq>`` and ``L <from> + <to> + <overlap>`` lines;
+    GFA subset: ``S <id> <seq>`` and ``L <from> + <to> + <overlap>`` records;
     only ``+``/``+`` orientations are supported, the overlap column is
     ignored, and all other record types are skipped (a warning with the
     skip count is logged).
     """
-    if isinstance(text, bytes):
-        text = text.decode("latin-1")
     if fmt == "tsv":
         return _parse_tsv(text)
     if fmt == "gfa":
@@ -185,61 +202,61 @@ def parse_graph(text: bytes | str, fmt: str = "tsv") -> PangenomeGraph:
     raise GraphError(f"unknown graph format {fmt!r} (expected one of {GRAPH_FORMATS})")
 
 
-def _parse_tsv(text: str) -> PangenomeGraph:
+def tsv_record(
+    lineno: int, tokens: list[bytes], vertices: list[tuple[str, bytes]], edges: list[tuple[str, str]]
+) -> None:
+    """Add one ``V`` or ``E`` record to ``vertices`` or ``edges``; any
+    other tag is an error naming ``lineno``."""
+    tag = tokens[0]
+    if tag == b"V":
+        if len(tokens) < 3:
+            raise GraphError(f"line {lineno}: empty label (V lines need `V <id> <label>`)")
+        if len(tokens) > 3:
+            raise GraphError(f"line {lineno}: labels may not contain whitespace")
+        vertices.append((token_text(tokens[1]), tokens[2]))
+    elif tag == b"E":
+        if len(tokens) != 3:
+            raise GraphError(f"line {lineno}: E lines need `E <src> <dst>`")
+        edges.append((token_text(tokens[1]), token_text(tokens[2])))
+    else:
+        raise GraphError(f"line {lineno}: unknown record tag {token_text(tag)!r}")
+
+
+def _parse_tsv(data: bytes | str) -> PangenomeGraph:
     vertices: list[tuple[str, bytes]] = []
     edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        tag = tokens[0]
-        if tag == "V":
-            if len(tokens) < 3:
-                raise GraphError(f"line {lineno}: empty label (V lines need `V <id> <label>`)")
-            if len(tokens) > 3:
-                raise GraphError(f"line {lineno}: labels may not contain whitespace")
-            vertices.append((tokens[1], tokens[2].encode("latin-1")))
-        elif tag == "E":
-            if len(tokens) != 3:
-                raise GraphError(f"line {lineno}: E lines need `E <src> <dst>`")
-            edges.append((tokens[1], tokens[2]))
-        else:
-            raise GraphError(f"line {lineno}: unknown record tag {tag!r}")
+    for lineno, tokens in records(data):
+        tsv_record(lineno, tokens, vertices, edges)
     return PangenomeGraph.from_items(vertices, edges)
 
 
-def _parse_gfa(text: str) -> PangenomeGraph:
+def _parse_gfa(data: bytes | str) -> PangenomeGraph:
     vertices: list[tuple[str, bytes]] = []
     edges: list[tuple[str, str]] = []
     skipped = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for lineno, tokens in records(data):
         tag = tokens[0]
-        if tag == "S":
+        if tag == b"S":
             if len(tokens) < 3:
                 raise GraphError(f"line {lineno}: S lines need `S <id> <seq>`")
-            seq = tokens[2]
-            if seq == "*":
-                raise GraphError(f"line {lineno}: segment {tokens[1]!r} has no sequence")
-            vertices.append((tokens[1], seq.encode("latin-1")))
-        elif tag == "L":
+            vid, seq = token_text(tokens[1]), tokens[2]
+            if seq == b"*":
+                raise GraphError(f"line {lineno}: segment {vid!r} has no sequence")
+            vertices.append((vid, seq))
+        elif tag == b"L":
             if len(tokens) < 5:
                 raise GraphError(
                     f"line {lineno}: L lines need `L <from> <orient> <to> <orient> [overlap]`"
                 )
             src, src_orient, dst, dst_orient = tokens[1:5]
             for orient in (src_orient, dst_orient):
-                if orient == "-":
+                if orient == b"-":
                     raise GraphError(
                         f"line {lineno}: '-' orientation is unsupported (forward strand only)"
                     )
-                if orient != "+":
-                    raise GraphError(f"line {lineno}: bad orientation {orient!r}")
-            edges.append((src, dst))
+                if orient != b"+":
+                    raise GraphError(f"line {lineno}: bad orientation {token_text(orient)!r}")
+            edges.append((token_text(src), token_text(dst)))
         else:
             skipped += 1
     if skipped:

@@ -281,6 +281,29 @@ class TestChainCommand:
         assert code == 3
 
 
+class TestErrorLines:
+    """A malformed record is refused with exit 3 and the line it sits on,
+    counting comment, blank, query and seed lines."""
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["lcs", "--graph", "{input}"], "# c\n\nQ ab\nS a 0 0 0 0\nV a ab\nV b\n",
+             "line 6: empty label (V lines need `V <id> <label>`)"),
+            (["lcs", "--graph", "{input}", "--query", "a", "--graph-format", "gfa"],
+             "# c\n\nH\tVN:Z:1.0\nS\t1\tab\nL\t1\t+\t1\t?\n", "line 5: bad orientation '?'"),
+            (["chain", "--graph", "{graph}", "--seeds", "{input}", "--objective", "len"],
+             "# c\n\na 0 0 0 0\na 0 1 0\n", "line 4: expected `<vertex> <i> <i'> <j> <j'>`"),
+            (["lp", "--dag", "{input}"], "# c\n\nN 0 1\nN 0 2\n", "line 4: duplicate node index 0"),
+        ],
+    )
+    def test_error_names_the_line(self, capsys, tmp_path, graph_file, argv, text, message):
+        path = tmp_path / "input"
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        code, out, err = run(capsys, [a.format(input=path, graph=graph_file) for a in argv])
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 class TestLpCommand:
     def test_edge_mode(self, capsys, tmp_path):
         dag = tmp_path / "dag.tsv"

@@ -200,7 +200,6 @@ class TestTableDp:
         gaps = GapParams(k1, k2)
         expected = reference_solve(q, g, gaps)
         assert solve_fglcs_sg(q, g, gaps) == expected  # score, embedding and gaps
-        assert solve_fglcs_sg(q, g, gaps, char_dist=dist_of(g)) == expected
         if k1 is None and k2 is None:
             lcs = solve_lcs_sg(q, g)
             assert (expected.q_positions, expected.g_positions) == (lcs.q_positions, lcs.g_positions)

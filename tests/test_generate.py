@@ -1,8 +1,16 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 from panlcs import (
     GenProfile,
+    Instance,
+    PangenomeGraph,
+    Seed,
+    parse_seeds,
     generate_instance,
     instance_to_tsv,
     lcs_sg_bruteforce,
@@ -10,7 +18,7 @@ from panlcs import (
     reachability,
     solve_lcs_sg,
 )
-from panlcs.chaining import drop_maximal_flags
+from panlcs.chaining import format_seeds
 from panlcs.oracle import is_acyclic
 
 
@@ -73,10 +81,39 @@ class TestGenerateInstance:
         parsed = parse_instance(instance_to_tsv(inst))
         assert parsed.graph == inst.graph
         assert parsed.query == inst.query
-        assert parsed.seeds == drop_maximal_flags(inst.seeds)
+        assert parsed.seeds == tuple(replace(s, maximal=False) for s in inst.seeds)
 
     def test_empty_query_round_trips(self):
         inst = generate_instance(5, GenProfile(n=2, query_len=0, max_seeds=0))
         parsed = parse_instance(instance_to_tsv(inst))
         assert parsed.query == b""
         assert parsed.seeds == ()
+
+
+# every byte that is not ASCII whitespace, including latin-1's other
+# whitespace and line breaks (0x1c-0x1f, 0x85, 0xa0)
+DATA_BYTES = [b for b in range(0x1C, 0x100) if b != 0x20]
+# a seed line whose vertex id starts with '#' is a comment
+IDS = st.lists(st.integers(0x21, 0xFF), min_size=1, max_size=3).map(bytes).filter(lambda t: t[:1] != b"#")
+
+
+@st.composite
+def instances(draw):
+    ids = [t.decode("latin-1") for t in draw(st.lists(IDS, min_size=1, max_size=4, unique=True))]
+    labels = [bytes(draw(st.lists(st.sampled_from(DATA_BYTES), min_size=1, max_size=4))) for _ in ids]
+    edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=6))
+    query = draw(st.none() | st.lists(st.sampled_from(DATA_BYTES), max_size=4).map(bytes))
+    seeds = [
+        Seed(vertex, i, i + length, j, j + length)
+        for vertex, i, j, length in draw(
+            st.lists(st.tuples(st.sampled_from(ids), st.integers(0, 9), st.integers(0, 9), st.integers(0, 3)))
+        )
+    ]
+    return Instance(PangenomeGraph.from_items(zip(ids, labels), edges), query, tuple(seeds))
+
+
+@given(instances())
+def test_writers_and_readers_round_trip_every_byte(instance):
+    assert parse_instance(instance_to_tsv(instance)) == instance
+    assert parse_instance(instance_to_tsv(instance).encode("latin-1")) == instance
+    assert parse_seeds(format_seeds(instance.seeds)) == instance.seeds

@@ -11,10 +11,14 @@ from panlcs import (
     PangenomeGraph,
     build_char_graph,
     char_distances,
+    parse_dag,
     parse_graph,
+    parse_instance,
+    parse_seeds,
     reachability,
     spell,
 )
+from panlcs.graph import records
 
 TWO_VERTEX = "V a ab\nV b ba\nE a b\n"
 
@@ -58,6 +62,51 @@ class TestParseTsv:
     def test_labels_case_sensitive_bytes(self):
         g = parse_graph("V a Ab\n")
         assert g.labels[0] == b"Ab"
+
+
+class TestRecords:
+    """The one record rule every input format follows."""
+
+    def test_lines_tokens_and_comments(self):
+        data = b"a\r\nb\rc\n\n  # x y\n d\te\x0bf\x0cg \n#\n"
+        assert list(records(data)) == [(1, [b"a"]), (2, [b"b"]), (3, [b"c"]), (6, [b"d", b"e", b"f", b"g"])]
+
+    def test_every_other_byte_is_data(self):
+        # str.split and str.splitlines would cut these as latin-1 whitespace or line breaks
+        data = b"V b z\xc3\xa0\x85\nV c \x1c\x1d\x1e\x1f\nV d \xc3\x85c\n"
+        assert list(records(data)) == [
+            (1, [b"V", b"b", b"z\xc3\xa0\x85"]),
+            (2, [b"V", b"c", b"\x1c\x1d\x1e\x1f"]),
+            (3, [b"V", b"d", b"\xc3\x85c"]),
+        ]
+        assert list(records(data.decode("latin-1"))) == list(records(data))
+
+    @pytest.mark.parametrize("eol", ["\r\n", "\r"])
+    def test_crlf_and_cr_files_parse_as_lf_files(self, eol):
+        text = "# c\n\nV a ab\nV b ba\nE a b\nQ aba\nS a 0 1 0 1\n"
+        assert parse_instance(text.replace("\n", eol)) == parse_instance(text)
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_graph, "# c\n\nV a ab\n  # x\nV b\n", "line 5: empty label"),
+            (
+                lambda t: parse_graph(t, "gfa"),
+                "# c\n\nH\tVN:Z:1.0\nS\t1\tab\nL\t1\t+\t1\t?\n",
+                "line 5: bad orientation '\\?'",
+            ),
+            (parse_instance, "# c\n\nQ ab\nS a 0 0 0 0\nV a ab\nV b\n", "line 6: empty label"),
+            (parse_instance, "# c\nQ ab\nS a 0 0 0 0\nV a ab\nX a\n", "line 5: unknown record tag 'X'"),
+            (parse_seeds, "# c\n\na 0 0 0 0\na 0 1 0 0\n", "line 4: seed .* differ in length"),
+            (parse_dag, "# c\n\nN 0 1\nN 0 2\n", "^line 4: duplicate node index 0$"),
+            (parse_dag, "# c\n\nN 0 1\nA 0\n", "^line 4: expected `N"),
+            (parse_dag, "# c\nN 0 x\n", "^line 2: invalid literal for int\\(\\) with base 10: 'x'$"),
+        ],
+    )
+    def test_errors_name_the_line_of_the_file(self, parse, text, message):
+        for eol in ("\n", "\r\n"):
+            with pytest.raises(ValueError, match=message):
+                parse(text.replace("\n", eol))
 
 
 class TestParseGfa:
