@@ -35,6 +35,10 @@ DIGESTS = {
     ("chain-count", True): "b034c43f2755d79a0e2a4a053997d95c7f857383b6c74e1103bf095290579674",
     ("lp", "vertex"): "0bce2b372a20d85084e4146eef32b58ba6d0f7e483ea85ae298e3c2c322907cc",
     ("lp", "edge"): "580eef42af564fa2c47b8b258b466fc77bb542b2a47d80002ca21c257169b71f",
+    ("gen", False): "a9e185bfffed05543e045c4463f7fa27b1dc9febc8dce6e593f71e1e85010ad7",
+    ("gen", True): "a0368082c483c036014b0dfedf79d09906b327db123346ffc6f1571e768acabc",
+    ("mems", False): "e3d698851798ba5ad12decec9e60d2d7337a6675fe605eefb028f22ba52270cc",
+    ("mems", True): "5d6378860d5348fb523829c25b00c1d3e2ba900e97a590d725174c7abd334bdd",
 }
 
 
@@ -65,14 +69,34 @@ def digest(outputs) -> str:
     return h.hexdigest()
 
 
+def instances(capsys, monkeypatch, cyclic: bool) -> list[str]:
+    """The ``gen`` output for every seed of the corpus."""
+    return [run(capsys, monkeypatch, ["gen", "--seed", str(seed)] + ["--cyclic"] * cyclic, "") for seed in SEEDS]
+
+
+def embedded_query(instance: str) -> str:
+    return next(line[2:] for line in instance.splitlines() if line.startswith("Q\t"))
+
+
 @pytest.mark.parametrize("cyclic", [False, True], ids=["dag", "cyclic"])
 @pytest.mark.parametrize("family", list(SOLVERS))
 def test_solver_outputs(capsys, monkeypatch, family, cyclic):
-    outputs = []
-    for seed in SEEDS:
-        instance = run(capsys, monkeypatch, ["gen", "--seed", str(seed)] + ["--cyclic"] * cyclic, "")
-        outputs.append(run(capsys, monkeypatch, SOLVERS[family], instance))
+    outputs = [run(capsys, monkeypatch, SOLVERS[family], inst) for inst in instances(capsys, monkeypatch, cyclic)]
     assert digest(outputs) == DIGESTS[family, cyclic]
+
+
+@pytest.mark.parametrize("cyclic", [False, True], ids=["dag", "cyclic"])
+def test_gen_outputs(capsys, monkeypatch, cyclic):
+    assert digest(instances(capsys, monkeypatch, cyclic)) == DIGESTS["gen", cyclic]
+
+
+@pytest.mark.parametrize("cyclic", [False, True], ids=["dag", "cyclic"])
+def test_mems_outputs(capsys, monkeypatch, cyclic):
+    outputs = [
+        run(capsys, monkeypatch, ["mems", "--query", embedded_query(inst)], inst)
+        for inst in instances(capsys, monkeypatch, cyclic)
+    ]
+    assert digest(outputs) == DIGESTS["mems", cyclic]
 
 
 @pytest.mark.parametrize("mode", ["vertex", "edge"])
