@@ -1,18 +1,16 @@
 """Common-subsequence and chaining solvers between a sequence and a
-pangenome graph, all reduced to longest paths in product DAGs, with
-independent brute-force oracles for verification."""
+pangenome graph, all reduced to longest paths in product DAGs.
 
-from .chaining import (
-    Chain,
-    Seed,
-    SeedError,
-    build_seed_graph,
-    parse_seeds,
-    solve_memc,
-    solve_msp,
-    strictly_precedes,
-    total_length,
-)
+The package exports the user API: the four solvers, the longest-path
+solvers, the parsers, the result and error types, and ``reachability``
+(reusable across queries).  Everything else is imported from its own
+module: the brute-force oracles from :mod:`panlcs.oracle`, the reference
+product-DAG builders from :mod:`panlcs.lcs`, :mod:`panlcs.fglcs` and
+:mod:`panlcs.chaining`, the character graph and distances from
+:mod:`panlcs.graph`, and instance generation from :mod:`panlcs.generate`.
+"""
+
+from .chaining import Chain, Seed, SeedError, parse_seeds, solve_memc, solve_msp
 from .daglp import (
     CycleError,
     DagError,
@@ -21,36 +19,11 @@ from .daglp import (
     longest_path_edge,
     longest_path_vertex,
     parse_dag,
-    topo_sort,
 )
-from .fglcs import GapParams, build_gap_match_graph, solve_fglcs_sg
-from .generate import GenProfile, Instance, generate_instance, instance_to_tsv, parse_instance
-from .graph import (
-    CharDistMatrix,
-    CharGraph,
-    GraphError,
-    PangenomeGraph,
-    ReachMatrix,
-    build_char_graph,
-    char_distances,
-    parse_graph,
-    reachability,
-    spell,
-)
-from .lcs import Alignment, AlignmentError, MatchPoint, build_match_graph, solve_lcs_sg
-from .oracle import (
-    DEFAULT_BUDGET,
-    OracleBudget,
-    OracleError,
-    classic_lcs_dp,
-    embeddable,
-    enumerate_mems,
-    fglcs_bruteforce,
-    gap_profiles,
-    lcs_sg_bruteforce,
-    memc_bruteforce,
-    msp_bruteforce,
-)
+from .fglcs import GapParams, solve_fglcs_sg
+from .generate import Instance, parse_instance
+from .graph import GraphError, PangenomeGraph, parse_graph, reachability
+from .lcs import Alignment, AlignmentError, solve_lcs_sg
 
 __version__ = "0.1.0"
 
@@ -58,41 +31,18 @@ __all__ = [
     "Alignment",
     "AlignmentError",
     "Chain",
-    "CharDistMatrix",
-    "CharGraph",
     "CycleError",
-    "DEFAULT_BUDGET",
     "DagError",
     "GapParams",
-    "GenProfile",
     "GraphError",
     "Instance",
     "LongestPathResult",
     "MatchDag",
-    "MatchPoint",
-    "OracleBudget",
-    "OracleError",
     "PangenomeGraph",
-    "ReachMatrix",
     "Seed",
     "SeedError",
-    "build_char_graph",
-    "build_gap_match_graph",
-    "build_match_graph",
-    "build_seed_graph",
-    "char_distances",
-    "classic_lcs_dp",
-    "embeddable",
-    "enumerate_mems",
-    "fglcs_bruteforce",
-    "gap_profiles",
-    "generate_instance",
-    "instance_to_tsv",
-    "lcs_sg_bruteforce",
     "longest_path_edge",
     "longest_path_vertex",
-    "memc_bruteforce",
-    "msp_bruteforce",
     "parse_dag",
     "parse_graph",
     "parse_instance",
@@ -102,8 +52,4 @@ __all__ = [
     "solve_lcs_sg",
     "solve_memc",
     "solve_msp",
-    "spell",
-    "strictly_precedes",
-    "topo_sort",
-    "total_length",
 ]

@@ -189,23 +189,23 @@ def solve_msp(seeds: Sequence[Seed], graph: PangenomeGraph, *, query: bytes | No
 # ---------------------------------------------------------------------------
 
 
-def parse_seed_line(tokens: Sequence[bytes], lineno: int, maximal: bool = False) -> Seed:
+def parse_seed_line(tokens: Sequence[bytes], lineno: int) -> Seed:
     """One `<vertex> <i> <i'> <j> <j'>` record, already split into tokens;
     errors name ``lineno``."""
     if len(tokens) != 5:
         raise SeedError(f"line {lineno}: expected `<vertex> <i> <i'> <j> <j'>`")
     try:
-        return Seed(token_text(tokens[0]), *[int(t) for t in tokens[1:]], maximal=maximal)
+        return Seed(token_text(tokens[0]), *[int(t) for t in tokens[1:]])
     except SeedError as exc:
         raise SeedError(f"line {lineno}: {exc}") from None
     except ValueError:
         raise SeedError(f"line {lineno}: interval bounds must be integers") from None
 
 
-def parse_seeds(text: bytes | str, maximal: bool = False) -> tuple[Seed, ...]:
+def parse_seeds(text: bytes | str) -> tuple[Seed, ...]:
     """Parse `<vertex> <i> <i'> <j> <j'>` records (inclusive bounds; see
     :func:`~panlcs.graph.records`)."""
-    return tuple(parse_seed_line(tokens, lineno, maximal) for lineno, tokens in records(text))
+    return tuple(parse_seed_line(tokens, lineno) for lineno, tokens in records(text))
 
 
 def format_seeds(seeds: Iterable[Seed]) -> str:

@@ -3,6 +3,9 @@
 Subcommands: ``lcs``, ``fglcs``, ``chain`` (objective len or count), ``lp``
 (raw DAG debug solve), ``oracle`` (brute-force optimum), ``gen`` (seeded
 instance generator), and ``mems`` (maximal exact match enumeration).
+``oracle`` and ``--oracle-check`` run the exhaustive oracles, which refuse
+instances beyond their size budget (exit 3); ``mems`` and ``gen`` enumerate
+MEMs in polynomial time, with no budget.
 
 JSON is the canonical machine output; the human and tsv modes render the
 same record.  Exit codes: 0 success, 2 usage error, 3 parse or validation
@@ -30,7 +33,6 @@ from .generate import GenProfile, Instance, generate_instance, instance_to_tsv, 
 from .graph import GRAPH_FORMATS, GraphError, parse_graph
 from .lcs import Alignment, AlignmentError, solve_lcs_sg
 from .oracle import (
-    OracleBudget,
     OracleError,
     enumerate_mems,
     fglcs_bruteforce,
@@ -267,13 +269,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_mems(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     query = _resolve_query(args, instance)
-    budget = OracleBudget(
-        max_query=max(1, len(query)),
-        max_vertices=max(1, instance.graph.n),
-        max_label_total=max(1, instance.graph.total_label_length),
-        max_seeds=1 << 30,
-    )
-    _write(format_seeds(enumerate_mems(query, instance.graph, budget)))
+    _write(format_seeds(enumerate_mems(query, instance.graph)))
     return EXIT_OK
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -94,8 +94,11 @@ class MatchDag:
     ``u`` end at ``dst[indptr[u]:indptr[u + 1]]``: ``indptr`` is int64 of
     length n + 1, ``dst`` is of the narrowest unsigned dtype that spans n,
     and ``arc_weights``, when present, are in the same order, for
-    edge-weighted solving.  Acyclicity is not checked here; it is
-    established by :func:`topo_sort` when the DAG is solved.
+    edge-weighted solving.  ``payloads``, when a builder passes them to
+    :meth:`from_csr`, hold one entry per node for its own use: a sequence,
+    or an array with one row per node (the matches of the lcs product
+    DAG).  Acyclicity is not checked here; it is established by
+    :func:`topo_sort` when the DAG is solved.
 
     ``MatchDag(weights, arcs)`` takes an (m, 2) array of node-index pairs
     and groups it by source with a stable sort, permuting ``arc_weights``
@@ -111,14 +114,14 @@ class MatchDag:
     weights: np.ndarray
     indptr: np.ndarray
     dst: np.ndarray
-    payloads: tuple[Any, ...] | None = None
+    payloads: Any = None
     arc_weights: np.ndarray | None = None
     # each node's smallest out-neighbor (n when it has none), and whether
     # every arc ascends (so that index order is topological)
     _first_dst: np.ndarray = field(default=None, repr=False)
     _forward: bool = field(default=False, repr=False)
 
-    def __init__(self, weights: Any, arcs: Any, payloads: Any = None, arc_weights: Any = None) -> None:
+    def __init__(self, weights: Any, arcs: Any, arc_weights: Any = None) -> None:
         weights, arcs = _int_array(weights, "1d"), _int_array(arcs, "2d")
         if arcs.ndim != 2 or (arcs.size and arcs.shape[1] != 2):
             raise DagError("arcs must be an (m, 2) array of node index pairs")
@@ -138,7 +141,7 @@ class MatchDag:
                 raise DagError("arc weights must be non-negative")
             arc_weights = arc_weights[order]
             arc_weights.flags.writeable = False
-        self._init(weights, indptr, arcs[order, 1].astype(_node_type(n)), payloads, arc_weights)
+        self._init(weights, indptr, arcs[order, 1].astype(_node_type(n)), None, arc_weights)
 
     @classmethod
     def from_csr(cls, weights: Any, indptr: np.ndarray, dst: np.ndarray, payloads: Any = None) -> "MatchDag":
@@ -168,24 +171,6 @@ class MatchDag:
         values.update(_first_dst=first_dst, _forward=bool(np.all(first_dst > np.arange(n))))
         for name, value in values.items():
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_lists(
-        cls,
-        nodes: Sequence[tuple[Any, int]],
-        arcs: Iterable[tuple] = (),
-    ) -> "MatchDag":
-        """Convenience constructor from (payload, weight) pairs and arc
-        tuples, each ``(src, dst)`` or ``(src, dst, weight)``."""
-        arcs = list(arcs)
-        for arc in arcs:
-            if len(arc) not in (2, 3):
-                raise DagError(f"arc tuple {arc!r} must have 2 or 3 entries")
-            if len(arc) != len(arcs[0]):
-                raise DagError("either all arcs or no arcs may carry weights")
-        arc_weights = [arc[2] for arc in arcs] if arcs and len(arcs[0]) == 3 else None
-        payloads, weights = tuple(p for p, _ in nodes), [w for _, w in nodes]
-        return cls(weights=weights, arcs=[arc[:2] for arc in arcs], payloads=payloads, arc_weights=arc_weights)
 
     @property
     def n_nodes(self) -> int:
@@ -577,9 +562,10 @@ def parse_dag(text: bytes | str) -> MatchDag:
     n = len(node_weights)
     if set(node_weights) != set(range(n)):
         raise DagError("node indices must cover 0..n-1 exactly once")
-    return MatchDag.from_lists(
-        nodes=[(None, node_weights[k]) for k in range(n)],
-        arcs=arcs,
+    return MatchDag(
+        [node_weights[k] for k in range(n)],
+        [arc[:2] for arc in arcs],
+        arc_weights=[arc[2] for arc in arcs],
     )
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .chaining import Seed, parse_seed_line
 from .graph import GraphError, PangenomeGraph, records, tsv_record
-from .oracle import OracleBudget, enumerate_mems
+from .oracle import enumerate_mems
 
 _LETTERS = b"abcdefghijklmnopqrstuvwxyz"
 
@@ -89,13 +89,7 @@ def generate_instance(seed: int, profile: GenProfile = GenProfile()) -> Instance
     edges = sorted(rng.sample(candidates, min(profile.edges, len(candidates))))
     graph = PangenomeGraph.from_items(zip(ids, labels), edges)
     query = bytes(rng.choice(letters) for _ in range(profile.query_len))
-    budget = OracleBudget(
-        max_query=max(1, profile.query_len),
-        max_vertices=profile.n,
-        max_label_total=max(1, graph.total_label_length),
-        max_seeds=1 << 30,
-    )
-    seeds = enumerate_mems(query, graph, budget)
+    seeds = enumerate_mems(query, graph)
     if profile.max_seeds is not None and len(seeds) > profile.max_seeds:
         picked = rng.sample(range(len(seeds)), profile.max_seeds)
         seeds = tuple(seeds[k] for k in sorted(picked))

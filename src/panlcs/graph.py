@@ -116,13 +116,6 @@ class PangenomeGraph:
         """Sum of all label lengths (the character count of the graph)."""
         return sum(len(label) for label in self.labels)
 
-    @cached_property
-    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            out[u].append(v)
-        return tuple(tuple(sorted(vs)) for vs in out)
-
     def vertex_index(self, vid: str) -> int:
         try:
             return self.index[vid]

@@ -137,8 +137,9 @@ def match_points(query: bytes, graph: PangenomeGraph) -> tuple[np.ndarray, np.nd
 
 def _match_dag(qi: np.ndarray, vert: np.ndarray, off: np.ndarray, csr: tuple[np.ndarray, ...]) -> MatchDag:
     """Unit-weight DAG over the matches ``(qi, vert, off)`` with the CSR
-    arcs ``csr``, one :class:`MatchPoint` payload per node."""
-    payloads = tuple(map(MatchPoint, qi.tolist(), vert.tolist(), off.tolist()))
+    arcs ``csr``; its payloads are one ``(qi, vert, off)`` row per node."""
+    payloads = np.column_stack((qi, vert, off))
+    payloads.flags.writeable = False
     return MatchDag.from_csr(np.ones(len(qi), dtype=np.int64), *csr, payloads=payloads)
 
 
@@ -167,7 +168,8 @@ def alignment_from_path(
 ) -> Alignment:
     """Read an alignment off a product-graph path, optionally recording the
     per-step (query gap, graph gap) pairs."""
-    return alignment_from_points(query, graph, [dag.payloads[v] for v in path], char_dist)
+    points = list(map(MatchPoint._make, dag.payloads[list(path)].tolist()))
+    return alignment_from_points(query, graph, points, char_dist)
 
 
 def alignment_from_points(

@@ -7,10 +7,12 @@ DAGs, topological sorting, longest-path programs, dense matrices) is used,
 so an agreement between a solver and its oracle is meaningful evidence.
 The only pieces shared with the solvers are the input data types.
 
-All operations are guarded by an :class:`OracleBudget`; exceeding it raises
+The exhaustive oracles (subsequence enumeration, subset search) are
+guarded by an :class:`OracleBudget`; exceeding it raises
 :class:`OracleError` rather than silently truncating.  The subsequence
 oracles additionally refuse cyclic graphs, where walk-based embeddings and
-path-based solving may legitimately disagree.
+path-based solving may legitimately disagree.  :func:`enumerate_mems` runs
+in polynomial time and takes no budget.
 """
 
 from __future__ import annotations
@@ -360,17 +362,15 @@ def msp_bruteforce(
 # ---------------------------------------------------------------------------
 
 
-def enumerate_mems(
-    query: bytes, graph: PangenomeGraph, budget: OracleBudget = DEFAULT_BUDGET
-) -> tuple[Seed, ...]:
+def enumerate_mems(query: bytes, graph: PangenomeGraph) -> tuple[Seed, ...]:
     """All maximal exact matches between ``query`` and the vertex labels.
 
     A match is emitted once, from its leftmost cell: a start pair that is
     left-maximal is extended right as far as equality holds, which makes the
-    result right-maximal by construction.
+    result right-maximal by construction: every (query, label) character
+    pair is visited a bounded number of times, so the cost is polynomial
+    and no budget applies.
     """
-    budget.check_query(query)
-    budget.check_graph(graph)
     mems: list[Seed] = []
     for vid, label in zip(graph.ids, graph.labels):
         for i in range(len(label)):

@@ -399,6 +399,10 @@ def dag_lists(draw, max_nodes=7, weighted_arcs=False, max_weight=5, shuffled=Tru
 
 def match_dags(max_nodes=7, weighted_arcs=False, max_weight=5, shuffled=True):
     """:func:`dag_lists` as :class:`MatchDag` instances."""
-    return dag_lists(max_nodes, weighted_arcs, max_weight, shuffled).map(
-        lambda drawn: MatchDag.from_lists(nodes=[(None, w) for w in drawn[0]], arcs=drawn[1])
-    )
+
+    def build(drawn):
+        weights, arc_tuples = drawn
+        arc_weights = [arc[2] for arc in arc_tuples] if weighted_arcs else None
+        return MatchDag(weights, [arc[:2] for arc in arc_tuples], arc_weights=arc_weights)
+
+    return dag_lists(max_nodes, weighted_arcs, max_weight, shuffled).map(build)

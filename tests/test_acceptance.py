@@ -14,26 +14,26 @@ import helpers
 from panlcs import (
     GapParams,
     PangenomeGraph,
-    build_gap_match_graph,
-    build_char_graph,
-    build_match_graph,
-    build_seed_graph,
-    char_distances,
-    classic_lcs_dp,
-    enumerate_mems,
-    fglcs_bruteforce,
-    lcs_sg_bruteforce,
     longest_path_vertex,
-    memc_bruteforce,
-    msp_bruteforce,
     reachability,
     solve_fglcs_sg,
     solve_lcs_sg,
     solve_memc,
     solve_msp,
-    topo_sort,
 )
-from panlcs.chaining import Seed
+from panlcs.chaining import Seed, build_seed_graph
+from panlcs.daglp import topo_sort
+from panlcs.fglcs import build_gap_match_graph
+from panlcs.graph import build_char_graph, char_distances
+from panlcs.lcs import build_match_graph
+from panlcs.oracle import (
+    classic_lcs_dp,
+    enumerate_mems,
+    fglcs_bruteforce,
+    lcs_sg_bruteforce,
+    memc_bruteforce,
+    msp_bruteforce,
+)
 from panlcs.cli import main
 
 RNG_SEED = 20260810

@@ -10,20 +10,16 @@ from panlcs import daglp
 from panlcs import (
     Seed,
     SeedError,
-    build_seed_graph,
-    memc_bruteforce,
-    msp_bruteforce,
     parse_graph,
     parse_instance,
     parse_seeds,
     reachability,
     solve_memc,
     solve_msp,
-    strictly_precedes,
-    topo_sort,
-    total_length,
 )
-from panlcs.chaining import format_seeds
+from panlcs.chaining import build_seed_graph, format_seeds, strictly_precedes, total_length
+from panlcs.daglp import topo_sort
+from panlcs.oracle import memc_bruteforce, msp_bruteforce
 
 TWO_VERTEX = parse_graph("V u abcq\nV w abcq\nE u w\n")
 

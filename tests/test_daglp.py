@@ -8,25 +8,12 @@ from hypothesis import strategies as st
 
 import helpers
 from panlcs import daglp
-from panlcs import (
-    CycleError,
-    DagError,
-    MatchDag,
-    longest_path_edge,
-    longest_path_vertex,
-    parse_dag,
-    topo_sort,
-)
+from panlcs import CycleError, DagError, MatchDag, longest_path_edge, longest_path_vertex, parse_dag
+from panlcs.daglp import topo_sort
 
 
 def dag(n, arcs=(), weights=None, arc_weights=None):
-    return MatchDag.from_lists(
-        nodes=[(None, w) for w in (weights or [1] * n)],
-        arcs=[
-            (u, v) if arc_weights is None else (u, v, w)
-            for (u, v), w in zip(arcs, arc_weights or [None] * len(arcs))
-        ],
-    )
+    return MatchDag(weights or [1] * n, arcs, arc_weights=arc_weights)
 
 
 class TestTopoSort:
@@ -268,10 +255,10 @@ class TestPackedKey:
         with pytest.raises(DagError, match="must stay below"):
             longest_path_edge(d)
 
-    @pytest.mark.parametrize("arcs", [[(0, 1, 2**63)], [(0, 2**63)]])
+    @pytest.mark.parametrize("arcs", [dict(arcs=[(0, 1)], arc_weights=[2**63]), dict(arcs=[(0, 2**63)])])
     def test_beyond_int64_refused(self, arcs):
         with pytest.raises(DagError, match="64-bit"):
-            MatchDag.from_lists(nodes=[(None, 1)] * 2, arcs=arcs)
+            MatchDag([1, 1], **arcs)
 
 
 def reversed_chain(n):
@@ -327,7 +314,7 @@ class TestArcConversion:
     @settings(max_examples=150)
     def test_stable_grouping_and_solve(self, drawn):
         weights, arc_tuples = drawn
-        d = MatchDag.from_lists(nodes=[(None, w) for w in weights], arcs=arc_tuples)
+        d = MatchDag(weights, [arc[:2] for arc in arc_tuples], arc_weights=[arc[2] for arc in arc_tuples])
         grouped = sorted(arc_tuples, key=lambda arc: arc[0])
         assert d.arcs.tolist() == [[u, v] for u, v, _ in grouped]
         if arc_tuples:
@@ -421,11 +408,11 @@ class TestMatchDagValidation:
 
     def test_payload_length_checked(self):
         with pytest.raises(DagError, match="payloads"):
-            MatchDag(weights=np.ones(2), arcs=np.empty((0, 2)), payloads=("a",))
+            MatchDag.from_csr(np.ones(2), np.zeros(3, dtype=np.int64), np.empty(0, dtype=np.uint8), payloads=("a",))
 
     def test_mixed_arc_weighting_rejected(self):
-        with pytest.raises(DagError, match="all arcs or no arcs"):
-            MatchDag.from_lists(nodes=[(None, 1)] * 3, arcs=[(0, 1), (1, 2, 4)])
+        with pytest.raises(DagError, match="arc_weights must match the arc count"):
+            MatchDag([1] * 3, [(0, 1), (1, 2)], arc_weights=[4])
 
     def test_arrays_read_only(self):
         d = dag(2, [(0, 1)])

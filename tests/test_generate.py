@@ -5,21 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from panlcs import (
-    GenProfile,
-    Instance,
-    PangenomeGraph,
-    Seed,
-    parse_seeds,
-    generate_instance,
-    instance_to_tsv,
-    lcs_sg_bruteforce,
-    parse_instance,
-    reachability,
-    solve_lcs_sg,
-)
+from panlcs import Instance, PangenomeGraph, Seed, parse_instance, parse_seeds, reachability, solve_lcs_sg
 from panlcs.chaining import format_seeds
-from panlcs.oracle import is_acyclic
+from panlcs.generate import GenProfile, generate_instance, instance_to_tsv
+from panlcs.oracle import is_acyclic, lcs_sg_bruteforce
 
 
 class TestGenerateInstance:

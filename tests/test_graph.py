@@ -9,16 +9,13 @@ import helpers
 from panlcs import (
     GraphError,
     PangenomeGraph,
-    build_char_graph,
-    char_distances,
     parse_dag,
     parse_graph,
     parse_instance,
     parse_seeds,
     reachability,
-    spell,
 )
-from panlcs.graph import records
+from panlcs.graph import build_char_graph, char_distances, records, spell
 
 TWO_VERTEX = "V a ab\nV b ba\nE a b\n"
 

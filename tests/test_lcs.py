@@ -11,20 +11,17 @@ from panlcs import daglp
 from panlcs import (
     AlignmentError,
     CycleError,
-    MatchPoint,
     Seed,
-    build_match_graph,
-    build_seed_graph,
-    classic_lcs_dp,
-    embeddable,
-    lcs_sg_bruteforce,
     longest_path_vertex,
     parse_graph,
     reachability,
     solve_lcs_sg,
-    spell,
-    topo_sort,
 )
+from panlcs.chaining import build_seed_graph
+from panlcs.daglp import topo_sort
+from panlcs.graph import spell
+from panlcs.lcs import build_match_graph
+from panlcs.oracle import classic_lcs_dp, embeddable, lcs_sg_bruteforce
 from test_acceptance import stress_instance
 
 BLOCK_BUDGETS = [daglp._BLOCK_CELLS, 7, 1]
@@ -36,7 +33,7 @@ class TestBuildMatchGraph:
     def test_zero_based_query_indexing(self):
         g = parse_graph("V v acah\n")
         dag = build_match_graph(b"xyabcahde", g, reachability(g))
-        assert MatchPoint(2, 0, 0) in dag.payloads  # the first 'a' of the query
+        assert [2, 0, 0] in dag.payloads.tolist()  # the first 'a' of the query
 
     def test_no_matches_gives_empty_graph(self):
         g = TWO_VERTEX
@@ -46,13 +43,13 @@ class TestBuildMatchGraph:
     def test_node_set_of_worked_example(self):
         dag = build_match_graph(b"aba", TWO_VERTEX, reachability(TWO_VERTEX))
         assert dag.n_nodes == 6
-        assert set(dag.payloads) == {
-            MatchPoint(0, 0, 0),
-            MatchPoint(2, 0, 0),
-            MatchPoint(1, 0, 1),
-            MatchPoint(0, 1, 1),
-            MatchPoint(2, 1, 1),
-            MatchPoint(1, 1, 0),
+        assert set(map(tuple, dag.payloads.tolist())) == {
+            (0, 0, 0),
+            (2, 0, 0),
+            (1, 0, 1),
+            (0, 1, 1),
+            (2, 1, 1),
+            (1, 1, 0),
         }
 
     def test_arcs_match_direct_rule_application(self):
@@ -147,7 +144,7 @@ class TestProductDagMemory:
         g, q100, _ = stress_instance()
         reach = reachability(g)
         seeds = sorted(
-            (Seed(g.ids[p.vertex], p.offset, p.offset, p.q_index, p.q_index) for p in build_match_graph(q100, g, reach).payloads),
+            (Seed(g.ids[v], off, off, qi, qi) for qi, v, off in build_match_graph(q100, g, reach).payloads.tolist()),
             key=lambda s: (g.vertex_index(s.vertex), s.i, s.j),
         )
 

@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from panlcs import (
-    GapParams,
+from panlcs import GapParams, Seed, parse_graph
+from panlcs.oracle import (
     OracleBudget,
     OracleError,
-    Seed,
     classic_lcs_dp,
     embeddable,
     enumerate_mems,
@@ -17,7 +16,6 @@ from panlcs import (
     lcs_sg_bruteforce,
     memc_bruteforce,
     msp_bruteforce,
-    parse_graph,
 )
 
 TWO_VERTEX = parse_graph("V a ab\nV b ba\nE a b\n")
@@ -178,6 +176,11 @@ class TestEnumerateMems:
 
     def test_absent_characters(self):
         assert enumerate_mems(b"zzz", TWO_VERTEX) == ()
+
+    def test_no_budget(self):
+        # polynomial, so unbudgeted: a query and a graph the exhaustive oracles refuse
+        g = parse_graph("".join(f"V v{k} abc\n" for k in range(10)))
+        assert len(enumerate_mems(b"abc" * 10, g)) == 100
 
     @given(helpers.graphs(max_n=4, max_label=4, acyclic=False), helpers.queries(max_len=8))
     @settings(max_examples=60)

@@ -1,0 +1,48 @@
+"""The package exports its user API and nothing else: the solvers, the
+longest-path solver, the parsers and the result types.  Reference
+builders, oracles and generators are imported from their own modules."""
+
+import panlcs
+
+PUBLIC = [
+    "Alignment",
+    "AlignmentError",
+    "Chain",
+    "CycleError",
+    "DagError",
+    "GapParams",
+    "GraphError",
+    "Instance",
+    "LongestPathResult",
+    "MatchDag",
+    "PangenomeGraph",
+    "Seed",
+    "SeedError",
+    "longest_path_edge",
+    "longest_path_vertex",
+    "parse_dag",
+    "parse_graph",
+    "parse_instance",
+    "parse_seeds",
+    "reachability",
+    "solve_fglcs_sg",
+    "solve_lcs_sg",
+    "solve_memc",
+    "solve_msp",
+]
+
+
+def test_all_is_the_user_api():
+    assert sorted(panlcs.__all__) == PUBLIC
+
+
+def test_star_import_binds_exactly_the_api():
+    namespace: dict = {}
+    exec("from panlcs import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC
+    for name in PUBLIC:
+        assert namespace[name] is getattr(panlcs, name)
+
+
+def test_no_oracle_export():
+    assert all(getattr(panlcs, name).__module__ != "panlcs.oracle" for name in PUBLIC)
