@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .daglp import MatchDag, interval_arcs, longest_path_vertex
-from .graph import PangenomeGraph, ReachMatrix, reachability, records, token_text
+from .graph import PangenomeGraph, ReachMatrix, precedes, reachability, records, token_text
 
 log = logging.getLogger(__name__)
 
@@ -98,13 +98,10 @@ def total_length(seeds: Iterable[Seed]) -> int:
     return sum(seed.length for seed in seeds)
 
 
-def strictly_precedes(a: Seed, b: Seed, reach: ReachMatrix) -> bool:
+def strictly_precedes(a: Seed, b: Seed, graph: PangenomeGraph, reach: ReachMatrix) -> bool:
     """Whether ``a`` can come before ``b`` in one chain."""
-    if not a.j2 < b.j:
-        return False
-    if a.vertex == b.vertex:
-        return a.i2 < b.i
-    return reach.reaches_ids(a.vertex, b.vertex)
+    u, v = graph.vertex_index(a.vertex), graph.vertex_index(b.vertex)
+    return a.j2 < b.j and bool(precedes(u, a.i2, v, b.i, reach.matrix[u, v]))
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,7 @@ class Chain:
         for seed in self.seeds:
             seed.validate(graph, query)
         for a, b in zip(self.seeds, self.seeds[1:]):
-            if not strictly_precedes(a, b, reach):
+            if not strictly_precedes(a, b, graph, reach):
                 raise SeedError(f"chain breaks strict order between {a._brief()} and {b._brief()}")
 
 

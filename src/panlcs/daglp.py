@@ -2,8 +2,8 @@
 
 This module is the solving core of lcs, chaining and the fglcs reference
 construction (fglcs itself fills the same longest-path table row by row
-without arcs): the shared DAG type, the product-DAG arc rule over ordered
-interval pairs (character matches and seeds alike), a deterministic
+without arcs): the shared DAG type, the product-DAG arc builder over
+ordered interval pairs (character matches and seeds alike), a deterministic
 topological sort, and one longest-path program, vertex or edge weighted,
 with parent-based path reconstruction.
 
@@ -50,7 +50,7 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from .graph import records, token_text
+from .graph import precedes, records, token_text
 
 log = logging.getLogger(__name__)
 
@@ -223,18 +223,6 @@ def _distinct_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return keys // span, keys % span, inverse
 
 
-def _precedes(
-    x_vert: np.ndarray, x_label: np.ndarray, y_vert: np.ndarray, y_label: np.ndarray, reach: np.ndarray
-) -> np.ndarray:
-    """The graph side of the arc rule between source keys (``vert``,
-    ``label_end``) and destination keys (``vert``, ``label_start``)."""
-    return np.where(
-        x_vert[:, None] == y_vert[None, :],
-        x_label[:, None] < y_label[None, :],
-        reach[x_vert].take(y_vert, axis=1),
-    )
-
-
 def interval_arcs(
     q_start: np.ndarray,
     q_end: np.ndarray,
@@ -248,9 +236,9 @@ def interval_arcs(
     Node ``x`` pins the inclusive query interval ``[q_start, q_end]`` to the
     label interval ``[label_start, label_end]`` of vertex ``vert``; a
     character match is the length-one case.  ``x -> y`` is an arc when
-    ``x`` ends before ``y`` starts on the query and, on the graph, also
-    before it within one shared vertex, or ``reach[vert[x], vert[y]]``
-    holds across vertices.  Returns CSR arcs ``(indptr, dst)`` (see
+    ``x`` ends before ``y`` starts on the query and
+    :func:`~panlcs.graph.precedes` holds on the graph, with ``reach`` as
+    its cross-vertex predicate.  Returns CSR arcs ``(indptr, dst)`` (see
     :class:`MatchDag`), each source's destinations ascending.
 
     The graph side depends only on (``vert``, ``label_end``) of ``x`` and
@@ -267,7 +255,8 @@ def interval_arcs(
 
     def accept(lo: int, hi: int) -> np.ndarray:
         x_vert, x_label, x_key = _distinct_pairs(vert[lo:hi], label_end[lo:hi])
-        mask = _precedes(x_vert, x_label, y_vert, y_label, reach)[x_key].take(y_key, axis=1)
+        across = reach[x_vert].take(y_vert, axis=1)  # faster than a 2-d fancy gather
+        mask = precedes(x_vert[:, None], x_label[:, None], y_vert, y_label, across)[x_key].take(y_key, axis=1)
         mask &= q_end[lo:hi, None] < q_start[None, :]
         return mask
 
@@ -313,7 +302,9 @@ def _successor_arcs(
         kb = min(ka + rows, n_keys)
         col = int(key_first[ka:kb].min())
         width = m - col
-        mask = _precedes(x_vert[ka:kb], x_label[ka:kb], y_vert, y_label, reach).take(y_key[col:], axis=1)
+        xv, xl = x_vert[ka:kb], x_label[ka:kb]
+        across = reach[xv].take(y_vert, axis=1)
+        mask = precedes(xv[:, None], xl[:, None], y_vert, y_label, across).take(y_key[col:], axis=1)
         for r, f in enumerate(key_first[ka:kb].tolist()):
             mask[r, : f - col] = False
         flat = np.flatnonzero(mask)  # key row r, node col + c at r * width + c

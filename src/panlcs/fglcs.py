@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .daglp import MatchDag, _pair_arcs
-from .graph import CharDistMatrix, CharGraph, PangenomeGraph, build_char_graph, reachability
+from .graph import CharGraph, PangenomeGraph, build_char_graph, precedes, reachability
 from .lcs import Alignment, MatchPoint, _match_dag, alignment_from_points, match_points
 
 log = logging.getLogger(__name__)
@@ -87,14 +87,14 @@ def build_gap_match_graph(
     query: bytes,
     graph: PangenomeGraph,
     gaps: GapParams,
-    char_dist: CharDistMatrix,
+    char_dist: np.ndarray,
 ) -> MatchDag:
     """Product DAG restricted to arcs whose query and graph gaps are in
-    bounds; node set identical to the unconstrained construction."""
+    bounds, graph gaps read from the dense :func:`~panlcs.graph.char_distances`
+    array ``char_dist``; node set identical to the unconstrained construction."""
     qi, vert, off = match_points(query, graph)
     k1, k2 = gaps.k1_limit, gaps.k2_limit
-    cid = char_dist.starts[vert] + off if len(vert) else np.array([], dtype=np.int64)
-    dmat = char_dist.matrix
+    cid = build_char_graph(graph).starts[vert] + off
 
     def accept(lo: int, hi: int) -> np.ndarray:
         dq = qi[None, :] - qi[lo:hi, None]
@@ -102,7 +102,7 @@ def build_gap_match_graph(
         same = vert[lo:hi, None] == vert[None, :]
         df = off[None, :] - off[lo:hi, None]
         intra_ok = (df > 0) & (df <= k2)
-        dist = dmat[cid[lo:hi, None], cid[None, :]]
+        dist = char_dist[cid[lo:hi, None], cid[None, :]]
         inter_ok = np.isfinite(dist) & (dist <= k2)
         return query_ok & np.where(same, intra_ok, inter_ok)
 
@@ -115,7 +115,7 @@ class _BallRelation:
 
     def __init__(self, cg: CharGraph, k2: int):
         src, dst = cg.ball_pairs(k2)
-        keep = (cg.origin[src] != cg.origin[dst]) | (cg.offset[src] < cg.offset[dst])
+        keep = precedes(cg.origin[src], cg.offset[src], cg.origin[dst], cg.offset[dst], True)
         self.src = src[keep]
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(dst[keep], minlength=cg.node_count))])
         self.targets = np.flatnonzero(np.diff(self.indptr))
@@ -153,7 +153,7 @@ class _ReachRelation:
     def sources(self, c: int) -> np.ndarray:
         cg = self.cg
         u = cg.origin[c]
-        return np.flatnonzero(((cg.origin == u) & (cg.offset < cg.offset[c])) | self.reach[cg.origin, u])
+        return np.flatnonzero(precedes(cg.origin, cg.offset, u, cg.offset[c], self.reach[cg.origin, u]))
 
 
 _Relation = _BallRelation | _ReachRelation
@@ -219,5 +219,5 @@ def solve_fglcs_sg(query: bytes, graph: PangenomeGraph, gaps: GapParams) -> Alig
     if not table.any():
         return Alignment(0, b"", (), (), gaps=())
     alignment = alignment_from_points(query, graph, _trace_back(table, cg, k1, relation), cg)
-    alignment.validate(query, graph, gap_params=gaps, char_dist=cg)
+    alignment.validate(query, graph, gap_params=gaps, char_graph=cg)
     return alignment

@@ -20,6 +20,12 @@ Preprocessing products computed here:
   in the total label length.  No solver needs it; it backs the reference
   product-DAG construction of fglcs and the tests.
 
+:func:`precedes` is the one graph-side step rule of all four reductions:
+a position advances within one vertex's label, or a caller-given
+predicate (reachability, a bounded distance) admits the cross-vertex step.
+:class:`ReachMatrix` holds only its matrix; it stays a type because the
+benchmark tracer reads ``.matrix`` off :func:`reachability`'s result.
+
 Labels are raw bytes and all comparisons are exact byte equality.
 """
 
@@ -332,8 +338,7 @@ class CharGraph:
     def distance_vf(self, u: int, f: int, v: int, g: int) -> int | None:
         """Minimum arc count from character ``(u, f)`` to ``(v, g)``, or
         ``None`` if no path leads there; a breadth-first search that stops
-        at the target.  Interchangeable with
-        :meth:`CharDistMatrix.distance_vf`."""
+        at the target."""
         src, dst = self.node_id(u, f), self.node_id(v, g)
         if src == dst:
             return 0
@@ -404,17 +409,6 @@ class ReachMatrix:
     through a cycle."""
 
     matrix: np.ndarray
-    ids: tuple[str, ...]
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {vid: k for k, vid in enumerate(self.ids)}
-
-    def reaches(self, u: int, v: int) -> bool:
-        return bool(self.matrix[u, v])
-
-    def reaches_ids(self, u: str, v: str) -> bool:
-        return bool(self.matrix[self._index[u], self._index[v]])
 
 
 def reachability(graph: PangenomeGraph) -> ReachMatrix:
@@ -425,33 +419,21 @@ def reachability(graph: PangenomeGraph) -> ReachMatrix:
         reach[u, v] = True
     for k in range(n):
         np.logical_or(reach, np.outer(reach[:, k], reach[k, :]), out=reach)
-    return ReachMatrix(matrix=_freeze(reach), ids=graph.ids)
+    return ReachMatrix(matrix=_freeze(reach))
 
 
-@dataclass(frozen=True)
-class CharDistMatrix:
-    """Dense minimum arc counts between character-graph nodes.
-
-    Unreachable pairs hold ``inf``; the diagonal is 0.  ``starts`` mirrors
-    :class:`CharGraph` so (vertex, offset) pairs can be resolved directly.
-    """
-
-    matrix: np.ndarray
-    starts: np.ndarray
-
-    def node_id(self, vertex: int, offset: int) -> int:
-        return int(self.starts[vertex]) + offset
-
-    def arc_distance(self, a: int, b: int) -> int | None:
-        value = self.matrix[a, b]
-        return None if np.isinf(value) else int(value)
-
-    def distance_vf(self, u: int, f: int, v: int, g: int) -> int | None:
-        return self.arc_distance(self.node_id(u, f), self.node_id(v, g))
+def precedes(u, a, v, b, across) -> np.ndarray:
+    """Whether position ``a`` of vertex ``u`` may come before position ``b``
+    of vertex ``v``: ``a < b`` on one vertex, ``across`` otherwise, where
+    ``across`` is the caller's cross-vertex predicate (reachability, or a
+    character distance within bounds).  Broadcasts as :func:`numpy.where`."""
+    return np.where(u == v, a < b, across)
 
 
-def char_distances(char_graph: CharGraph) -> CharDistMatrix:
-    """All-pairs minimum arc counts via Floyd-Warshall on the split graph.
+def char_distances(char_graph: CharGraph) -> np.ndarray:
+    """All-pairs minimum arc counts via Floyd-Warshall on the split graph,
+    as a read-only N x N float array: ``inf`` where no path leads, 0 on the
+    diagonal.
 
     The dense reference for :meth:`CharGraph.distance_vf` and
     :meth:`CharGraph.ball_pairs`: cubic in the character count."""
@@ -463,4 +445,4 @@ def char_distances(char_graph: CharGraph) -> CharDistMatrix:
         dist[a, b] = min(dist[a, b], 1.0)
     for k in range(total):
         np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-    return CharDistMatrix(matrix=_freeze(dist), starts=char_graph.starts)
+    return _freeze(dist)

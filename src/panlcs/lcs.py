@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .daglp import MatchDag, interval_arcs, longest_path_vertex
-from .graph import CharDistMatrix, CharGraph, PangenomeGraph, ReachMatrix, build_char_graph, reachability
+from .graph import CharGraph, PangenomeGraph, ReachMatrix, build_char_graph, precedes, reachability
 
 if TYPE_CHECKING:  # pragma: no cover
     from .fglcs import GapParams
@@ -70,13 +70,14 @@ class Alignment:
         graph: PangenomeGraph,
         reach: ReachMatrix | None = None,
         gap_params: "GapParams | None" = None,
-        char_dist: CharDistMatrix | CharGraph | None = None,
+        char_graph: CharGraph | None = None,
     ) -> None:
         """Re-check every invariant against the instance; raise on violation.
 
-        ``reach`` enables the cross-vertex ordering check; ``gap_params``
-        plus ``char_dist`` (any source of ``distance_vf``) enable the
-        gap-bound checks.
+        Steps across vertices are checked against ``reach``, or against the
+        character paths of ``char_graph`` when only it is given (equivalent
+        across vertices); with neither, the reachability is computed.
+        ``gap_params`` plus ``char_graph`` enable the gap-bound checks.
         """
         k = self.score
         if not (len(self.subsequence) == len(self.q_positions) == len(self.g_positions) == k):
@@ -93,34 +94,36 @@ class Alignment:
                 raise AlignmentError("position out of range")
             if not (self.subsequence[t] == query[qi] == label[off]):
                 raise AlignmentError(f"character mismatch at chain position {t}")
-        for t in range(k - 1):
-            (vid_a, off_a), (vid_b, off_b) = self.g_positions[t], self.g_positions[t + 1]
+        if reach is None and char_graph is None:
+            reach = reachability(graph)
+        verts = np.array([graph.vertex_index(vid) for vid, _ in self.g_positions], dtype=np.int64)
+        offs = np.array([f for _, f in self.g_positions], dtype=np.int64)
+        graph_gaps = [None] * max(k - 1, 0)
+        if char_graph is not None:
+            steps = zip(verts.tolist(), offs.tolist(), verts[1:].tolist(), offs[1:].tolist())
+            graph_gaps = [g - f if u == v else char_graph.distance_vf(u, f, v, g) for u, f, v, g in steps]
+        if reach is None:
+            across = np.array([d is not None for d in graph_gaps], dtype=bool)
+        else:
+            across = reach.matrix[verts[:-1], verts[1:]]
+        bad = np.flatnonzero(~precedes(verts[:-1], offs[:-1], verts[1:], offs[1:], across))
+        if len(bad):
+            (vid_a, _), (vid_b, _) = self.g_positions[bad[0]], self.g_positions[bad[0] + 1]
             if vid_a == vid_b:
-                if not off_a < off_b:
-                    raise AlignmentError("same-vertex matches must advance in the label")
-                graph_gap = off_b - off_a
-            else:
-                ua, ub = graph.vertex_index(vid_a), graph.vertex_index(vid_b)
-                if reach is not None and not reach.reaches(ua, ub):
-                    raise AlignmentError(f"vertex {vid_b!r} is not reachable from {vid_a!r}")
-                graph_gap = None
-                if char_dist is not None:
-                    graph_gap = char_dist.distance_vf(ua, off_a, ub, off_b)
-                    if graph_gap is None:
-                        raise AlignmentError(
-                            f"no character-level path from {vid_a!r}[{off_a}] to {vid_b!r}[{off_b}]"
-                        )
-            if self.gaps is not None:
-                dq, dg = self.gaps[t]
-                if dq != self.q_positions[t + 1] - self.q_positions[t]:
-                    raise AlignmentError("recorded query gap disagrees with positions")
-                if graph_gap is not None and dg != graph_gap:
-                    raise AlignmentError("recorded graph gap disagrees with distances")
-                if gap_params is not None:
-                    if not 0 < dq <= gap_params.k1_limit:
-                        raise AlignmentError(f"query gap {dq} violates the bound")
-                    if not 0 < dg <= gap_params.k2_limit:
-                        raise AlignmentError(f"graph gap {dg} violates the bound")
+                raise AlignmentError("same-vertex matches must advance in the label")
+            raise AlignmentError(f"vertex {vid_b!r} is not reachable from {vid_a!r}")
+        if self.gaps is None:
+            return
+        for t, ((dq, dg), graph_gap) in enumerate(zip(self.gaps, graph_gaps)):
+            if dq != self.q_positions[t + 1] - self.q_positions[t]:
+                raise AlignmentError("recorded query gap disagrees with positions")
+            if graph_gap is not None and dg != graph_gap:
+                raise AlignmentError("recorded graph gap disagrees with distances")
+            if gap_params is not None:
+                if not 0 < dq <= gap_params.k1_limit:
+                    raise AlignmentError(f"query gap {dq} violates the bound")
+                if not 0 < dg <= gap_params.k2_limit:
+                    raise AlignmentError(f"graph gap {dg} violates the bound")
 
 
 EMPTY_ALIGNMENT = Alignment(0, b"", (), (), None)
@@ -164,35 +167,35 @@ def alignment_from_path(
     graph: PangenomeGraph,
     dag: MatchDag,
     path: tuple[int, ...],
-    char_dist: CharDistMatrix | CharGraph | None = None,
+    char_graph: CharGraph | None = None,
 ) -> Alignment:
     """Read an alignment off a product-graph path, optionally recording the
     per-step (query gap, graph gap) pairs."""
     points = list(map(MatchPoint._make, dag.payloads[list(path)].tolist()))
-    return alignment_from_points(query, graph, points, char_dist)
+    return alignment_from_points(query, graph, points, char_graph)
 
 
 def alignment_from_points(
     query: bytes,
     graph: PangenomeGraph,
     points: Sequence[MatchPoint],
-    char_dist: CharDistMatrix | CharGraph | None = None,
+    char_graph: CharGraph | None = None,
 ) -> Alignment:
-    """The alignment through ``points`` in order; with ``char_dist`` it
+    """The alignment through ``points`` in order; with ``char_graph`` it
     records each step's query gap and graph gap (the offset difference on
     one vertex, the minimum arc count across vertices)."""
     q_positions = tuple(p.q_index for p in points)
     g_positions = tuple((graph.ids[p.vertex], p.offset) for p in points)
     subsequence = bytes(query[i] for i in q_positions)
     gaps = None
-    if char_dist is not None:
+    if char_graph is not None:
         pairs = []
         for a, b in zip(points, points[1:]):
             dq = b.q_index - a.q_index
             if a.vertex == b.vertex:
                 dg = b.offset - a.offset
             else:
-                dist = char_dist.distance_vf(a.vertex, a.offset, b.vertex, b.offset)
+                dist = char_graph.distance_vf(a.vertex, a.offset, b.vertex, b.offset)
                 if dist is None:
                     raise AlignmentError("path step crosses unreachable characters")
                 dg = dist

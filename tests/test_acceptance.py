@@ -157,17 +157,25 @@ def test_criterion_2_lcs_oracle_equality():
     )
 
 
+def dense_graph_gaps(alignment, g, cg, dist):
+    """Each step's graph gap, read from the dense ``char_distances`` array."""
+    nodes = [cg.node_id(g.vertex_index(vid), off) for vid, off in alignment.g_positions]
+    return [dist[a, b] for a, b in zip(nodes, nodes[1:])]
+
+
 def test_criterion_3_fglcs_oracle_equality():
     checked = 0
     for q, g in small_acyclic_corpus():
-        dist = char_distances(build_char_graph(g))
+        cg = build_char_graph(g)
+        dist = char_distances(cg)
         reach = reachability(g)
         lcs_score = solve_lcs_sg(q, g, reach=reach).score
         for k1 in K_GRID:
             for k2 in K_GRID:
                 gaps = GapParams(k1, k2)
                 alignment = solve_fglcs_sg(q, g, gaps)
-                alignment.validate(q, g, gap_params=gaps, char_dist=dist)
+                alignment.validate(q, g, reach=reach, gap_params=gaps, char_graph=cg)
+                assert [dg for _, dg in alignment.gaps] == dense_graph_gaps(alignment, g, cg, dist)
                 score = alignment.score
                 assert score == fglcs_bruteforce(q, g, gaps), (q, g, k1, k2)
                 if k1 is None and k2 is None:
@@ -274,12 +282,12 @@ def test_criterion_8_output_self_validation():
     checked = 0
     for q, g in small_acyclic_corpus()[:250]:
         reach = reachability(g)
-        dist = char_distances(build_char_graph(g))
+        cg = build_char_graph(g)
         solve_lcs_sg(q, g, reach=reach).validate(q, g, reach=reach)
         gaps = GapParams(2, 2)
-        solve_fglcs_sg(q, g, gaps).validate(
-            q, g, reach=reach, gap_params=gaps, char_dist=dist
-        )
+        alignment = solve_fglcs_sg(q, g, gaps)
+        alignment.validate(q, g, reach=reach, gap_params=gaps, char_graph=cg)
+        assert [dg for _, dg in alignment.gaps] == dense_graph_gaps(alignment, g, cg, char_distances(cg))
         checked += 2
     for seeds, g, q in seed_corpus():
         reach = reachability(g)

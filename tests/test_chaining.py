@@ -103,21 +103,21 @@ class TestStrictlyPrecedes:
         r = reachability(TWO_VERTEX)
         a = Seed("u", 0, 1, 0, 1)
         b = Seed("u", 3, 3, 5, 5)
-        assert strictly_precedes(a, b, r)
-        assert not strictly_precedes(b, a, r)
+        assert strictly_precedes(a, b, TWO_VERTEX, r)
+        assert not strictly_precedes(b, a, TWO_VERTEX, r)
 
     def test_touching_label_intervals_fail(self):
         r = reachability(TWO_VERTEX)
         a = Seed("u", 0, 1, 0, 1)
         b = Seed("u", 1, 2, 5, 6)
-        assert not strictly_precedes(a, b, r)
+        assert not strictly_precedes(a, b, TWO_VERTEX, r)
 
     def test_cross_vertex_requires_reachability(self):
         r = reachability(TWO_VERTEX)
         a = Seed("u", 0, 1, 0, 1)
         b = Seed("w", 0, 1, 5, 6)
-        assert strictly_precedes(a, b, r)
-        assert not strictly_precedes(b, a, r)  # edge runs u -> w only
+        assert strictly_precedes(a, b, TWO_VERTEX, r)
+        assert not strictly_precedes(b, a, TWO_VERTEX, r)  # edge runs u -> w only
 
     @given(helpers.graphs(max_n=3, max_label=4, acyclic=False))
     @settings(max_examples=40)
@@ -127,7 +127,7 @@ class TestStrictlyPrecedes:
         seeds = random_seeds(rng, g, 4)
         for a in seeds:
             for b in seeds:
-                assert strictly_precedes(a, b, r) == helpers.seed_precedes_brute(a, b, g)
+                assert strictly_precedes(a, b, g, r) == helpers.seed_precedes_brute(a, b, g)
 
 
 class TestBuildSeedGraph:
@@ -280,7 +280,7 @@ class TestChainValidation:
             chain = solve_memc(seeds, g)
             chain.validate(g, r)
             for a, b in zip(chain.seeds, chain.seeds[1:]):
-                assert strictly_precedes(a, b, r)
+                assert strictly_precedes(a, b, g, r)
             assert chain.length == total_length(chain.seeds)
 
 

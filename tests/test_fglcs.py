@@ -37,7 +37,7 @@ def reference_solve(q, g, gaps):
     dag = build_gap_match_graph(q, g, gaps, dist)
     if dag.n_nodes == 0:
         return Alignment(0, b"", (), (), gaps=())
-    return alignment_from_path(q, g, dag, longest_path_vertex(dag).path, char_dist=dist)
+    return alignment_from_path(q, g, dag, longest_path_vertex(dag).path, char_graph=build_char_graph(g))
 
 
 @pytest.fixture()

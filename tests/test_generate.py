@@ -29,7 +29,7 @@ class TestGenerateInstance:
         for seed in range(40):
             inst = generate_instance(seed, GenProfile(n=2, edges=4, acyclic=False))
             r = reachability(inst.graph)
-            if any(r.reaches(u, u) for u in range(inst.graph.n)):
+            if r.matrix.diagonal().any():
                 found = True
                 break
         assert found, "cyclic mode never produced a cycle"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import helpers
 from panlcs import daglp
 from panlcs import (
+    Alignment,
     AlignmentError,
     CycleError,
     Seed,
@@ -247,3 +248,9 @@ class TestAlignmentValidation:
         alignment = solve_lcs_sg(b"aba", TWO_VERTEX)
         with pytest.raises(AlignmentError, match="not reachable"):
             alignment.validate(b"aba", g, reach=reachability(g))
+
+    def test_validate_checks_order_without_reach(self):
+        g = parse_graph("V a a\nV b b\nE a b\n")
+        backwards = Alignment(2, b"ba", (0, 1), (("b", 0), ("a", 0)))
+        with pytest.raises(AlignmentError, match="not reachable"):
+            backwards.validate(b"ba", g)
