@@ -47,6 +47,7 @@ EXIT_INPUT = 3
 EXIT_MISMATCH = 4
 
 DEFAULT_GEN_SEED = 0
+MEMS_PER_WRITE = 4096  # `mems` writes its seed lines in slices of this many
 
 
 class UsageError(ValueError):
@@ -269,7 +270,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_mems(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     query = _resolve_query(args, instance)
-    _write(format_seeds(enumerate_mems(query, instance.graph)))
+    mems = enumerate_mems(query, instance.graph)
+    for start in range(0, len(mems), MEMS_PER_WRITE):
+        _write(format_seeds(mems[start : start + MEMS_PER_WRITE]))
     return EXIT_OK
 
 

@@ -8,8 +8,9 @@ solver modules align queries against.
 Preprocessing products computed here:
 
 * :func:`reachability` -- dense vertex-to-vertex reachability (a directed
-  path of at least one edge), via Floyd-Warshall on the adjacency matrix;
-  lcs, chaining and unbounded-gap fglcs use it.
+  path of at least one edge), as a closure over the strongly connected
+  components with one packed bitset row per component, refused past
+  :data:`REACH_MAX_BYTES`; lcs, chaining and unbounded-gap fglcs use it.
 * :func:`build_char_graph` -- the character-split graph, one node per label
   character.  It answers bounded distance questions by breadth-first
   search: :meth:`CharGraph.ball_pairs` lists every node pair at most ``r``
@@ -411,15 +412,96 @@ class ReachMatrix:
     matrix: np.ndarray
 
 
+REACH_MAX_BYTES = 2 << 30
+"""The largest V x V matrix, in bytes, that :func:`reachability` allocates."""
+
+
 def reachability(graph: PangenomeGraph) -> ReachMatrix:
-    """All-pairs reachability via Floyd-Warshall on the adjacency matrix."""
+    """All-pairs reachability as a closure over the strongly connected
+    components (Purdom 1970): one O(V + E) pass for the components, then
+    one OR of a V/8-byte row per arc between components.
+
+    Every component gets one packed bitset row of the vertices it reaches
+    or holds.  Components are filled in reverse topological order, so a
+    component's row is the OR of its successor components' rows and its
+    own members.  A vertex reaches itself only if its component holds a
+    cycle (more than one vertex, or a self-loop).
+
+    Raises :class:`GraphError` when the matrix would exceed
+    :data:`REACH_MAX_BYTES`, before allocating it."""
     n = graph.n
-    reach = np.zeros((n, n), dtype=bool)
-    for u, v in graph.edges:
-        reach[u, v] = True
-    for k in range(n):
-        np.logical_or(reach, np.outer(reach[:, k], reach[k, :]), out=reach)
+    if n * n > REACH_MAX_BYTES:
+        raise GraphError(
+            f"reachability: {n} vertices need {n * n} bytes for the vertex-pair matrix,"
+            f" over the limit of {REACH_MAX_BYTES}"
+        )
+    comp, count = _strong_components(n, graph.edges)
+    edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+    src, dst = comp[edges[:, 0]], comp[edges[:, 1]]
+    cyclic = np.bincount(comp, minlength=count) > 1
+    cyclic[src[src == dst]] = True
+    keys = _sorted_unique(src[src != dst] * count + dst[src != dst])  # component arcs, by source
+    bounds = np.searchsorted(keys, np.arange(count + 1) * count).tolist()
+    succ = keys % count
+
+    vertices = np.arange(n)
+    rows = np.zeros((count, (n + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(rows, (comp, vertices >> 3), np.uint8(0x80) >> (vertices & 7).astype(np.uint8))
+    for c in range(count):  # successors of c are numbered below c
+        lo, hi = bounds[c], bounds[c + 1]
+        if hi - lo == 1:  # the common case; a gather and reduce would double the time
+            rows[c] |= rows[succ[lo]]
+        elif hi > lo:
+            rows[c] |= np.bitwise_or.reduce(rows[succ[lo:hi]], axis=0)
+    reach = np.unpackbits(rows[comp], axis=1, count=n).view(bool)
+    reach[vertices, vertices] = cyclic[comp]
     return ReachMatrix(matrix=_freeze(reach))
+
+
+def _strong_components(n: int, edges: Iterable[tuple[int, int]]) -> tuple[np.ndarray, int]:
+    """Tarjan's strongly connected components without recursion:
+    ``(comp, count)`` where ``comp[v]`` numbers v's component in the order
+    the search completes them, so every edge between two components leads
+    to a lower number."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        out[u].append(v)
+    order = [-1] * n  # discovery index
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []  # visited vertices not yet in a component
+    found = count = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = found
+        found += 1
+        stack.append(root)
+        work = [(root, iter(out[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if order[w] < 0:
+                    order[w] = low[w] = found
+                    found += 1
+                    stack.append(w)
+                    work.append((w, iter(out[w])))
+                    break
+                if comp[w] < 0:  # on the stack: same component as v, or an ancestor's
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = count
+                        if w == v:
+                            break
+                    count += 1
+    return np.array(comp, dtype=np.int64), count
 
 
 def precedes(u, a, v, b, across) -> np.ndarray:

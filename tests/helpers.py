@@ -7,9 +7,14 @@ as an independent cross-check.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import importlib.util
 import random
+import sys
 from itertools import permutations
+from pathlib import Path
+from typing import Iterator
 
 from hypothesis import strategies as st
 
@@ -22,10 +27,16 @@ from panlcs import MatchDag, PangenomeGraph, Seed
 
 def dfs_reach_pairs(graph: PangenomeGraph) -> set[tuple[int, int]]:
     """(u, v) pairs connected by a directed path of >= 1 edge, via DFS."""
+    return {(src, node) for src, reached in enumerate(dfs_reach_sets(graph)) for node in reached}
+
+
+def dfs_reach_sets(graph: PangenomeGraph) -> Iterator[set[int]]:
+    """For each source vertex in index order, the vertices a directed path
+    of >= 1 edge leads to, via DFS; one set at a time, so a large graph is
+    checked row by row."""
     out: dict[int, list[int]] = {k: [] for k in range(graph.n)}
     for u, v in graph.edges:
         out[u].append(v)
-    pairs: set[tuple[int, int]] = set()
     for src in range(graph.n):
         stack = list(out[src])
         seen: set[int] = set()
@@ -34,9 +45,8 @@ def dfs_reach_pairs(graph: PangenomeGraph) -> set[tuple[int, int]]:
             if node in seen:
                 continue
             seen.add(node)
-            pairs.add((src, node))
             stack.extend(out[node])
-    return pairs
+        yield seen
 
 
 def char_nodes_and_arcs(graph: PangenomeGraph):
@@ -342,6 +352,23 @@ def bubble_chain(rng: random.Random, total: int) -> tuple[PangenomeGraph, bytes]
     return graph, b"".join(graph.label_of(vid) for vid in path)
 
 
+@functools.cache
+def benchmark_generators():
+    """The benchmark's graph generators, ``perfbench/gen.py``, imported
+    read-only (the benchmark directory is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+def program_graph(graph) -> PangenomeGraph:
+    """A benchmark generator's graph as a :class:`PangenomeGraph`."""
+    return PangenomeGraph(graph.ids, graph.labels, graph.edges)
+
+
 def random_query(rng: random.Random, max_len: int = 8, alphabet: int = 3) -> bytes:
     letters = b"abcdefgh"[:alphabet]
     return bytes(rng.choice(letters) for _ in range(rng.randint(0, max_len)))
@@ -368,6 +395,30 @@ def graphs(draw, max_n=5, max_label=3, alphabet=3, acyclic=True):
         [(f"v{k}", labels[k]) for k in range(n)],
         [(f"v{u}", f"v{v}") for u, v in edges],
     )
+
+
+@st.composite
+def cyclic_graphs(draw, max_n=40):
+    """Graphs of up to ``max_n`` one-letter vertices whose structure is
+    laid out along a drawn permutation, so index order tells nothing: a
+    path of some consecutive steps, cycles closed over runs of consecutive
+    positions (runs that overlap or contain one another nest the cycles; a
+    one-vertex run is a self-loop), and a few arbitrary edges.  Vertices
+    that no edge touches stay isolated."""
+    n = draw(st.integers(0, max_n))
+    if not n:
+        return PangenomeGraph((), (), ())
+    perm = draw(st.permutations(range(n)))
+    steps = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    edges = [(perm[k], perm[k + 1]) for k, step in enumerate(steps) if step]
+    for _ in range(draw(st.integers(0, 5))):
+        lo = draw(st.integers(0, n - 1))
+        run = perm[lo : draw(st.integers(lo, n - 1)) + 1]
+        edges.append((run[-1], run[0]))
+        edges += zip(run, run[1:])
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=n // 4))
+    return PangenomeGraph(tuple(f"v{k}" for k in range(n)), (b"a",) * n, tuple(edges))
 
 
 @st.composite

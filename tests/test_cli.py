@@ -9,8 +9,11 @@ from pathlib import Path
 import pytest
 
 import panlcs
+import panlcs.cli
 from panlcs import Alignment, Chain, Seed, parse_graph, reachability
+from panlcs.chaining import format_seeds
 from panlcs.cli import main
+from panlcs.oracle import enumerate_mems
 
 TWO_VERTEX = "V a ab\nV b ba\nE a b\n"
 
@@ -472,6 +475,27 @@ class TestGenAndMems:
         assert code == 0
         for line in out.strip().splitlines():
             assert len(line.split()) == 5
+
+    @pytest.mark.parametrize("per_write", [1, 2, 3, 4096])
+    def test_mems_written_in_slices_is_the_whole_listing(self, capsysbinary, graph_file, monkeypatch, per_write):
+        monkeypatch.setattr("panlcs.cli.MEMS_PER_WRITE", per_write)
+        writes = []
+        real_write = panlcs.cli._write
+        monkeypatch.setattr("panlcs.cli._write", lambda text: writes.append(text) or real_write(text))
+        assert main(["mems", "--graph", graph_file, "--query", "abab"]) == 0
+        mems = enumerate_mems(b"abab", parse_graph(TWO_VERTEX))
+        assert capsysbinary.readouterr().out == format_seeds(mems).encode()
+        assert len(writes) == -(-len(mems) // per_write)
+
+    def test_mems_without_matches_writes_nothing(self, capsysbinary, graph_file):
+        assert main(["mems", "--graph", graph_file, "--query", "zz"]) == 0
+        assert capsysbinary.readouterr().out == b""
+
+    def test_oversized_reachability_exits_3(self, capsys, graph_file, monkeypatch):
+        monkeypatch.setattr("panlcs.graph.REACH_MAX_BYTES", 3)
+        code, out, err = run(capsys, ["lcs", "--graph", graph_file, "--query", "aba"])
+        assert code == 3 and out == ""
+        assert "reachability: 2 vertices need 4 bytes" in err
 
     def test_no_subcommand_prints_usage(self, capsys):
         code, _, err = run(capsys, [])

@@ -1,8 +1,10 @@
 import logging
+import random
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -237,6 +239,58 @@ class TestReachability:
             assert m[u, v]
         closed = m | (m.astype(int) @ m.astype(int) > 0)
         assert (closed == m).all()
+
+    @given(helpers.cyclic_graphs(max_n=40))
+    @settings(max_examples=150)
+    def test_matches_dfs_on_nested_cycles(self, g):
+        m = reachability(g).matrix
+        assert m.shape == (g.n, g.n) and m.dtype == bool
+        assert {tuple(pair) for pair in np.argwhere(m).tolist()} == helpers.dfs_reach_pairs(g)
+
+    @pytest.mark.parametrize("bubbles", [300, 900])
+    def test_matches_dfs_on_benchmark_bubble_graphs(self, bubbles):
+        gen = helpers.benchmark_generators()
+        g = helpers.program_graph(gen.bubble_graph(random.Random(1), bubbles, 6000))
+        m = reachability(g).matrix
+        assert m.shape == (3 * bubbles + 1,) * 2
+        for src, reached in enumerate(helpers.dfs_reach_sets(g)):
+            assert np.flatnonzero(m[src]).tolist() == sorted(reached)
+
+    def test_long_path_and_cycle_without_recursion(self):
+        n = 5000
+        ids, labels = tuple(f"v{k}" for k in range(n)), (b"a",) * n
+        path = tuple((k, k + 1) for k in range(n - 1))
+        m = reachability(PangenomeGraph(ids, labels, path)).matrix
+        assert (m == np.triu(np.ones((n, n), dtype=bool), 1)).all()
+        assert reachability(PangenomeGraph(ids, labels, path + ((n - 1, 0),))).matrix.all()
+
+    def test_empty_graph(self):
+        m = reachability(PangenomeGraph((), (), ())).matrix
+        assert m.shape == (0, 0) and m.dtype == bool
+
+    def test_edgeless_with_self_loops(self):
+        g = parse_graph("V a x\nV b y\nV c z\nE b b\n")
+        assert reachability(g).matrix.tolist() == [[False] * 3, [False, True, False], [False] * 3]
+
+    def test_refuses_an_oversized_matrix(self, monkeypatch):
+        monkeypatch.setattr("panlcs.graph.REACH_MAX_BYTES", 8)
+        assert not reachability(parse_graph("V a x\nV b y\n")).matrix.any()
+        with pytest.raises(GraphError, match=r"^reachability: 3 vertices need 9 bytes .* limit of 8$"):
+            reachability(parse_graph("V a x\nV b y\nV c z\n"))
+
+    def test_wall_rung_4501_bubble_vertices(self):
+        """A size at which a cubic closure (Floyd-Warshall) takes minutes."""
+        gen = helpers.benchmark_generators()
+        g = helpers.program_graph(gen.bubble_graph(random.Random(1), 1500, 10000))
+        start = time.perf_counter()
+        m = reachability(g).matrix
+        assert time.perf_counter() - start < 5.0
+        assert m.shape == (4501, 4501)
+        src, dst = np.array(g.edges).T
+        assert m[src, dst].all()
+        assert not m.diagonal().any()  # acyclic
+        assert m[0, 1:].all() and not m[1:, 0].any()  # s0 reaches every vertex
+        assert not m[1, 2] and not m[2, 1]  # the two alleles of one bubble
 
 
 class TestCharDistances:

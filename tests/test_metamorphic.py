@@ -19,10 +19,7 @@ no oracle's budget reaches.  fglcs monotonicity in the bounds is checked in
 """
 
 import dataclasses
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,16 +32,7 @@ from panlcs.oracle import enumerate_mems
 K_GRID = [1, 2, 3, None]
 
 
-def _load_generators():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
-    spec.loader.exec_module(module)
-    return module
-
-
-gen = _load_generators()
+gen = helpers.benchmark_generators()
 
 
 def scores(q: bytes, g: PangenomeGraph, gaps: GapParams, seeds) -> tuple[int, int, int]:
@@ -103,17 +91,13 @@ def test_relations_on_small_graphs(instance):
     check_relations(*instance)
 
 
-def program_graph(graph) -> PangenomeGraph:
-    return PangenomeGraph(graph.ids, graph.labels, graph.edges)
-
-
 def bench_instance(family: str, rng: random.Random):
     """A benchmark-family graph and query: a read with substitutions copied
     from a bubble graph, or a random query over a stress graph."""
     if family == "bubble":
         graph = gen.bubble_graph(rng, 40, 450)
-        return program_graph(graph), gen.sample_read(rng, graph, 40, 0.05)
-    return program_graph(gen.stress_graph(rng)), gen.random_text(rng, b"abcdefgh", 40)
+        return helpers.program_graph(graph), gen.sample_read(rng, graph, 40, 0.05)
+    return helpers.program_graph(gen.stress_graph(rng)), gen.random_text(rng, b"abcdefgh", 40)
 
 
 @pytest.mark.parametrize("family", ["bubble", "stress"])
