@@ -6,28 +6,36 @@ when ``a``'s query interval ends before ``b``'s begins and the graph side
 agrees: on one shared vertex the label intervals must be disjoint in the
 same order, across vertices ``b``'s vertex must be reachable from ``a``'s.
 
-Chaining builds one DAG node per seed with arcs for every strictly ordered
-pair, then solves a vertex-weighted longest path: seed lengths as weights
-maximize total matched characters, unit weights maximize the seed count.
-The arcs come from the same construction as the lcs product DAG
-(:func:`panlcs.daglp.interval_arcs`; a character match is a length-one
-seed).  Seeds listed in query order have their arcs copied from
-successor lists, at about the cost of the arcs; otherwise a vectorized
-dense pair scan visits K^2 cells for K seeds.
-:func:`strictly_precedes` is the scalar form of that rule, used to
-re-check emitted chains.
+The paper solves chaining as a vertex-weighted longest path in the seed
+DAG: one node per seed, an arc for every strictly ordered pair, seed
+lengths as weights to maximize the matched characters, unit weights to
+maximize the seed count.  :func:`build_seed_graph` builds that DAG, as the
+reference reduction.  :func:`solve_memc` and :func:`solve_msp` compute the
+same longest path, tie-breaks included, without holding any arc: the seeds
+are sorted by query start, so that every predecessor of a seed sorts before
+it, and each seed is scanned against the earlier ones, a block of seeds at
+a time, in descending score order so that it stops at its best predecessor
+(:func:`_longest_chain`).  That is at most about K^2/2 cells for K seeds,
+in any input order, in O(K + block) memory.
+
+Seeds are held as int64 columns (:class:`SeedTable`), parsed and validated
+in bulk; :class:`Seed` objects are built only for the emitted chain, which
+:meth:`Chain.validate` re-checks with the scalar rule,
+:func:`strictly_precedes`.
 """
 
 from __future__ import annotations
 
 import io
 import logging
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import compress
 
 import numpy as np
 
-from .daglp import MatchDag, interval_arcs, longest_path_vertex
+from .daglp import MatchDag, _check_score_bound, _reconstruct, interval_arcs
 from .graph import PangenomeGraph, ReachMatrix, precedes, reachability, records, token_text
 
 log = logging.getLogger(__name__)
@@ -132,6 +140,105 @@ class Chain:
 EMPTY_CHAIN = Chain((), 0, 0)
 
 
+class SeedTable(Sequence[Seed]):
+    """Seeds as read-only columns: a ``Sequence[Seed]`` that builds each
+    :class:`Seed` only when it is read.
+
+    ``names`` are the distinct vertex ids and ``name`` each seed's index
+    into them; ``i``, ``i2``, ``j`` and ``j2`` are int64 and ``maximal`` is
+    bool, one entry per seed.  The bounds obey the checks of :class:`Seed`.
+    """
+
+    __slots__ = ("names", "name", "i", "i2", "j", "j2", "maximal")
+
+    def __init__(self, names: tuple[str, ...], name: np.ndarray, bounds: np.ndarray, maximal: np.ndarray):
+        self.names = names
+        self.name = name
+        self.i, self.i2, self.j, self.j2 = np.ascontiguousarray(bounds.reshape(-1, 4).T)
+        self.maximal = maximal
+        for column in (name, self.i, self.i2, self.j, self.j2, maximal):
+            column.flags.writeable = False
+
+    @classmethod
+    def of(cls, seeds: Sequence[Seed]) -> "SeedTable":
+        """``seeds`` itself if it is a table, else its columns."""
+        if isinstance(seeds, SeedTable):
+            return seeds
+        index: dict[str, int] = {}
+        name = [index.setdefault(s.vertex, len(index)) for s in seeds]
+        bounds = [(s.i, s.i2, s.j, s.j2) for s in seeds]
+        maximal = np.array([s.maximal for s in seeds], dtype=bool)
+        return cls(tuple(index), np.array(name, dtype=np.int64), np.array(bounds, dtype=np.int64), maximal)
+
+    def __len__(self) -> int:
+        return len(self.name)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            bounds = np.stack([self.i[k], self.i2[k], self.j[k], self.j2[k]], axis=1)
+            return SeedTable(self.names, self.name[k], bounds, self.maximal[k])
+        i, i2, j, j2 = (int(column[k]) for column in (self.i, self.i2, self.j, self.j2))
+        return Seed(self.names[self.name[k]], i, i2, j, j2, bool(self.maximal[k]))
+
+    def __iter__(self) -> Iterator[Seed]:
+        columns = (self.name, self.i, self.i2, self.j, self.j2, self.maximal)
+        for name, i, i2, j, j2, maximal in zip(*(column.tolist() for column in columns)):
+            yield Seed(self.names[name], i, i2, j, j2, maximal)
+
+    def __repr__(self) -> str:
+        return f"SeedTable({len(self)} seeds)"
+
+    def check(self, graph: PangenomeGraph, query: bytes | None = None) -> np.ndarray:
+        """:meth:`Seed.validate` of every seed, in bulk, returning each
+        seed's vertex index: bounds, and with a query the substring equality
+        and maximality claims.  A failure re-runs the scalar check on the
+        first failing seed, so the error is the one :meth:`Seed.validate`
+        raises."""
+        vert = np.array([graph.index.get(vid, -1) for vid in self.names], dtype=np.int64)[self.name]
+        label_len = np.array([len(label) for label in graph.labels], dtype=np.int64)
+        ok = vert >= 0
+        ok[ok] = self.i2[ok] < label_len[vert[ok]]
+        if query is not None:
+            ok &= self.j2 < len(query)
+            rows = np.flatnonzero(ok)
+            ok[rows] = self._spelled(rows, vert[rows], graph.labels, label_len, query)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            self[k].validate(graph, query)
+            raise AssertionError(f"bulk check refused seed {k}, the scalar check accepts it")
+        return vert
+
+    def _spelled(
+        self, rows: np.ndarray, vert: np.ndarray, labels: Sequence[bytes], label_len: np.ndarray, query: bytes
+    ) -> np.ndarray:
+        """Whether each seed of ``rows``, in bounds on vertices ``vert``,
+        spells the query's bytes and, if flagged maximal, extends in
+        neither direction; compared ``_BLOCK_CELLS`` characters at a time."""
+        chars = np.frombuffer(b"".join(labels), dtype=np.uint8)
+        q = np.frombuffer(query, dtype=np.uint8)
+        i, i2, j, j2 = self.i[rows], self.i2[rows], self.j[rows], self.j2[rows]
+        shift = (np.cumsum(label_len) - label_len)[vert] + i - j  # label character of query position p: p + shift
+        length = i2 - i + 1
+        ends = np.cumsum(length)
+        ok = np.empty(len(rows), dtype=bool)
+        lo = 0
+        while lo < len(rows):
+            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - length[lo] + _BLOCK_CELLS, "right")))
+            runs = length[lo:hi]
+            first = np.cumsum(runs) - runs
+            qpos = np.arange(int(runs.sum())) - np.repeat(first - j[lo:hi], runs)
+            ok[lo:hi] = np.logical_and.reduceat(chars[qpos + np.repeat(shift[lo:hi], runs)] == q[qpos], first)
+            lo = hi
+        flagged = np.flatnonzero(self.maximal[rows] & ok)
+        i, i2, j, j2, shift = i[flagged], i2[flagged], j[flagged], j2[flagged], shift[flagged]
+        left = (i > 0) & (j > 0)
+        left[left] = chars[j[left] - 1 + shift[left]] == q[j[left] - 1]
+        right = (i2 + 1 < label_len[vert[flagged]]) & (j2 + 1 < len(q))
+        right[right] = chars[j2[right] + 1 + shift[right]] == q[j2[right] + 1]
+        ok[flagged] = ~(left | right)
+        return ok
+
+
 def build_seed_graph(
     seeds: Sequence[Seed],
     graph: PangenomeGraph,
@@ -143,28 +250,118 @@ def build_seed_graph(
     """One DAG node per seed (weight = seed length, or 1 when
     ``unit_weights``), one arc per strictly ordered pair, found by the
     same :func:`interval_arcs` construction as the lcs product DAG."""
-    for seed in seeds:
-        seed.validate(graph, query)
-    cols = np.array(
-        [(graph.vertex_index(s.vertex), s.i, s.i2, s.j, s.j2) for s in seeds], dtype=np.int64
-    ).reshape(-1, 5)
-    vert, i, i2, j, j2 = cols.T
+    table = SeedTable.of(seeds)
+    vert = table.check(graph, query)
     dag = MatchDag.from_csr(
-        np.ones(len(seeds), dtype=np.int64) if unit_weights else i2 - i + 1,
-        *interval_arcs(j, j2, vert, i, i2, reach.matrix),
+        np.ones(len(table), dtype=np.int64) if unit_weights else table.i2 - table.i + 1,
+        *interval_arcs(table.j, table.j2, vert, table.i, table.i2, reach.matrix),
         payloads=tuple(seeds),
     )
     log.info("seed DAG: %d seeds, %d arcs", dag.n_nodes, dag.n_arcs)
     return dag
 
 
+_BLOCK_ROWS = 64  # seeds per block: the seeds before a block are scanned once for all its rows
+_BLOCK_CELLS = 1 << 20  # seed pairs, or characters compared, at once: bounds the temporaries
+
+
+def _longest_chain(table: SeedTable, vert: np.ndarray, weights: np.ndarray, reach: np.ndarray) -> tuple[int, ...]:
+    """The seed DAG's longest path, as seed indices, without its arcs.
+
+    Seeds are sorted stably by ``j``.  A predecessor ends before its
+    successor starts on the query, so it sorts before it; and a seed whose
+    ``j`` does not exceed the smallest ``j2`` of the run before it follows
+    no seed of that run: runs split the order into stretches with no arc
+    inside.  The arc rule is the seed DAG's, ``j2_a < j_b`` and
+    :func:`~panlcs.graph.precedes`.
+
+    Seeds are solved ``_BLOCK_ROWS`` at a time.  The seeds before a block
+    are final and are scanned in descending key order, in chunks that
+    double in width, so that a row stops at its first predecessor, the
+    best; a row without one scans them all.  Predecessors inside the block
+    are taken row by row, for the rows whose run begins inside it.
+
+    The key of a seed is ``dist << b | (low - index)``, the key of
+    :func:`~panlcs.daglp._forward_dp`: the largest predecessor key gives
+    the parent, and the path ends at the first seed of the highest
+    ``dist``, the smallest-index tie-breaks of
+    :func:`~panlcs.daglp.longest_path_vertex` on the seed DAG."""
+    n = len(table)
+    _check_score_bound(n, weights, None)
+    order = np.argsort(table.j, kind="stable")
+    v, i, i2, j, j2 = (column[order] for column in (vert, table.i, table.i2, table.j, table.j2))
+    w = weights[order]
+    b = n.bit_length()
+    low = (1 << b) - 1
+    tie = low - order
+    run_starts = _run_starts(j.tolist(), j2.tolist())
+    cells = 0
+
+    def arcs(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """mask[r, x]: sorted seed ``a[x]`` precedes sorted seed ``c[r]``."""
+        nonlocal cells
+        cells += len(a) * len(c)
+        across = reach.take(v[a], axis=0).take(v[c], axis=1).T
+        mask = precedes(v[a], i2[a], v[c, None], i[c, None], across)
+        mask &= j2[a] < j[c, None]
+        return mask
+
+    key = np.empty(n, dtype=np.int64)  # per sorted seed: dist << b | tie, once final
+    best = np.full(n, -1, dtype=np.int64)  # the largest predecessor key; -1: none
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(n, lo + _BLOCK_ROWS)
+        by_key = np.argsort(key[:lo])[::-1]  # keys are distinct: their low bits are
+        rows, start, width = np.arange(lo, hi), 0, max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // (hi - lo)))
+        while len(rows) and start < lo:
+            cols = by_key[start : start + width]
+            mask = arcs(cols, rows)
+            at = mask.argmax(axis=1)
+            hit = mask[np.arange(len(rows)), at]
+            best[rows[hit]] = key[cols[at[hit]]]
+            rows = rows[~hit]
+            start += width
+            width = max(1, min(2 * width, _BLOCK_CELLS // max(len(rows), 1)))
+        # rows of a run that began at or before lo have no predecessor in the block
+        k = bisect_right(run_starts, lo)
+        first = min(hi, run_starts[k] if k < len(run_starts) else n)
+        key[lo:first] = (w[lo:first] + np.maximum(best[lo:first] >> b, 0)) << b | tie[lo:first]
+        done, found = key[lo:first].tolist(), []
+        inner = arcs(np.arange(lo, hi), np.arange(first, hi)).tolist()
+        for p, row, weight, t in zip(best[first:hi].tolist(), inner, w[first:hi].tolist(), tie[first:hi].tolist()):
+            p = max(p, max(compress(done, row), default=-1))
+            found.append(p)
+            done.append((weight + max(p >> b, 0)) << b | t)
+        key[lo:hi], best[first:hi] = done, found
+    log.info("chain: %d seeds, %d runs, %d cells scanned", n, len(run_starts), cells)
+    dist = np.empty(n, dtype=np.int64)
+    parent = np.empty(n, dtype=np.int64)
+    dist[order] = key >> b
+    parent[order] = np.where(best < 0, -1, low - (best & low))
+    return _reconstruct(parent, int(np.argmax(dist)))  # first max: smallest index wins
+
+
+def _run_starts(j: list[int], j2: list[int]) -> list[int]:
+    """Where each run of the ``j``-sorted seeds begins: a run ends before
+    the first seed whose ``j`` exceeds the smallest ``j2`` within it."""
+    starts: list[int] = []
+    smallest = -1
+    for k, (start, end) in enumerate(zip(j, j2)):
+        if start > smallest:
+            starts.append(k)
+            smallest = end
+        elif end < smallest:
+            smallest = end
+    return starts
+
+
 def _solve(seeds: Sequence[Seed], graph: PangenomeGraph, unit_weights: bool, query: bytes | None) -> Chain:
     reach = reachability(graph)
     if not seeds:
         return EMPTY_CHAIN
-    dag = build_seed_graph(seeds, graph, reach, unit_weights=unit_weights, query=query)
-    result = longest_path_vertex(dag)
-    picked = tuple(dag.payloads[v] for v in result.path)
+    table = SeedTable.of(seeds)
+    vert = table.check(graph, query)
+    weights = np.ones(len(table), dtype=np.int64) if unit_weights else table.i2 - table.i + 1
+    picked = tuple(seeds[k] for k in _longest_chain(table, vert, weights, reach.matrix))
     chain = Chain(seeds=picked, length=total_length(picked), count=len(picked))
     chain.validate(graph, reach, query)
     return chain
@@ -199,10 +396,32 @@ def parse_seed_line(tokens: Sequence[bytes], lineno: int) -> Seed:
         raise SeedError(f"line {lineno}: interval bounds must be integers") from None
 
 
-def parse_seeds(text: bytes | str) -> tuple[Seed, ...]:
+def parse_seeds(text: bytes | str) -> SeedTable:
     """Parse `<vertex> <i> <i'> <j> <j'>` records (inclusive bounds; see
-    :func:`~panlcs.graph.records`)."""
-    return tuple(parse_seed_line(tokens, lineno) for lineno, tokens in records(text))
+    :func:`~panlcs.graph.records`) into a :class:`SeedTable`.
+
+    The bounds are checked in bulk; on any malformed record the records are
+    parsed again one by one, so the error names the first bad line as
+    :func:`parse_seed_line` does."""
+    index: dict[bytes, int] = {}
+    name: list[int] = []
+    bounds: list[int] = []
+    try:
+        for _, tokens in records(text):
+            if len(tokens) != 5:
+                raise ValueError
+            name.append(index.setdefault(tokens[0], len(index)))
+            bounds.extend(map(int, tokens[1:]))
+        columns = np.array(bounds, dtype=np.int64).reshape(-1, 4)
+        i, i2, j, j2 = columns.T
+        if not np.all((i >= 0) & (j >= 0) & (i2 >= i) & (j2 >= j) & (i2 - i == j2 - j)):
+            raise ValueError
+    except (ValueError, OverflowError):  # OverflowError: a bound beyond int64
+        for lineno, tokens in records(text):
+            parse_seed_line(tokens, lineno)
+        raise AssertionError("bulk seed parsing refused what the scalar parser accepts") from None
+    names = tuple(map(token_text, index))
+    return SeedTable(names, np.array(name, dtype=np.int64), columns, np.zeros(len(name), dtype=bool))
 
 
 def format_seeds(seeds: Iterable[Seed]) -> str:

@@ -24,7 +24,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from .chaining import Chain, Seed, SeedError, format_seeds, parse_seeds, solve_memc, solve_msp
 from .daglp import CycleError, DagError, longest_path_edge, longest_path_vertex, parse_dag
@@ -169,7 +169,7 @@ def _output_mode(args: argparse.Namespace) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _load_seeds(args: argparse.Namespace, instance: Instance) -> tuple[Seed, ...]:
+def _load_seeds(args: argparse.Namespace, instance: Instance) -> Sequence[Seed]:
     if args.seeds is not None:
         return parse_seeds(_read(args.seeds))
     if instance.seeds:

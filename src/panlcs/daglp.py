@@ -1,8 +1,9 @@
 """Longest-path dynamic programming on weighted DAGs.
 
-This module is the solving core of lcs, chaining and the fglcs reference
-construction (fglcs itself fills the same longest-path table row by row
-without arcs): the shared DAG type, the product-DAG arc builder over
+This module is the solving core of lcs and of the seed-DAG and fglcs
+reference constructions (fglcs itself fills the same longest-path table
+row by row without arcs, and chaining scans its seeds without arcs, with
+the same packed keys): the shared DAG type, the product-DAG arc builder over
 ordered interval pairs (character matches and seeds alike), a deterministic
 topological sort, and one longest-path program, vertex or edge weighted,
 with parent-based path reconstruction.

@@ -146,8 +146,8 @@ class _ReachRelation:
         cg = self.cg
         inclusive = np.maximum.accumulate(self.lifted + window) - self.lifted
         earlier = np.where(cg.offset > 0, np.roll(inclusive, 1), 0)
-        per_vertex = inclusive[cg.starts[1:] - 1]
-        across = np.max(self.reach * per_vertex[:, None], axis=0, initial=0)
+        per_vertex = inclusive[cg.starts[1:] - 1].astype(window.dtype)
+        across = np.where(self.reach, per_vertex[:, None], 0).max(axis=0, initial=0)  # V x V at the window dtype
         return np.maximum(earlier, across[cg.origin]).astype(window.dtype)
 
     def sources(self, c: int) -> np.ndarray:

@@ -1,4 +1,7 @@
+import collections.abc
 import random
+import re
+import tracemalloc
 from unittest.mock import patch
 
 import pytest
@@ -6,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from panlcs import daglp
+import panlcs
+from panlcs import chaining, cli, daglp
 from panlcs import (
     Seed,
     SeedError,
@@ -17,8 +21,9 @@ from panlcs import (
     solve_memc,
     solve_msp,
 )
-from panlcs.chaining import build_seed_graph, format_seeds, strictly_precedes, total_length
-from panlcs.daglp import topo_sort
+from panlcs.chaining import SeedTable, build_seed_graph, format_seeds, parse_seed_line, strictly_precedes, total_length
+from panlcs.daglp import longest_path_vertex, topo_sort
+from panlcs.graph import GraphError, records
 from panlcs.oracle import memc_bruteforce, msp_bruteforce
 
 TWO_VERTEX = parse_graph("V u abcq\nV w abcq\nE u w\n")
@@ -287,10 +292,10 @@ class TestChainValidation:
 class TestSeedTsv:
     def test_round_trip(self):
         seeds = (Seed("u", 0, 2, 1, 3), Seed("w", 1, 1, 5, 5))
-        assert parse_seeds(format_seeds(seeds)) == seeds
+        assert tuple(parse_seeds(format_seeds(seeds))) == seeds
 
     def test_comments_and_blanks(self):
-        assert parse_seeds("# seeds\n\nu 0 2 1 3\n") == (Seed("u", 0, 2, 1, 3),)
+        assert tuple(parse_seeds("# seeds\n\nu 0 2 1 3\n")) == (Seed("u", 0, 2, 1, 3),)
 
     def test_wrong_column_count(self):
         with pytest.raises(SeedError, match="expected"):
@@ -305,3 +310,184 @@ class TestSeedTsv:
             parse_seeds("u 0 0 0 0\nu 2 1 0 0\n")
         with pytest.raises(SeedError, match="line 3: .*reversed"):
             parse_instance("V u ab\nS u 0 0 0 0\nS u 2 1 0 0\n")
+
+
+def seed_dag_chain(seeds, graph, unit_weights):
+    """The chain along the seed DAG's longest path: the paper's reduction."""
+    dag = build_seed_graph(seeds, graph, reachability(graph), unit_weights=unit_weights)
+    return tuple(dag.payloads[k] for k in longest_path_vertex(dag).path)
+
+
+# the default blocks, one-seed blocks scanned a column at a time, and small ones
+BLOCKS = [
+    {"_BLOCK_ROWS": chaining._BLOCK_ROWS, "_BLOCK_CELLS": chaining._BLOCK_CELLS},
+    {"_BLOCK_ROWS": 1, "_BLOCK_CELLS": 1},
+    {"_BLOCK_ROWS": 3, "_BLOCK_CELLS": 4},
+]
+
+
+class TestChainEqualsSeedDagPath:
+    @given(
+        helpers.graphs(max_n=4, max_label=4, acyclic=False),  # self-loops and cycles included
+        st.integers(0, 2**32),
+        st.booleans(),
+    )
+    @settings(max_examples=150)
+    def test_same_chain_as_the_seed_dag(self, g, salt, query_sorted):
+        rng = random.Random(salt)
+        crowded = rng.randrange(g.n)  # several seeds share this vertex
+        seeds = list(random_seeds(rng, g, rng.randint(0, 6), max_j=rng.choice([2, 8])))  # max_j 2: equal j
+        seeds += random_seeds(rng, g, rng.randint(0, 4), vertex=crowded)
+        seeds += rng.sample(seeds, min(2, len(seeds)))  # duplicate seeds
+        if query_sorted:
+            seeds.sort(key=lambda s: s.j)
+        else:
+            rng.shuffle(seeds)
+        seeds = tuple(seeds)
+        table = parse_seeds(format_seeds(seeds))
+        for solve, unit_weights in ((solve_memc, False), (solve_msp, True)):
+            expected = seed_dag_chain(seeds, g, unit_weights)
+            for block in BLOCKS:
+                with patch.multiple(chaining, **block):
+                    assert solve(seeds, g).seeds == expected
+                    assert solve(table, g).seeds == expected
+
+
+class TestChainAtScale:
+    def test_ten_thousand_seeds_in_small_memory(self):
+        # the seed DAG of these seeds took 3.3 s and 425 MiB traced to build and solve
+        g = helpers.program_graph(helpers.benchmark_generators().bubble_graph(random.Random(3), 300, 6000))
+        rng = random.Random(4)
+        seeds = []
+        for _ in range(10_000):
+            v = rng.randrange(g.n)
+            i = rng.randrange(len(g.labels[v]))
+            i2 = rng.randint(i, min(len(g.labels[v]) - 1, i + 4))
+            j = rng.randrange(6000)
+            seeds.append(Seed(g.ids[v], i, i2, j, j + i2 - i))
+        tracemalloc.start()
+        try:
+            chain = solve_memc(seeds, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+        chain.validate(g, reachability(g))
+        assert (chain.length, chain.count) == (455, 145)  # the seed DAG's longest path
+
+
+class TestNoSeedDag:
+    def test_solvers_and_cli_never_build_the_seed_dag(self, monkeypatch, tmp_path, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the production path built the seed DAG")
+
+        for module in (panlcs, chaining, daglp, cli):
+            for name in ("build_seed_graph", "interval_arcs", "longest_path_vertex"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        g = parse_graph("V a abcd\nV b abcd\nE a b\n")
+        seeds = (Seed("a", 0, 1, 0, 1), Seed("b", 0, 2, 4, 6), Seed("a", 0, 3, 2, 5))
+        assert solve_memc(seeds, g).length == 5
+        assert solve_msp(seeds, g).count == 2
+        (tmp_path / "g.tsv").write_text("V a abcd\nV b abcd\nE a b\n")
+        (tmp_path / "s.tsv").write_text(format_seeds(seeds))
+        argv = ["chain", "--graph", str(tmp_path / "g.tsv"), "--seeds", str(tmp_path / "s.tsv"), "--json"]
+        assert cli.main(argv + ["--objective", "len"]) == 0
+        assert cli.main(argv + ["--objective", "count"]) == 0
+        assert [line[:30] for line in capsys.readouterr().out.splitlines()] == [
+            '{"problem": "memc", "score": 5',
+            '{"problem": "msp", "score": 2,',
+        ]
+
+
+class TestSeedTable:
+    def test_a_sequence_of_seeds(self):
+        seeds = random_seeds(random.Random(5), TWO_VERTEX, 7)
+        table = parse_seeds(format_seeds(seeds))
+        assert isinstance(table, collections.abc.Sequence) and len(table) == 7
+        assert tuple(table) == seeds and [table[k] for k in range(7)] == list(seeds)
+        assert table[-1] == seeds[-1]
+        assert tuple(table[2:5]) == seeds[2:5] and tuple(table[::-2]) == seeds[::-2]
+        with pytest.raises(IndexError):
+            table[7]
+
+    def test_columns_are_read_only(self):
+        table = parse_seeds("u 0 1 2 3\n")
+        with pytest.raises(ValueError):
+            table.j[0] = 5
+
+    def test_of_seeds_keeps_maximal_flags(self):
+        seeds = (Seed("u", 0, 2, 0, 2, maximal=True), Seed("w", 1, 1, 5, 5))
+        assert tuple(SeedTable.of(seeds)) == seeds
+
+
+def scalar_validate_error(seeds, graph, query):
+    """The error of the first seed that :meth:`Seed.validate` refuses."""
+    for seed in seeds:
+        try:
+            seed.validate(graph, query)
+        except (SeedError, GraphError) as exc:
+            return type(exc), str(exc)
+    raise AssertionError("every seed validates")
+
+
+class TestBulkSeedErrors:
+    """Bulk checks raise the scalar error of the first failing seed, also
+    when a later seed fails a different check."""
+
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [
+            ([Seed("u", 0, 0, 0, 0), Seed("x", 0, 0, 0, 0), Seed("u", 0, 9, 0, 9)], "unknown vertex id 'x'"),
+            ([Seed("w", 3, 3, 3, 3), Seed("u", 0, 9, 0, 9), Seed("x", 0, 0, 0, 0)], "label interval exceeds"),
+            ([Seed("u", 0, 0, 0, 0), Seed("w", 0, 1, 3, 4), Seed("u", 1, 1, 0, 0)], "query interval out of range"),
+            ([Seed("u", 0, 1, 1, 2), Seed("w", 0, 1, 3, 4)], "matched substrings differ"),
+            ([Seed("u", 0, 0, 0, 0), Seed("u", 0, 1, 0, 1, maximal=True), Seed("u", 0, 0, 1, 1)], "flagged maximal"),
+            ([Seed("u", 1, 1, 1, 1, maximal=True), Seed("x", 0, 0, 0, 0)], "flagged maximal"),
+        ],
+        ids=["vertex", "label", "query", "substrings", "maximal-right", "maximal-left"],
+    )
+    def test_first_failing_seed_names_its_fault(self, seeds, message):
+        query = b"abcq"
+        kind, expected = scalar_validate_error(seeds, TWO_VERTEX, query)
+        assert message in expected
+        inputs = [tuple(seeds)]
+        if not any(s.maximal for s in seeds):
+            inputs.append(parse_seeds(format_seeds(seeds)))
+        for given_seeds in inputs:
+            for solve in (solve_memc, solve_msp):
+                with pytest.raises(kind, match=re.escape(expected)):
+                    solve(given_seeds, TWO_VERTEX, query=query)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("u 0 0 0 0\nu 0 1 0\nu 2 1 0 0\n", "line 2: expected"),
+            ("u 0 0 0 0\nu 0 x 0 0\nu 0 1 0\n", "line 2: interval bounds must be integers"),
+            ("u 0 0 0 0\nu 0 1 0 0\nu 2 1 0 0\n", "line 2: seed ('u', [0,1], [0,0]): label and query intervals differ"),
+            # a bound beyond int64 fails the bulk parse; the scalar parse names the first fault
+            (
+                "u 0 1 9223372036854775806 9223372036854775807\nu 5 4 1 18446744073709551616\nu x 0 0 0\n",
+                "line 2: seed ('u', [5,4], [1,18446744073709551616]): empty or reversed",
+            ),
+            (
+                "u 0 1 9223372036854775807 9223372036854775808\nu -1 0 0 0\n",
+                "line 1: seed ('u', [0,1], [9223372036854775807,9223372036854775808]): interval bound exceeds",
+            ),
+            ("# c\n\nu -1 0 -1 0\nu 0 1 0 0\n", "line 3: seed ('u', [-1,0], [-1,0]): negative"),
+        ],
+    )
+    def test_parse_errors_name_the_first_bad_line(self, text, message):
+        scalar = next(filter(None, (_scalar_parse_error(lineno, tokens) for lineno, tokens in records(text))))
+        assert scalar.startswith(message)
+        with pytest.raises(SeedError) as info:
+            parse_seeds(text)
+        assert str(info.value) == scalar
+
+
+def _scalar_parse_error(lineno, tokens):
+    try:
+        parse_seed_line(tokens, lineno)
+    except SeedError as exc:
+        return str(exc)
+    return None

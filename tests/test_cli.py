@@ -368,7 +368,7 @@ class TestVerbose:
         [
             (["lcs", "--query", "aba"], ["panlcs.lcs: product DAG: 6 matches, 5 arcs", "panlcs.daglp: longest path: 6 nodes, 5 arcs, 3 runs"]),
             (["fglcs", "--query", "aba", "--k1", "2", "--k2", "2"], ["panlcs.fglcs: fglcs table: 3 query rows x 4 characters, predecessors by radius-2 balls"]),
-            (["chain", "--seeds", "SEEDS", "--objective", "len"], ["panlcs.chaining: seed DAG: 2 seeds, 1 arcs", "panlcs.daglp: longest path: 2 nodes, 1 arcs, 2 runs"]),
+            (["chain", "--seeds", "SEEDS", "--objective", "len"], ["panlcs.chaining: chain: 2 seeds, 2 runs, 2 cells scanned"]),
         ],
         ids=["lcs", "fglcs", "chain"],
     )

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,3 +226,18 @@ class TestTableDp:
         assert solve_fglcs_sg(b"ab" * 127, g, GapParams(1, 1)).score == 254
         assert solve_fglcs_sg(b"ab" * 128, g, GapParams(1, 1)).score == 256
         assert [t.dtype for t in tables] == [np.uint8, np.uint16]
+
+    def test_unbounded_gap_memory_stays_near_the_reach_matrix(self):
+        # the reach relation holds the V x V matrix once, and each row's
+        # maximum over it is taken at the table's dtype, not at int64
+        g = helpers.program_graph(helpers.benchmark_generators().bubble_graph(random.Random(1), 500, 3000))
+        rng = random.Random(2)
+        query = bytes(rng.choice(b"ACGT") for _ in range(40))
+        tracemalloc.start()
+        try:
+            alignment = solve_fglcs_sg(query, g, GapParams(None, None))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n == 1501 and alignment.score == len(query)
+        assert peak <= 3 * g.n**2

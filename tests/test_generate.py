@@ -105,4 +105,4 @@ def instances(draw):
 def test_writers_and_readers_round_trip_every_byte(instance):
     assert parse_instance(instance_to_tsv(instance)) == instance
     assert parse_instance(instance_to_tsv(instance).encode("latin-1")) == instance
-    assert parse_seeds(format_seeds(instance.seeds)) == instance.seeds
+    assert tuple(parse_seeds(format_seeds(instance.seeds))) == instance.seeds
