@@ -2,12 +2,12 @@
 pangenome graph, all reduced to longest paths in product DAGs.
 
 The package exports the user API: the four solvers, the longest-path
-solvers, the parsers, the result and error types, and ``reachability``
-(reusable across queries).  Everything else is imported from its own
-module: the brute-force oracles from :mod:`panlcs.oracle`, the reference
-product-DAG builders from :mod:`panlcs.lcs`, :mod:`panlcs.fglcs` and
-:mod:`panlcs.chaining`, the character graph and distances from
-:mod:`panlcs.graph`, and instance generation from :mod:`panlcs.generate`.
+solvers, the parsers, and the result and error types.  Everything else is
+imported from its own module: the brute-force oracles from
+:mod:`panlcs.oracle`, the reference product-DAG builders from
+:mod:`panlcs.lcs`, :mod:`panlcs.fglcs` and :mod:`panlcs.chaining`, the
+reachability, character graph and distances from :mod:`panlcs.graph`, and
+instance generation from :mod:`panlcs.generate`.
 """
 
 from .chaining import Chain, Seed, SeedError, parse_seeds, solve_memc, solve_msp
@@ -22,7 +22,7 @@ from .daglp import (
 )
 from .fglcs import GapParams, solve_fglcs_sg
 from .generate import Instance, parse_instance
-from .graph import GraphError, PangenomeGraph, parse_graph, reachability
+from .graph import GraphError, PangenomeGraph, parse_graph
 from .lcs import Alignment, AlignmentError, solve_lcs_sg
 
 __version__ = "0.1.0"
@@ -47,7 +47,6 @@ __all__ = [
     "parse_graph",
     "parse_instance",
     "parse_seeds",
-    "reachability",
     "solve_fglcs_sg",
     "solve_lcs_sg",
     "solve_memc",

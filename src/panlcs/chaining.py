@@ -36,7 +36,7 @@ from itertools import compress
 import numpy as np
 
 from .daglp import MatchDag, _check_score_bound, _reconstruct, interval_arcs
-from .graph import PangenomeGraph, ReachMatrix, precedes, reachability, records, token_text
+from .graph import PangenomeGraph, precedes, reachability, records, token_text
 
 log = logging.getLogger(__name__)
 
@@ -106,10 +106,10 @@ def total_length(seeds: Iterable[Seed]) -> int:
     return sum(seed.length for seed in seeds)
 
 
-def strictly_precedes(a: Seed, b: Seed, graph: PangenomeGraph, reach: ReachMatrix) -> bool:
+def strictly_precedes(a: Seed, b: Seed, graph: PangenomeGraph) -> bool:
     """Whether ``a`` can come before ``b`` in one chain."""
     u, v = graph.vertex_index(a.vertex), graph.vertex_index(b.vertex)
-    return a.j2 < b.j and bool(precedes(u, a.i2, v, b.i, reach.matrix[u, v]))
+    return a.j2 < b.j and bool(precedes(u, a.i2, v, b.i, reachability(graph).matrix[u, v]))
 
 
 @dataclass(frozen=True)
@@ -120,12 +120,7 @@ class Chain:
     length: int
     count: int
 
-    def validate(
-        self,
-        graph: PangenomeGraph,
-        reach: ReachMatrix,
-        query: bytes | None = None,
-    ) -> None:
+    def validate(self, graph: PangenomeGraph, query: bytes | None = None) -> None:
         if self.count != len(self.seeds):
             raise SeedError("chain count disagrees with its seed list")
         if self.length != total_length(self.seeds):
@@ -133,7 +128,7 @@ class Chain:
         for seed in self.seeds:
             seed.validate(graph, query)
         for a, b in zip(self.seeds, self.seeds[1:]):
-            if not strictly_precedes(a, b, graph, reach):
+            if not strictly_precedes(a, b, graph):
                 raise SeedError(f"chain breaks strict order between {a._brief()} and {b._brief()}")
 
 
@@ -242,7 +237,6 @@ class SeedTable(Sequence[Seed]):
 def build_seed_graph(
     seeds: Sequence[Seed],
     graph: PangenomeGraph,
-    reach: ReachMatrix,
     *,
     unit_weights: bool = False,
     query: bytes | None = None,
@@ -254,7 +248,7 @@ def build_seed_graph(
     vert = table.check(graph, query)
     dag = MatchDag.from_csr(
         np.ones(len(table), dtype=np.int64) if unit_weights else table.i2 - table.i + 1,
-        *interval_arcs(table.j, table.j2, vert, table.i, table.i2, reach.matrix),
+        *interval_arcs(table.j, table.j2, vert, table.i, table.i2, reachability(graph).matrix),
         payloads=tuple(seeds),
     )
     log.info("seed DAG: %d seeds, %d arcs", dag.n_nodes, dag.n_arcs)
@@ -355,15 +349,15 @@ def _run_starts(j: list[int], j2: list[int]) -> list[int]:
 
 
 def _solve(seeds: Sequence[Seed], graph: PangenomeGraph, unit_weights: bool, query: bytes | None) -> Chain:
-    reach = reachability(graph)
+    reach = reachability(graph).matrix
     if not seeds:
         return EMPTY_CHAIN
     table = SeedTable.of(seeds)
     vert = table.check(graph, query)
     weights = np.ones(len(table), dtype=np.int64) if unit_weights else table.i2 - table.i + 1
-    picked = tuple(seeds[k] for k in _longest_chain(table, vert, weights, reach.matrix))
+    picked = tuple(seeds[k] for k in _longest_chain(table, vert, weights, reach))
     chain = Chain(seeds=picked, length=total_length(picked), count=len(picked))
-    chain.validate(graph, reach, query)
+    chain.validate(graph, query)
     return chain
 
 

@@ -138,8 +138,7 @@ class _ReachRelation:
 
     def __init__(self, graph: PangenomeGraph, cg: CharGraph):
         self.cg = cg
-        self.reach = reachability(graph).matrix.copy()
-        np.fill_diagonal(self.reach, False)
+        self.reach = reachability(graph).matrix  # the graph's own, read-only
         self.lifted = cg.origin << 32  # separates the vertices in one running maximum
 
     def best(self, window: np.ndarray) -> np.ndarray:
@@ -147,7 +146,9 @@ class _ReachRelation:
         inclusive = np.maximum.accumulate(self.lifted + window) - self.lifted
         earlier = np.where(cg.offset > 0, np.roll(inclusive, 1), 0)
         per_vertex = inclusive[cg.starts[1:] - 1].astype(window.dtype)
-        across = np.where(self.reach, per_vertex[:, None], 0).max(axis=0, initial=0)  # V x V at the window dtype
+        across = np.where(self.reach, per_vertex[:, None], 0)  # V x V at the window dtype
+        np.fill_diagonal(across, 0)  # a vertex's own characters are the earlier offsets
+        across = across.max(axis=0, initial=0)
         return np.maximum(earlier, across[cg.origin]).astype(window.dtype)
 
     def sources(self, c: int) -> np.ndarray:
@@ -218,6 +219,6 @@ def solve_fglcs_sg(query: bytes, graph: PangenomeGraph, gaps: GapParams) -> Alig
     table = _fill_table(q, cg, k1, relation)
     if not table.any():
         return Alignment(0, b"", (), (), gaps=())
-    alignment = alignment_from_points(query, graph, _trace_back(table, cg, k1, relation), cg)
-    alignment.validate(query, graph, gap_params=gaps, char_graph=cg)
+    alignment = alignment_from_points(query, graph, _trace_back(table, cg, k1, relation), record_gaps=True)
+    alignment.validate(query, graph, gap_params=gaps)
     return alignment

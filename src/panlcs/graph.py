@@ -21,6 +21,10 @@ Preprocessing products computed here:
   in the total label length.  No solver needs it; it backs the reference
   product-DAG construction of fglcs and the tests.
 
+The first two are computed on first use and kept on the graph instance, so
+every later call on that graph returns the same object: a batch of queries
+against one :class:`PangenomeGraph` pays for its preprocessing once.
+
 :func:`precedes` is the one graph-side step rule of all four reductions:
 a position advances within one vertex's label, or a caller-given
 predicate (reachability, a bounded distance) admits the cross-vertex step.
@@ -32,16 +36,18 @@ Labels are raw bytes and all comparisons are exact byte equality.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
 GRAPH_FORMATS = ("tsv", "gfa")
+_T = TypeVar("_T")
 
 
 class GraphError(ValueError):
@@ -373,22 +379,36 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _kept(compute: Callable[[PangenomeGraph], _T]) -> Callable[[PangenomeGraph], _T]:
+    """``compute(graph)`` once per graph instance: the result is kept on the
+    graph (which is frozen, so it never goes stale) and returned by every
+    later call.  A refusal raises again on the next call; nothing is kept."""
+    key = f"_kept_{compute.__name__}"
+
+    @functools.wraps(compute)
+    def kept(graph: PangenomeGraph) -> _T:
+        cache = vars(graph)
+        if key not in cache:
+            cache[key] = compute(graph)
+        return cache[key]
+
+    return kept
+
+
+@_kept
 def build_char_graph(graph: PangenomeGraph) -> CharGraph:
     """Split every vertex into one node per label character."""
     lengths = np.array([len(label) for label in graph.labels], dtype=np.int64)
     starts = np.concatenate([[0], np.cumsum(lengths)])
-    total = int(starts[-1])
     chars = np.frombuffer(b"".join(graph.labels), dtype=np.uint8)
     origin = np.repeat(np.arange(graph.n, dtype=np.int64), lengths)
-    offset = np.arange(total, dtype=np.int64) - starts[origin]
-
-    intra_src = np.flatnonzero(offset[:-1] + 1 == offset[1:]) if total > 1 else np.array([], dtype=np.int64)
-    intra = np.stack([intra_src, intra_src + 1], axis=1) if len(intra_src) else np.empty((0, 2), dtype=np.int64)
-    inter = np.array(
-        [(starts[u] + lengths[u] - 1, starts[v]) for u, v in graph.edges],
-        dtype=np.int64,
-    ).reshape(-1, 2)
-    arcs = np.concatenate([intra, inter]) if total else np.empty((0, 2), dtype=np.int64)
+    offset = np.arange(int(starts[-1]), dtype=np.int64) - starts[origin]
+    intra = np.flatnonzero(offset[:-1] + 1 == offset[1:])
+    edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+    arcs = np.concatenate([
+        np.stack([intra, intra + 1], axis=1),
+        np.stack([starts[edges[:, 0] + 1] - 1, starts[edges[:, 1]]], axis=1),
+    ])
     return CharGraph(
         origin=_freeze(origin),
         offset=_freeze(offset),
@@ -416,6 +436,7 @@ REACH_MAX_BYTES = 2 << 30
 """The largest V x V matrix, in bytes, that :func:`reachability` allocates."""
 
 
+@_kept
 def reachability(graph: PangenomeGraph) -> ReachMatrix:
     """All-pairs reachability as a closure over the strongly connected
     components (Purdom 1970): one O(V + E) pass for the components, then

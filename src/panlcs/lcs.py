@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .daglp import MatchDag, interval_arcs, longest_path_vertex
-from .graph import CharGraph, PangenomeGraph, ReachMatrix, build_char_graph, precedes, reachability
+from .graph import PangenomeGraph, build_char_graph, precedes, reachability
 
 if TYPE_CHECKING:  # pragma: no cover
     from .fglcs import GapParams
@@ -64,20 +64,14 @@ class Alignment:
     g_positions: tuple[tuple[str, int], ...]
     gaps: tuple[tuple[int, int], ...] | None = None
 
-    def validate(
-        self,
-        query: bytes,
-        graph: PangenomeGraph,
-        reach: ReachMatrix | None = None,
-        gap_params: "GapParams | None" = None,
-        char_graph: CharGraph | None = None,
-    ) -> None:
+    def validate(self, query: bytes, graph: PangenomeGraph, gap_params: "GapParams | None" = None) -> None:
         """Re-check every invariant against the instance; raise on violation.
 
-        Steps across vertices are checked against ``reach``, or against the
-        character paths of ``char_graph`` when only it is given (equivalent
-        across vertices); with neither, the reachability is computed.
-        ``gap_params`` plus ``char_graph`` enable the gap-bound checks.
+        Steps across vertices are checked against the graph's reachability,
+        or, when the alignment records gaps, against the character-graph
+        distances, which must also equal the recorded graph gaps (so a
+        gap-bounded solve never needs the reachability).  ``gap_params``
+        adds the gap-bound checks.
         """
         k = self.score
         if not (len(self.subsequence) == len(self.q_positions) == len(self.g_positions) == k):
@@ -94,18 +88,15 @@ class Alignment:
                 raise AlignmentError("position out of range")
             if not (self.subsequence[t] == query[qi] == label[off]):
                 raise AlignmentError(f"character mismatch at chain position {t}")
-        if reach is None and char_graph is None:
-            reach = reachability(graph)
         verts = np.array([graph.vertex_index(vid) for vid, _ in self.g_positions], dtype=np.int64)
         offs = np.array([f for _, f in self.g_positions], dtype=np.int64)
-        graph_gaps = [None] * max(k - 1, 0)
-        if char_graph is not None:
-            steps = zip(verts.tolist(), offs.tolist(), verts[1:].tolist(), offs[1:].tolist())
-            graph_gaps = [g - f if u == v else char_graph.distance_vf(u, f, v, g) for u, f, v, g in steps]
-        if reach is None:
-            across = np.array([d is not None for d in graph_gaps], dtype=bool)
+        if self.gaps is None:
+            across = reachability(graph).matrix[verts[:-1], verts[1:]]
         else:
-            across = reach.matrix[verts[:-1], verts[1:]]
+            cg = build_char_graph(graph)
+            steps = zip(verts.tolist(), offs.tolist(), verts[1:].tolist(), offs[1:].tolist())
+            graph_gaps = [g - f if u == v else cg.distance_vf(u, f, v, g) for u, f, v, g in steps]
+            across = np.array([d is not None for d in graph_gaps], dtype=bool)
         bad = np.flatnonzero(~precedes(verts[:-1], offs[:-1], verts[1:], offs[1:], across))
         if len(bad):
             (vid_a, _), (vid_b, _) = self.g_positions[bad[0]], self.g_positions[bad[0] + 1]
@@ -117,7 +108,7 @@ class Alignment:
         for t, ((dq, dg), graph_gap) in enumerate(zip(self.gaps, graph_gaps)):
             if dq != self.q_positions[t + 1] - self.q_positions[t]:
                 raise AlignmentError("recorded query gap disagrees with positions")
-            if graph_gap is not None and dg != graph_gap:
+            if dg != graph_gap:
                 raise AlignmentError("recorded graph gap disagrees with distances")
             if gap_params is not None:
                 if not 0 < dq <= gap_params.k1_limit:
@@ -146,9 +137,7 @@ def _match_dag(qi: np.ndarray, vert: np.ndarray, off: np.ndarray, csr: tuple[np.
     return MatchDag.from_csr(np.ones(len(qi), dtype=np.int64), *csr, payloads=payloads)
 
 
-def build_match_graph(
-    query: bytes, graph: PangenomeGraph, reach: ReachMatrix
-) -> MatchDag:
+def build_match_graph(query: bytes, graph: PangenomeGraph) -> MatchDag:
     """Construct the unit-weight product DAG for unconstrained LCS solving.
 
     Nodes are all query/label character matches; an arc joins two matches
@@ -156,46 +145,41 @@ def build_match_graph(
     on one vertex with a strictly larger offset or moves to a reachable
     other vertex: :func:`interval_arcs` with every interval of length one.
     """
+    reach = reachability(graph).matrix  # first: an oversized graph is refused before any matching
     qi, vert, off = match_points(query, graph)
-    dag = _match_dag(qi, vert, off, interval_arcs(qi, qi, vert, off, off, reach.matrix))
+    dag = _match_dag(qi, vert, off, interval_arcs(qi, qi, vert, off, off, reach))
     log.info("product DAG: %d matches, %d arcs", dag.n_nodes, dag.n_arcs)
     return dag
 
 
-def alignment_from_path(
-    query: bytes,
-    graph: PangenomeGraph,
-    dag: MatchDag,
-    path: tuple[int, ...],
-    char_graph: CharGraph | None = None,
-) -> Alignment:
-    """Read an alignment off a product-graph path, optionally recording the
-    per-step (query gap, graph gap) pairs."""
+def alignment_from_path(query: bytes, graph: PangenomeGraph, dag: MatchDag, path: tuple[int, ...]) -> Alignment:
+    """Read an alignment off a product-graph path."""
     points = list(map(MatchPoint._make, dag.payloads[list(path)].tolist()))
-    return alignment_from_points(query, graph, points, char_graph)
+    return alignment_from_points(query, graph, points)
 
 
 def alignment_from_points(
     query: bytes,
     graph: PangenomeGraph,
     points: Sequence[MatchPoint],
-    char_graph: CharGraph | None = None,
+    record_gaps: bool = False,
 ) -> Alignment:
-    """The alignment through ``points`` in order; with ``char_graph`` it
+    """The alignment through ``points`` in order; with ``record_gaps`` it
     records each step's query gap and graph gap (the offset difference on
     one vertex, the minimum arc count across vertices)."""
     q_positions = tuple(p.q_index for p in points)
     g_positions = tuple((graph.ids[p.vertex], p.offset) for p in points)
     subsequence = bytes(query[i] for i in q_positions)
     gaps = None
-    if char_graph is not None:
+    if record_gaps:
+        cg = build_char_graph(graph)
         pairs = []
         for a, b in zip(points, points[1:]):
             dq = b.q_index - a.q_index
             if a.vertex == b.vertex:
                 dg = b.offset - a.offset
             else:
-                dist = char_graph.distance_vf(a.vertex, a.offset, b.vertex, b.offset)
+                dist = cg.distance_vf(a.vertex, a.offset, b.vertex, b.offset)
                 if dist is None:
                     raise AlignmentError("path step crosses unreachable characters")
                 dg = dist
@@ -210,24 +194,17 @@ def alignment_from_points(
     )
 
 
-def solve_lcs_sg(
-    query: bytes,
-    graph: PangenomeGraph,
-    *,
-    reach: ReachMatrix | None = None,
-) -> Alignment:
+def solve_lcs_sg(query: bytes, graph: PangenomeGraph) -> Alignment:
     """Longest common subsequence between ``query`` and ``graph``.
 
     Returns a validated :class:`Alignment`; the empty alignment when no
-    query character occurs in the graph.  ``reach`` may be passed to reuse
-    precomputed reachability across queries.
+    query character occurs in the graph.  The graph keeps its
+    reachability, so later queries against it reuse it.
     """
-    if reach is None:
-        reach = reachability(graph)
-    dag = build_match_graph(query, graph, reach)
+    dag = build_match_graph(query, graph)
     if dag.n_nodes == 0:
         return EMPTY_ALIGNMENT
     result = longest_path_vertex(dag)
     alignment = alignment_from_path(query, graph, dag, result.path)
-    alignment.validate(query, graph, reach=reach)
+    alignment.validate(query, graph)
     return alignment

@@ -15,7 +15,6 @@ from panlcs import (
     GapParams,
     PangenomeGraph,
     longest_path_vertex,
-    reachability,
     solve_fglcs_sg,
     solve_lcs_sg,
     solve_memc,
@@ -168,13 +167,12 @@ def test_criterion_3_fglcs_oracle_equality():
     for q, g in small_acyclic_corpus():
         cg = build_char_graph(g)
         dist = char_distances(cg)
-        reach = reachability(g)
-        lcs_score = solve_lcs_sg(q, g, reach=reach).score
+        lcs_score = solve_lcs_sg(q, g).score
         for k1 in K_GRID:
             for k2 in K_GRID:
                 gaps = GapParams(k1, k2)
                 alignment = solve_fglcs_sg(q, g, gaps)
-                alignment.validate(q, g, reach=reach, gap_params=gaps, char_graph=cg)
+                alignment.validate(q, g, gap_params=gaps)
                 assert [dg for _, dg in alignment.gaps] == dense_graph_gaps(alignment, g, cg, dist)
                 score = alignment.score
                 assert score == fglcs_bruteforce(q, g, gaps), (q, g, k1, k2)
@@ -207,7 +205,7 @@ def test_criterion_5_msp_oracle_equality():
         chain = solve_msp(seeds, g, query=q)
         assert chain.count == msp_bruteforce(seeds, g)
         if seeds:
-            unit = build_seed_graph(seeds, g, reachability(g), unit_weights=True)
+            unit = build_seed_graph(seeds, g, unit_weights=True)
             assert longest_path_vertex(unit).score == chain.count
         checked += 1
     report(
@@ -220,9 +218,8 @@ def test_criterion_5_msp_oracle_equality():
 def test_criterion_6_dag_property():
     built = 0
     for q, g in small_acyclic_corpus() + cyclic_corpus():
-        reach = reachability(g)
         dist = char_distances(build_char_graph(g))
-        dag = build_match_graph(q, g, reach)
+        dag = build_match_graph(q, g)
         assert len(topo_sort(dag)) == dag.n_nodes
         built += 1
         gapped = build_gap_match_graph(q, g, GapParams(2, 2), dist)
@@ -230,7 +227,7 @@ def test_criterion_6_dag_property():
         built += 1
     rng = random.Random(RNG_SEED + 5)
     for seeds, g, q in seed_corpus():
-        dag = build_seed_graph(seeds, g, reachability(g))
+        dag = build_seed_graph(seeds, g)
         assert len(topo_sort(dag)) == dag.n_nodes
         built += 1
         # the same seeds against a cyclic graph still chain acyclically
@@ -242,7 +239,7 @@ def test_criterion_6_dag_property():
             i = rng.randrange(len(label))
             i2 = rng.randint(i, len(label) - 1)
             cyc_seeds.append(Seed(cyclic.ids[v], i, i2, s.j, s.j + (i2 - i)))
-        dag = build_seed_graph(cyc_seeds, cyclic, reachability(cyclic))
+        dag = build_seed_graph(cyc_seeds, cyclic)
         assert len(topo_sort(dag)) == dag.n_nodes
         built += 1
     report(
@@ -255,12 +252,12 @@ def test_criterion_6_dag_property():
 def test_criterion_7_recurrence_residual():
     checked = 0
     for q, g in small_acyclic_corpus():
-        dag = build_match_graph(q, g, reachability(g))
+        dag = build_match_graph(q, g)
         result = longest_path_vertex(dag)
         assert helpers.residual_ok(dag, result.dist, "vertex")
         checked += 1
     for seeds, g, q in seed_corpus():
-        dag = build_seed_graph(seeds, g, reachability(g))
+        dag = build_seed_graph(seeds, g)
         result = longest_path_vertex(dag)
         assert helpers.residual_ok(dag, result.dist, "vertex")
         checked += 1
@@ -281,18 +278,16 @@ def test_criterion_8_output_self_validation():
     violations = 0
     checked = 0
     for q, g in small_acyclic_corpus()[:250]:
-        reach = reachability(g)
         cg = build_char_graph(g)
-        solve_lcs_sg(q, g, reach=reach).validate(q, g, reach=reach)
+        solve_lcs_sg(q, g).validate(q, g)
         gaps = GapParams(2, 2)
         alignment = solve_fglcs_sg(q, g, gaps)
-        alignment.validate(q, g, reach=reach, gap_params=gaps, char_graph=cg)
+        alignment.validate(q, g, gap_params=gaps)
         assert [dg for _, dg in alignment.gaps] == dense_graph_gaps(alignment, g, cg, char_distances(cg))
         checked += 2
     for seeds, g, q in seed_corpus():
-        reach = reachability(g)
-        solve_memc(seeds, g, query=q).validate(g, reach, q)
-        solve_msp(seeds, g, query=q).validate(g, reach, q)
+        solve_memc(seeds, g, query=q).validate(g, q)
+        solve_msp(seeds, g, query=q).validate(g, q)
         checked += 2
     report(
         "criterion 8 (output self-validation)",
@@ -306,22 +301,21 @@ def test_criterion_9_complexity_smoke():
     assert g.n == 50 and g.total_label_length == 500 and len(q100) == 100
 
     started = time.perf_counter()
-    reach = reachability(g)
-    alignment = solve_lcs_sg(q100, g, reach=reach)
+    alignment = solve_lcs_sg(q100, g)
     pipeline = time.perf_counter() - started
     assert alignment.score > 0
 
     # warm both sizes so allocator effects do not skew the timed trials
-    build_match_graph(q100, g, reach)
-    build_match_graph(q200, g, reach)
+    build_match_graph(q100, g)
+    build_match_graph(q200, g)
 
     # interleaved back-to-back pairs cancel machine-load drift between sizes
     ratios = []
     for _ in range(3):
         t0 = time.perf_counter()
-        small = build_match_graph(q100, g, reach)
+        small = build_match_graph(q100, g)
         t1 = time.perf_counter()
-        large = build_match_graph(q200, g, reach)
+        large = build_match_graph(q200, g)
         t2 = time.perf_counter()
         ratios.append((t2 - t1) / (t1 - t0))
     factor = sorted(ratios)[1]

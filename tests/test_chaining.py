@@ -17,7 +17,6 @@ from panlcs import (
     parse_graph,
     parse_instance,
     parse_seeds,
-    reachability,
     solve_memc,
     solve_msp,
 )
@@ -105,58 +104,50 @@ class TestTotalLength:
 
 class TestStrictlyPrecedes:
     def test_same_vertex_disjoint_forward(self):
-        r = reachability(TWO_VERTEX)
         a = Seed("u", 0, 1, 0, 1)
         b = Seed("u", 3, 3, 5, 5)
-        assert strictly_precedes(a, b, TWO_VERTEX, r)
-        assert not strictly_precedes(b, a, TWO_VERTEX, r)
+        assert strictly_precedes(a, b, TWO_VERTEX)
+        assert not strictly_precedes(b, a, TWO_VERTEX)
 
     def test_touching_label_intervals_fail(self):
-        r = reachability(TWO_VERTEX)
         a = Seed("u", 0, 1, 0, 1)
         b = Seed("u", 1, 2, 5, 6)
-        assert not strictly_precedes(a, b, TWO_VERTEX, r)
+        assert not strictly_precedes(a, b, TWO_VERTEX)
 
     def test_cross_vertex_requires_reachability(self):
-        r = reachability(TWO_VERTEX)
         a = Seed("u", 0, 1, 0, 1)
         b = Seed("w", 0, 1, 5, 6)
-        assert strictly_precedes(a, b, TWO_VERTEX, r)
-        assert not strictly_precedes(b, a, TWO_VERTEX, r)  # edge runs u -> w only
+        assert strictly_precedes(a, b, TWO_VERTEX)
+        assert not strictly_precedes(b, a, TWO_VERTEX)  # edge runs u -> w only
 
     @given(helpers.graphs(max_n=3, max_label=4, acyclic=False))
     @settings(max_examples=40)
     def test_matches_dfs_based_rule(self, g):
         rng = random.Random(g.n * 7919 + g.total_label_length)
-        r = reachability(g)
         seeds = random_seeds(rng, g, 4)
         for a in seeds:
             for b in seeds:
-                assert strictly_precedes(a, b, g, r) == helpers.seed_precedes_brute(a, b, g)
+                assert strictly_precedes(a, b, g) == helpers.seed_precedes_brute(a, b, g)
 
 
 class TestBuildSeedGraph:
     def test_interleaved_query_intervals_have_no_arcs(self):
-        r = reachability(TWO_VERTEX)
         seeds = (Seed("u", 0, 1, 0, 1), Seed("w", 0, 1, 1, 2))
-        dag = build_seed_graph(seeds, TWO_VERTEX, r)
+        dag = build_seed_graph(seeds, TWO_VERTEX)
         assert dag.n_arcs == 0
 
     def test_singleton(self):
-        r = reachability(TWO_VERTEX)
-        dag = build_seed_graph((Seed("u", 0, 2, 0, 2),), TWO_VERTEX, r)
+        dag = build_seed_graph((Seed("u", 0, 2, 0, 2),), TWO_VERTEX)
         assert dag.n_nodes == 1 and dag.n_arcs == 0
         assert dag.weights.tolist() == [3]
 
     def test_unit_weight_mode(self):
-        r = reachability(TWO_VERTEX)
-        dag = build_seed_graph((Seed("u", 0, 2, 0, 2),), TWO_VERTEX, r, unit_weights=True)
+        dag = build_seed_graph((Seed("u", 0, 2, 0, 2),), TWO_VERTEX, unit_weights=True)
         assert dag.weights.tolist() == [1]
 
     def test_invalid_seed_rejected(self):
-        r = reachability(TWO_VERTEX)
         with pytest.raises(SeedError):
-            build_seed_graph((Seed("u", 0, 9, 0, 9),), TWO_VERTEX, r)
+            build_seed_graph((Seed("u", 0, 9, 0, 9),), TWO_VERTEX)
 
     @given(helpers.graphs(max_n=4, max_label=4, acyclic=False), st.integers(0, 2**32))
     @settings(max_examples=60)
@@ -170,7 +161,7 @@ class TestBuildSeedGraph:
         # source row per block at a budget of one cell
         for block_cells in (daglp._BLOCK_CELLS, 1):
             with patch.object(daglp, "_BLOCK_CELLS", block_cells):
-                dag = build_seed_graph(seeds, g, reachability(g))
+                dag = build_seed_graph(seeds, g)
             assert dag.arcs.tolist() == expected
 
     @given(helpers.graphs(max_n=4, max_label=4, acyclic=False), st.integers(0, 2**32))
@@ -181,7 +172,7 @@ class TestBuildSeedGraph:
         rng = random.Random(salt)
         seeds = sorted(random_seeds(rng, g, 4) + random_seeds(rng, g, 3), key=lambda s: s.j)
         with patch.object(daglp, "_BLOCK_CELLS", 1):
-            dag = build_seed_graph(seeds, g, reachability(g))
+            dag = build_seed_graph(seeds, g)
         assert dag.arcs.tolist() == pairwise_arcs(seeds, g)
 
     @given(helpers.graphs(max_n=4, max_label=4, acyclic=False))
@@ -189,7 +180,7 @@ class TestBuildSeedGraph:
     def test_seed_graph_is_always_a_dag(self, g):
         rng = random.Random(g.total_label_length * 31 + len(g.edges))
         seeds = random_seeds(rng, g, 6)
-        dag = build_seed_graph(seeds, g, reachability(g))
+        dag = build_seed_graph(seeds, g)
         assert len(topo_sort(dag)) == dag.n_nodes
 
 
@@ -271,7 +262,7 @@ class TestSolveMsp:
             from panlcs import longest_path_vertex
 
             if seeds:
-                dag = build_seed_graph(seeds, g, reachability(g), unit_weights=True)
+                dag = build_seed_graph(seeds, g, unit_weights=True)
                 assert longest_path_vertex(dag).score == count
 
 
@@ -279,13 +270,12 @@ class TestChainValidation:
     def test_outputs_validate(self):
         rng = random.Random(31)
         g = TWO_VERTEX
-        r = reachability(g)
         for _ in range(20):
             seeds = random_seeds(rng, g, rng.randint(1, 6))
             chain = solve_memc(seeds, g)
-            chain.validate(g, r)
+            chain.validate(g)
             for a, b in zip(chain.seeds, chain.seeds[1:]):
-                assert strictly_precedes(a, b, g, r)
+                assert strictly_precedes(a, b, g)
             assert chain.length == total_length(chain.seeds)
 
 
@@ -314,7 +304,7 @@ class TestSeedTsv:
 
 def seed_dag_chain(seeds, graph, unit_weights):
     """The chain along the seed DAG's longest path: the paper's reduction."""
-    dag = build_seed_graph(seeds, graph, reachability(graph), unit_weights=unit_weights)
+    dag = build_seed_graph(seeds, graph, unit_weights=unit_weights)
     return tuple(dag.payloads[k] for k in longest_path_vertex(dag).path)
 
 
@@ -372,7 +362,7 @@ class TestChainAtScale:
         finally:
             tracemalloc.stop()
         assert peak < 32 << 20
-        chain.validate(g, reachability(g))
+        chain.validate(g)
         assert (chain.length, chain.count) == (455, 145)  # the seed DAG's longest path
 
 

@@ -10,9 +10,10 @@ import pytest
 
 import panlcs
 import panlcs.cli
-from panlcs import Alignment, Chain, Seed, parse_graph, reachability
+from panlcs import Alignment, Chain, Seed, parse_graph
 from panlcs.chaining import format_seeds
 from panlcs.cli import main
+from panlcs.graph import reachability
 from panlcs.oracle import enumerate_mems
 
 TWO_VERTEX = "V a ab\nV b ba\nE a b\n"
@@ -552,7 +553,7 @@ class TestJsonRoundTrip:
             q_positions=tuple(e["q"] for e in record["embedding"]),
             g_positions=tuple((e["vertex"], e["offset"]) for e in record["embedding"]),
         )
-        alignment.validate(b"aba", graph, reach=reachability(graph))
+        alignment.validate(b"aba", graph)
 
     def test_chain_revalidates(self, capsys, tmp_path, graph_file):
         seeds = tmp_path / "seeds.tsv"
@@ -567,7 +568,7 @@ class TestJsonRoundTrip:
             length=record["score"],
             count=len(record["chain"]),
         )
-        chain.validate(graph, reachability(graph))
+        chain.validate(graph)
 
     def test_repeated_runs_byte_identical(self, capsys, graph_file):
         _, out1, _ = run(capsys, ["lcs", "--graph", graph_file, "--query", "aba", "--json"])

@@ -15,14 +15,13 @@ from panlcs import (
     GapParams,
     longest_path_vertex,
     parse_graph,
-    reachability,
     solve_fglcs_sg,
     solve_lcs_sg,
 )
 from panlcs.daglp import topo_sort
 from panlcs.fglcs import build_gap_match_graph
 from panlcs.graph import build_char_graph, char_distances
-from panlcs.lcs import alignment_from_path, build_match_graph
+from panlcs.lcs import MatchPoint, alignment_from_points, build_match_graph
 from panlcs.oracle import fglcs_bruteforce
 
 K_GRID = [1, 2, 3, None]
@@ -38,7 +37,8 @@ def reference_solve(q, g, gaps):
     dag = build_gap_match_graph(q, g, gaps, dist)
     if dag.n_nodes == 0:
         return Alignment(0, b"", (), (), gaps=())
-    return alignment_from_path(q, g, dag, longest_path_vertex(dag).path, char_graph=build_char_graph(g))
+    points = [MatchPoint._make(row) for row in dag.payloads[list(longest_path_vertex(dag).path)].tolist()]
+    return alignment_from_points(q, g, points, record_gaps=True)
 
 
 @pytest.fixture()
@@ -76,7 +76,7 @@ class TestGapParams:
 class TestBuildGapGraph:
     def test_unbounded_equals_plain_construction(self):
         g = parse_graph("V a ab\nV b ba\nE a b\n")
-        plain = build_match_graph(b"aba", g, reachability(g))
+        plain = build_match_graph(b"aba", g)
         gapped = build_gap_match_graph(b"aba", g, GapParams.unbounded(), dist_of(g))
         assert plain.payloads.tolist() == gapped.payloads.tolist()
         assert set(map(tuple, plain.arcs.tolist())) == set(map(tuple, gapped.arcs.tolist()))
@@ -105,7 +105,7 @@ class TestBuildGapGraph:
     )
     @settings(max_examples=40)
     def test_gap_arcs_are_subset_of_plain_arcs_and_acyclic(self, g, q):
-        plain = build_match_graph(q, g, reachability(g))
+        plain = build_match_graph(q, g)
         gapped = build_gap_match_graph(b"" + q, g, GapParams(2, 2), dist_of(g))
         assert set(map(tuple, gapped.arcs.tolist())) <= set(map(tuple, plain.arcs.tolist()))
         assert len(topo_sort(gapped)) == gapped.n_nodes
@@ -116,7 +116,7 @@ class TestBuildGapGraph:
     )
     @settings(max_examples=40)
     def test_unbounded_arcs_equal_plain_even_on_cycles(self, g, q):
-        plain = build_match_graph(q, g, reachability(g))
+        plain = build_match_graph(q, g)
         gapped = build_gap_match_graph(q, g, GapParams.unbounded(), dist_of(g))
         assert set(map(tuple, plain.arcs.tolist())) == set(map(tuple, gapped.arcs.tolist()))
 
@@ -208,6 +208,15 @@ class TestTableDp:
         for k1 in K_GRID:
             for k2 in K_GRID:
                 assert solve_fglcs_sg(b"abab", g, GapParams(k1, k2)).score >= 2
+
+    def test_bounded_k2_computes_no_reachability(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a finite k2 needs no vertex closure")
+
+        monkeypatch.setattr(panlcs.graph, "_strong_components", refuse)
+        g = parse_graph("V a ab\nV b ba\nE a b\nE b a\n")
+        for k1 in K_GRID:
+            assert solve_fglcs_sg(b"abab", g, GapParams(k1, 2)).score >= 2
 
     def test_wall_size_path_copy(self, no_dense_path):
         # 4,000 characters: the dense distance matrix would hold 16 M entries

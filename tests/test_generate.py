@@ -5,9 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from panlcs import Instance, PangenomeGraph, Seed, parse_instance, parse_seeds, reachability, solve_lcs_sg
+from panlcs import Instance, PangenomeGraph, Seed, parse_instance, parse_seeds, solve_lcs_sg
 from panlcs.chaining import format_seeds
 from panlcs.generate import GenProfile, generate_instance, instance_to_tsv
+from panlcs.graph import reachability
 from panlcs.oracle import is_acyclic, lcs_sg_bruteforce
 
 

@@ -1,6 +1,8 @@
+import gc
 import logging
 import random
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -8,16 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import panlcs.graph
 from panlcs import (
+    GapParams,
     GraphError,
     PangenomeGraph,
+    Seed,
     parse_dag,
     parse_graph,
     parse_instance,
     parse_seeds,
-    reachability,
+    solve_fglcs_sg,
+    solve_lcs_sg,
+    solve_memc,
 )
-from panlcs.graph import build_char_graph, char_distances, records, spell
+from panlcs.graph import build_char_graph, char_distances, reachability, records, spell
 
 TWO_VERTEX = "V a ab\nV b ba\nE a b\n"
 
@@ -291,6 +298,55 @@ class TestReachability:
         assert not m.diagonal().any()  # acyclic
         assert m[0, 1:].all() and not m[1:, 0].any()  # s0 reaches every vertex
         assert not m[1, 2] and not m[2, 1]  # the two alleles of one bubble
+
+
+class TestKeptOnTheGraph:
+    """``reachability`` and ``build_char_graph`` compute once per graph
+    instance and keep the result on it."""
+
+    def test_repeat_calls_return_the_same_object(self):
+        g = parse_graph(TWO_VERTEX)
+        assert reachability(g) is reachability(g)
+        assert build_char_graph(g) is build_char_graph(g)
+
+    def test_a_refusal_is_not_kept(self, monkeypatch):
+        g = parse_graph("V a x\nV b y\nV c z\n")
+        with monkeypatch.context() as patch:
+            patch.setattr(panlcs.graph, "REACH_MAX_BYTES", 8)
+            for _ in range(2):
+                with pytest.raises(GraphError, match="over the limit of 8"):
+                    reachability(g)
+        assert reachability(g).matrix.shape == (3, 3)
+
+    def test_kept_per_instance(self):
+        g = parse_graph("V a x\nV b y\nE a b\n")
+        assert not reachability(g).matrix[1, 0]
+        cycle = PangenomeGraph(g.ids, g.labels, g.edges + ((1, 0),))
+        assert reachability(cycle).matrix.all() and not reachability(g).matrix[1, 0]
+        assert build_char_graph(cycle).arc_count == build_char_graph(g).arc_count + 1
+
+    def test_no_module_level_cache_keeps_a_graph_alive(self):
+        g = parse_graph("V only here\nE only only\n")  # equal to no other test's graph
+        reachability(g), build_char_graph(g)
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+
+    def test_a_batch_of_queries_computes_the_closure_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return strong_components(*args)
+
+        strong_components = panlcs.graph._strong_components
+        monkeypatch.setattr(panlcs.graph, "_strong_components", counted)
+        g = parse_graph(TWO_VERTEX)
+        assert [solve_lcs_sg(query, g).score for query in (b"aba", b"abb", b"abba")] == [3, 3, 4]
+        assert solve_memc((Seed("a", 0, 1, 0, 1), Seed("b", 0, 1, 2, 3)), g).count == 2
+        assert solve_fglcs_sg(b"abba", g, GapParams(None, None)).score == 4
+        assert len(calls) == 1
 
 
 class TestCharDistances:

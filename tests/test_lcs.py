@@ -15,12 +15,11 @@ from panlcs import (
     Seed,
     longest_path_vertex,
     parse_graph,
-    reachability,
     solve_lcs_sg,
 )
 from panlcs.chaining import build_seed_graph
 from panlcs.daglp import topo_sort
-from panlcs.graph import spell
+from panlcs.graph import reachability, spell
 from panlcs.lcs import build_match_graph
 from panlcs.oracle import classic_lcs_dp, embeddable, lcs_sg_bruteforce
 from test_acceptance import stress_instance
@@ -33,16 +32,16 @@ TWO_VERTEX = parse_graph("V a ab\nV b ba\nE a b\n")
 class TestBuildMatchGraph:
     def test_zero_based_query_indexing(self):
         g = parse_graph("V v acah\n")
-        dag = build_match_graph(b"xyabcahde", g, reachability(g))
+        dag = build_match_graph(b"xyabcahde", g)
         assert [2, 0, 0] in dag.payloads.tolist()  # the first 'a' of the query
 
     def test_no_matches_gives_empty_graph(self):
         g = TWO_VERTEX
-        dag = build_match_graph(b"z", g, reachability(g))
+        dag = build_match_graph(b"z", g)
         assert dag.n_nodes == 0 and dag.n_arcs == 0
 
     def test_node_set_of_worked_example(self):
-        dag = build_match_graph(b"aba", TWO_VERTEX, reachability(TWO_VERTEX))
+        dag = build_match_graph(b"aba", TWO_VERTEX)
         assert dag.n_nodes == 6
         assert set(map(tuple, dag.payloads.tolist())) == {
             (0, 0, 0),
@@ -54,17 +53,17 @@ class TestBuildMatchGraph:
         }
 
     def test_arcs_match_direct_rule_application(self):
-        dag = build_match_graph(b"aba", TWO_VERTEX, reachability(TWO_VERTEX))
+        dag = build_match_graph(b"aba", TWO_VERTEX)
         assert set(map(tuple, dag.arcs.tolist())) == helpers.h_arcs_by_rule(b"aba", TWO_VERTEX)
 
     def test_unit_weights(self):
-        dag = build_match_graph(b"aba", TWO_VERTEX, reachability(TWO_VERTEX))
+        dag = build_match_graph(b"aba", TWO_VERTEX)
         assert set(dag.weights.tolist()) == {1}
 
     @given(helpers.graphs(max_n=4, max_label=3, acyclic=False), helpers.queries(max_len=6))
     @settings(max_examples=60)
     def test_arc_rule_on_random_instances(self, g, q):
-        dag = build_match_graph(q, g, reachability(g))
+        dag = build_match_graph(q, g)
         assert set(map(tuple, dag.arcs.tolist())) == helpers.h_arcs_by_rule(q, g)
 
     @pytest.mark.parametrize("block_cells", BLOCK_BUDGETS)
@@ -74,7 +73,7 @@ class TestBuildMatchGraph:
         # a tiny block budget builds the successor lists a few keys at a
         # time and copies the arcs a few sources at a time
         with patch.object(daglp, "_BLOCK_CELLS", block_cells):
-            dag = build_match_graph(q, g, reachability(g))
+            dag = build_match_graph(q, g)
         assert dag.arcs.tolist() == [list(a) for a in sorted(helpers.h_arcs_by_rule(q, g))]
 
     @pytest.mark.parametrize("block_cells", BLOCK_BUDGETS)
@@ -95,7 +94,7 @@ class TestBuildMatchGraph:
             raise AssertionError("matches ascend in the query: no dense scan")
 
         with patch.object(daglp, "_BLOCK_CELLS", block_cells), patch.object(daglp, "_pair_arcs", dense_scan):
-            dag = build_match_graph(query, g, reachability(g))
+            dag = build_match_graph(query, g)
         assert dag.arcs.tolist() == [list(a) for a in sorted(helpers.h_arcs_by_rule(query, g))]
         assert dag.arcs.dtype == np.int64 and dag.arcs.shape == (sum(out_degrees), 2)
         assert np.bincount(dag.arcs[:, 0], minlength=dag.n_nodes).tolist() == out_degrees
@@ -103,7 +102,7 @@ class TestBuildMatchGraph:
     @given(helpers.graphs(max_n=4, max_label=3, acyclic=False), helpers.queries(max_len=6))
     @settings(max_examples=60)
     def test_always_a_dag_even_on_cyclic_inputs(self, g, q):
-        dag = build_match_graph(q, g, reachability(g))
+        dag = build_match_graph(q, g)
         try:
             order = topo_sort(dag)
         except CycleError:  # pragma: no cover - the property under test
@@ -120,10 +119,10 @@ class TestProductDagMemory:
         # 17.4 M arcs: 279 MB as int64 pairs, 35 MB as CSR with uint16
         # destinations; a source column or any (m, 2) array would show
         g, _, q200 = stress_instance()
-        reach = reachability(g)
+        reachability(g)  # kept on g, so the traced build below only reads it
         tracemalloc.start()
         try:
-            dag = build_match_graph(q200, g, reach)
+            dag = build_match_graph(q200, g)
             _, build_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             held, _ = tracemalloc.get_traced_memory()
@@ -143,9 +142,8 @@ class TestProductDagMemory:
         # then joins them, so it peaks near twice the CSR bytes; a block's
         # int64 cell indices held into the next block would show
         g, q100, _ = stress_instance()
-        reach = reachability(g)
         seeds = sorted(
-            (Seed(g.ids[v], off, off, qi, qi) for qi, v, off in build_match_graph(q100, g, reach).payloads.tolist()),
+            (Seed(g.ids[v], off, off, qi, qi) for qi, v, off in build_match_graph(q100, g).payloads.tolist()),
             key=lambda s: (g.vertex_index(s.vertex), s.i, s.j),
         )
 
@@ -155,7 +153,7 @@ class TestProductDagMemory:
         tracemalloc.start()
         try:
             with patch.object(daglp, "_successor_arcs", successor_copy):
-                dag = build_seed_graph(seeds, g, reach)
+                dag = build_seed_graph(seeds, g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -219,7 +217,7 @@ class TestAlignmentValidation:
     def test_solver_output_passes_validate(self):
         g = TWO_VERTEX
         alignment = solve_lcs_sg(b"aba", g)
-        alignment.validate(b"aba", g, reach=reachability(g))
+        alignment.validate(b"aba", g)
 
     def test_validate_catches_character_mismatch(self):
         alignment = solve_lcs_sg(b"aba", TWO_VERTEX)
@@ -247,7 +245,7 @@ class TestAlignmentValidation:
         g = parse_graph("V a ab\nV b ba\n")  # no edge
         alignment = solve_lcs_sg(b"aba", TWO_VERTEX)
         with pytest.raises(AlignmentError, match="not reachable"):
-            alignment.validate(b"aba", g, reach=reachability(g))
+            alignment.validate(b"aba", g)
 
     def test_validate_checks_order_without_reach(self):
         g = parse_graph("V a a\nV b b\nE a b\n")

@@ -24,7 +24,6 @@ PUBLIC = [
     "parse_graph",
     "parse_instance",
     "parse_seeds",
-    "reachability",
     "solve_fglcs_sg",
     "solve_lcs_sg",
     "solve_memc",

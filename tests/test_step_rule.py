@@ -16,9 +16,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from panlcs import Alignment, AlignmentError, reachability
+from panlcs import Alignment, AlignmentError
 from panlcs.fglcs import _BallRelation, _ReachRelation
-from panlcs.graph import build_char_graph, precedes
+from panlcs.graph import build_char_graph, precedes, reachability
 
 cyclic_graphs = helpers.graphs(acyclic=False, max_n=5, max_label=3)
 
@@ -64,18 +64,20 @@ def test_precedes_is_the_kernel(g):
 
 @given(cyclic_graphs)
 def test_validate_rejects_exactly_the_kernel_rejects(g):
-    cg = build_char_graph(g)
-    nodes, expected = char_nodes(g), kernel(g)
+    # without gaps the step is checked against the reachability; with gaps
+    # recorded, against the character distances (the recorded graph gap is
+    # the BFS distance, or 0 where none exists)
+    nodes, expected, dist = char_nodes(g), kernel(g), helpers.bfs_char_distances(g)
     for x, (u, a) in enumerate(nodes):
         for y, (v, b) in enumerate(nodes):
             query = bytes([g.labels[u][a], g.labels[v][b]])
-            alignment = Alignment(2, query, (0, 1), ((g.ids[u], a), (g.ids[v], b)))
-            for source in ({}, {"reach": reachability(g)}, {"char_graph": cg}):
+            for gaps in (None, ((1, dist.get((x, y), 0)),)):
+                alignment = Alignment(2, query, (0, 1), ((g.ids[u], a), (g.ids[v], b)), gaps)
                 if (x, y) in expected:
-                    alignment.validate(query, g, **source)
+                    alignment.validate(query, g)
                 else:
                     with pytest.raises(AlignmentError):
-                        alignment.validate(query, g, **source)
+                        alignment.validate(query, g)
 
 
 @given(cyclic_graphs, st.integers(1, 4), st.data())
