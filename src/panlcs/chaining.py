@@ -35,8 +35,8 @@ from itertools import compress
 
 import numpy as np
 
-from .daglp import MatchDag, _check_score_bound, _reconstruct, interval_arcs
-from .graph import PangenomeGraph, precedes, reachability, records, token_text
+from .daglp import MatchDag, _check_score_bound, _distinct_pairs, _pair_arcs, _reconstruct, _runs
+from .graph import CharGraph, PangenomeGraph, build_char_graph, precedes, reachability, records, token_text
 
 log = logging.getLogger(__name__)
 
@@ -190,13 +190,14 @@ class SeedTable(Sequence[Seed]):
         first failing seed, so the error is the one :meth:`Seed.validate`
         raises."""
         vert = np.array([graph.index.get(vid, -1) for vid in self.names], dtype=np.int64)[self.name]
-        label_len = np.array([len(label) for label in graph.labels], dtype=np.int64)
+        cg = build_char_graph(graph)
+        label_len = np.diff(cg.starts)
         ok = vert >= 0
         ok[ok] = self.i2[ok] < label_len[vert[ok]]
         if query is not None:
             ok &= self.j2 < len(query)
             rows = np.flatnonzero(ok)
-            ok[rows] = self._spelled(rows, vert[rows], graph.labels, label_len, query)
+            ok[rows] = self._spelled(rows, vert[rows], cg, label_len, query)
         if not ok.all():
             k = int(np.argmin(ok))
             self[k].validate(graph, query)
@@ -204,15 +205,14 @@ class SeedTable(Sequence[Seed]):
         return vert
 
     def _spelled(
-        self, rows: np.ndarray, vert: np.ndarray, labels: Sequence[bytes], label_len: np.ndarray, query: bytes
+        self, rows: np.ndarray, vert: np.ndarray, cg: CharGraph, label_len: np.ndarray, query: bytes
     ) -> np.ndarray:
         """Whether each seed of ``rows``, in bounds on vertices ``vert``,
         spells the query's bytes and, if flagged maximal, extends in
         neither direction; compared ``_BLOCK_CELLS`` characters at a time."""
-        chars = np.frombuffer(b"".join(labels), dtype=np.uint8)
         q = np.frombuffer(query, dtype=np.uint8)
         i, i2, j, j2 = self.i[rows], self.i2[rows], self.j[rows], self.j2[rows]
-        shift = (np.cumsum(label_len) - label_len)[vert] + i - j  # label character of query position p: p + shift
+        shift = cg.starts[vert] + i - j  # label character of query position p: p + shift
         length = i2 - i + 1
         ends = np.cumsum(length)
         ok = np.empty(len(rows), dtype=bool)
@@ -222,14 +222,14 @@ class SeedTable(Sequence[Seed]):
             runs = length[lo:hi]
             first = np.cumsum(runs) - runs
             qpos = np.arange(int(runs.sum())) - np.repeat(first - j[lo:hi], runs)
-            ok[lo:hi] = np.logical_and.reduceat(chars[qpos + np.repeat(shift[lo:hi], runs)] == q[qpos], first)
+            ok[lo:hi] = np.logical_and.reduceat(cg.chars[qpos + np.repeat(shift[lo:hi], runs)] == q[qpos], first)
             lo = hi
         flagged = np.flatnonzero(self.maximal[rows] & ok)
         i, i2, j, j2, shift = i[flagged], i2[flagged], j[flagged], j2[flagged], shift[flagged]
         left = (i > 0) & (j > 0)
-        left[left] = chars[j[left] - 1 + shift[left]] == q[j[left] - 1]
+        left[left] = cg.chars[j[left] - 1 + shift[left]] == q[j[left] - 1]
         right = (i2 + 1 < label_len[vert[flagged]]) & (j2 + 1 < len(q))
-        right[right] = chars[j2[right] + 1 + shift[right]] == q[j2[right] + 1]
+        right[right] = cg.chars[j2[right] + 1 + shift[right]] == q[j2[right] + 1]
         ok[flagged] = ~(left | right)
         return ok
 
@@ -242,13 +242,24 @@ def build_seed_graph(
     query: bytes | None = None,
 ) -> MatchDag:
     """One DAG node per seed (weight = seed length, or 1 when
-    ``unit_weights``), one arc per strictly ordered pair, found by the
-    same :func:`interval_arcs` construction as the lcs product DAG."""
+    ``unit_weights``), one arc per strictly ordered pair, in any seed
+    order: a scan over all pairs (:func:`~panlcs.daglp._pair_arcs`) that
+    gathers the graph side from a table over the distinct vertex keys."""
     table = SeedTable.of(seeds)
     vert = table.check(graph, query)
+    reach = reachability(graph).matrix
+    y_vert, y_label, y_key = _distinct_pairs(vert, table.i)
+
+    def accept(lo: int, hi: int) -> np.ndarray:
+        x_vert, x_label, x_key = _distinct_pairs(vert[lo:hi], table.i2[lo:hi])
+        across = reach[x_vert].take(y_vert, axis=1)  # faster than a 2-d fancy gather
+        mask = precedes(x_vert[:, None], x_label[:, None], y_vert, y_label, across)[x_key].take(y_key, axis=1)
+        mask &= table.j2[lo:hi, None] < table.j[None, :]
+        return mask
+
     dag = MatchDag.from_csr(
         np.ones(len(table), dtype=np.int64) if unit_weights else table.i2 - table.i + 1,
-        *interval_arcs(table.j, table.j2, vert, table.i, table.i2, reachability(graph).matrix),
+        *_pair_arcs(len(table), accept),
         payloads=tuple(seeds),
     )
     log.info("seed DAG: %d seeds, %d arcs", dag.n_nodes, dag.n_arcs)
@@ -266,7 +277,9 @@ def _longest_chain(table: SeedTable, vert: np.ndarray, weights: np.ndarray, reac
     successor starts on the query, so it sorts before it; and a seed whose
     ``j`` does not exceed the smallest ``j2`` of the run before it follows
     no seed of that run: runs split the order into stretches with no arc
-    inside.  The arc rule is the seed DAG's, ``j2_a < j_b`` and
+    inside (:func:`~panlcs.daglp._runs`, given each seed's first possible
+    successor, the first seed whose ``j`` exceeds its ``j2``).  The arc
+    rule is the seed DAG's, ``j2_a < j_b`` and
     :func:`~panlcs.graph.precedes`.
 
     Seeds are solved ``_BLOCK_ROWS`` at a time.  The seeds before a block
@@ -288,7 +301,7 @@ def _longest_chain(table: SeedTable, vert: np.ndarray, weights: np.ndarray, reac
     b = n.bit_length()
     low = (1 << b) - 1
     tie = low - order
-    run_starts = _run_starts(j.tolist(), j2.tolist())
+    run_starts = [a for a, _ in _runs(np.searchsorted(j, j2, "right"))]
     cells = 0
 
     def arcs(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -332,20 +345,6 @@ def _longest_chain(table: SeedTable, vert: np.ndarray, weights: np.ndarray, reac
     dist[order] = key >> b
     parent[order] = np.where(best < 0, -1, low - (best & low))
     return _reconstruct(parent, int(np.argmax(dist)))  # first max: smallest index wins
-
-
-def _run_starts(j: list[int], j2: list[int]) -> list[int]:
-    """Where each run of the ``j``-sorted seeds begins: a run ends before
-    the first seed whose ``j`` exceeds the smallest ``j2`` within it."""
-    starts: list[int] = []
-    smallest = -1
-    for k, (start, end) in enumerate(zip(j, j2)):
-        if start > smallest:
-            starts.append(k)
-            smallest = end
-        elif end < smallest:
-            smallest = end
-    return starts
 
 
 def _solve(seeds: Sequence[Seed], graph: PangenomeGraph, unit_weights: bool, query: bytes | None) -> Chain:

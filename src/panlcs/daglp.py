@@ -3,10 +3,11 @@
 This module is the solving core of lcs and of the seed-DAG and fglcs
 reference constructions (fglcs itself fills the same longest-path table
 row by row without arcs, and chaining scans its seeds without arcs, with
-the same packed keys): the shared DAG type, the product-DAG arc builder over
-ordered interval pairs (character matches and seeds alike), a deterministic
-topological sort, and one longest-path program, vertex or edge weighted,
-with parent-based path reconstruction.
+the same packed keys): the shared DAG type, the arc builder of the lcs
+product DAG (:func:`match_arcs`), one blocked scan over all node pairs
+for the reference DAGs (:func:`_pair_arcs`), a deterministic topological
+sort, and one longest-path program, vertex or edge weighted, with
+parent-based path reconstruction.
 
 Determinism contract: :func:`topo_sort` returns the lexicographically
 smallest topological order (smallest ready node index first), and both
@@ -22,14 +23,14 @@ takes sixteen).  No source column is stored; the builders emit the arcs
 grouped by source, and a source is expanded only for the few arcs a
 longest-path step reads at once.
 
-The product DAG of lcs, and the seed DAG of seeds listed in query order,
-number their nodes in query order.  The out-arcs of a node are then a
-suffix of one successor list shared by every node with its graph key, so
-:func:`interval_arcs` copies them into one preallocated column, at a cost
-close to writing the arcs; only seeds not in query order take a dense scan
-over all node pairs.  On these DAGs every arc ascends, so index order is
-already topological: one reduction over the destinations finds each
-node's smallest out-neighbor, which proves it and marks where runs end.
+The product DAG of lcs numbers its nodes in query order.  The out-arcs
+of a node are then a suffix of one successor list shared by every node
+with its graph key, so :func:`match_arcs` copies them into one
+preallocated column, at a cost close to writing the arcs.  When every
+arc ascends (the product DAGs, and the seed DAG of seeds listed in query
+order), index order is already topological: one reduction over the
+destinations finds each node's smallest out-neighbor, which proves it
+and marks where runs end.
 The longest-path program pushes run by run, a run being a maximal stretch
 of the order with no arc inside (one query row of the lcs product DAG):
 its scores are final, and one scatter-max over its out-arcs raises every
@@ -47,11 +48,11 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
-from .graph import precedes, records, token_text
+from .graph import _strong_components, precedes, records, token_text
 
 log = logging.getLogger(__name__)
 
@@ -224,74 +225,30 @@ def _distinct_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return keys // span, keys % span, inverse
 
 
-def interval_arcs(
-    q_start: np.ndarray,
-    q_end: np.ndarray,
-    vert: np.ndarray,
-    label_start: np.ndarray,
-    label_end: np.ndarray,
-    reach: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Arcs between ordered interval pairs: the product-DAG arc rule.
-
-    Node ``x`` pins the inclusive query interval ``[q_start, q_end]`` to the
-    label interval ``[label_start, label_end]`` of vertex ``vert``; a
-    character match is the length-one case.  ``x -> y`` is an arc when
-    ``x`` ends before ``y`` starts on the query and
-    :func:`~panlcs.graph.precedes` holds on the graph, with ``reach`` as
-    its cross-vertex predicate.  Returns CSR arcs ``(indptr, dst)`` (see
+def match_arcs(qi: np.ndarray, vert: np.ndarray, off: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arcs of the lcs product DAG over the matches ``(qi, vert, off)``,
+    numbered in query order: ``x -> y`` when ``qi[x] < qi[y]`` and
+    :func:`~panlcs.graph.precedes` holds, with ``reach`` as its
+    cross-vertex predicate.  Returns CSR arcs ``(indptr, dst)`` (see
     :class:`MatchDag`), each source's destinations ascending.
 
-    The graph side depends only on (``vert``, ``label_end``) of ``x`` and
-    (``vert``, ``label_start``) of ``y``.  When ``q_start`` ascends
-    (character matches, seeds in query order), the out-arcs of ``x`` are
-    the suffix, from the first node starting after ``q_end[x]``, of one
-    successor list per source key, so the arcs are copied from those lists
-    (:func:`_successor_arcs`).  Otherwise a dense scan over all pairs
-    gathers the graph side from a table over the distinct keys.
+    The graph side depends only on the (``vert``, ``off``) key of each end,
+    and the out-arcs of ``x`` are the suffix, from ``first[x]``, the first
+    match later in the query, of its key's successor list: the matches
+    whose key it precedes, in index order, from the earliest ``first``
+    among the key's matches on.  The lists are built a block of keys at a
+    time (keys x matches cells), a key's row of the precedence table with
+    its prefix before that earliest ``first`` cleared; each match's slice
+    is then copied into one preallocated column.
     """
-    if np.all(q_start[:-1] <= q_start[1:]):
-        return _successor_arcs(q_start, q_end, vert, label_start, label_end, reach)
-    y_vert, y_label, y_key = _distinct_pairs(vert, label_start)
-
-    def accept(lo: int, hi: int) -> np.ndarray:
-        x_vert, x_label, x_key = _distinct_pairs(vert[lo:hi], label_end[lo:hi])
-        across = reach[x_vert].take(y_vert, axis=1)  # faster than a 2-d fancy gather
-        mask = precedes(x_vert[:, None], x_label[:, None], y_vert, y_label, across)[x_key].take(y_key, axis=1)
-        mask &= q_end[lo:hi, None] < q_start[None, :]
-        return mask
-
-    return _pair_arcs(len(q_start), accept)
-
-
-def _successor_arcs(
-    q_start: np.ndarray,
-    q_end: np.ndarray,
-    vert: np.ndarray,
-    label_start: np.ndarray,
-    label_end: np.ndarray,
-    reach: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`interval_arcs` for an ascending ``q_start``.
-
-    The successor list of a source key holds, in index order, the nodes
-    whose key it precedes on the graph, from the earliest ``first`` among
-    its sources on; ``first[x]`` is the first node starting after
-    ``q_end[x]``.  The lists cost keys x nodes cells, built a block of keys
-    at a time: a key's row of the precedence table with its prefix before
-    that earliest ``first`` cleared.  Each source's arcs are then counted
-    and their destinations copied, one slice per source, into one
-    preallocated column.
-    """
-    m = len(q_start)
-    first = np.searchsorted(q_start, q_end, "right")
-    x_vert, x_label, x_key = _distinct_pairs(vert, label_end)
-    y_vert, y_label, y_key = _distinct_pairs(vert, label_start)
-    n_keys = len(x_vert)
+    m = len(qi)
+    first = np.searchsorted(qi, qi, "right")
+    k_vert, k_off, key = _distinct_pairs(vert, off)
+    n_keys = len(k_vert)
     key_first = np.full(n_keys, m, dtype=np.int64)
-    np.minimum.at(key_first, x_key, first)
-    by_key = np.argsort(x_key, kind="stable")
-    key_ptr = np.searchsorted(x_key[by_key], np.arange(n_keys + 1))
+    np.minimum.at(key_first, key, first)
+    by_key = np.argsort(key, kind="stable")
+    key_ptr = np.searchsorted(key[by_key], np.arange(n_keys + 1))
 
     # start/stop: each source's arc suffix within the concatenated lists
     start, stop = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
@@ -303,15 +260,15 @@ def _successor_arcs(
         kb = min(ka + rows, n_keys)
         col = int(key_first[ka:kb].min())
         width = m - col
-        xv, xl = x_vert[ka:kb], x_label[ka:kb]
-        across = reach[xv].take(y_vert, axis=1)
-        mask = precedes(xv[:, None], xl[:, None], y_vert, y_label, across).take(y_key[col:], axis=1)
+        xv, xo = k_vert[ka:kb], k_off[ka:kb]
+        across = reach[xv].take(k_vert, axis=1)
+        mask = precedes(xv[:, None], xo[:, None], k_vert, k_off, across).take(key[col:], axis=1)
         for r, f in enumerate(key_first[ka:kb].tolist()):
             mask[r, : f - col] = False
         flat = np.flatnonzero(mask)  # key row r, node col + c at r * width + c
         del mask
         xs = by_key[key_ptr[ka] : key_ptr[kb]]
-        row = x_key[xs] - ka
+        row = key[xs] - ka
         start[xs] = base + np.searchsorted(flat, row * width + first[xs] - col)
         stop[xs] = base + np.searchsorted(flat, (row + 1) * width)
         flat %= max(width, 1)
@@ -359,35 +316,22 @@ def topo_sort(dag: MatchDag) -> list[int]:
         for v in np.unique(freed):
             heapq.heappush(ready, int(v))
     if len(out) < n:
-        raise CycleError(_find_back_arc(dag, set(range(n)) - set(out)))
+        raise CycleError(_find_back_arc(dag, indeg > 0))
     return out
 
 
-def _find_back_arc(dag: MatchDag, residual: set[int]) -> tuple[int, int]:
-    """Locate one arc of a cycle within the unsortable residual nodes."""
-    out = {u: dag.dst[dag.indptr[u] : dag.indptr[u + 1]].tolist() for u in residual}
-    adj = {u: [v for v in vs if v in residual] for u, vs in out.items()}
-    color: dict[int, int] = {}  # 1 = on stack, 2 = done
-    for root in sorted(residual):
-        if color.get(root):
-            continue
-        stack: list[tuple[int, Iterable[int]]] = [(root, iter(sorted(adj[root])))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color.get(nxt) == 1:
-                    return (node, nxt)
-                if not color.get(nxt):
-                    color[nxt] = 1
-                    stack.append((nxt, iter(sorted(adj[nxt]))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    raise AssertionError("residual nodes of an aborted sort must contain a cycle")
+def _find_back_arc(dag: MatchDag, residual: np.ndarray) -> tuple[int, int]:
+    """The first arc, by source and then destination, of a cycle among the
+    ``residual`` nodes (a mask of those a sort could not order): the first
+    whose two ends share a strong component of the residual arcs."""
+    arcs = dag.arcs
+    arcs = arcs[residual[arcs[:, 0]] & residual[arcs[:, 1]]]
+    comp, _ = _strong_components(dag.n_nodes, arcs.tolist())
+    on_cycle = arcs[comp[arcs[:, 0]] == comp[arcs[:, 1]]].tolist()
+    if not on_cycle:
+        raise AssertionError("residual nodes of an aborted sort must contain a cycle")
+    u, v = min(on_cycle)
+    return u, v
 
 
 @dataclass(frozen=True)

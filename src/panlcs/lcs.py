@@ -9,12 +9,11 @@ product graph then reads off a common subsequence, and a maximum-node path
 (unit node weights) is a longest one.
 
 The product graph is materialized explicitly by
-:func:`panlcs.daglp.interval_arcs`, which also builds the seed DAG of
-chaining (a match is a length-one seed).  Matches are numbered in query
-order, so the out-arcs of a match are the suffix, past its query index,
-of the successor list of its (vertex, offset) character: each suffix is
-copied into one preallocated destination column, grouped by source (CSR),
-and the longest path needs neither a topological sort nor an arc sort.
+:func:`panlcs.daglp.match_arcs`.  Matches are numbered in query order, so
+the out-arcs of a match are the suffix, past its query index, of the
+successor list of its (vertex, offset) character: each suffix is copied
+into one preallocated destination column, grouped by source (CSR), and
+the longest path needs neither a topological sort nor an arc sort.
 Time and memory grow with the arc count, up to the square of the match
 count, which is the documented scaling behavior of this solver.
 """
@@ -27,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .daglp import MatchDag, interval_arcs, longest_path_vertex
+from .daglp import MatchDag, longest_path_vertex, match_arcs
 from .graph import PangenomeGraph, build_char_graph, precedes, reachability
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -143,11 +142,11 @@ def build_match_graph(query: bytes, graph: PangenomeGraph) -> MatchDag:
     Nodes are all query/label character matches; an arc joins two matches
     when the query index strictly increases and the graph side either stays
     on one vertex with a strictly larger offset or moves to a reachable
-    other vertex: :func:`interval_arcs` with every interval of length one.
+    other vertex (:func:`~panlcs.daglp.match_arcs`).
     """
     reach = reachability(graph).matrix  # first: an oversized graph is refused before any matching
     qi, vert, off = match_points(query, graph)
-    dag = _match_dag(qi, vert, off, interval_arcs(qi, qi, vert, off, off, reach))
+    dag = _match_dag(qi, vert, off, match_arcs(qi, vert, off, reach))
     log.info("product DAG: %d matches, %d arcs", dag.n_nodes, dag.n_arcs)
     return dag
 

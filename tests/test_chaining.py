@@ -372,7 +372,7 @@ class TestNoSeedDag:
             raise AssertionError("the production path built the seed DAG")
 
         for module in (panlcs, chaining, daglp, cli):
-            for name in ("build_seed_graph", "interval_arcs", "longest_path_vertex"):
+            for name in ("build_seed_graph", "match_arcs", "_pair_arcs", "longest_path_vertex"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         g = parse_graph("V a abcd\nV b abcd\nE a b\n")

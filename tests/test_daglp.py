@@ -1,5 +1,4 @@
 from types import SimpleNamespace
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,8 +7,9 @@ from hypothesis import strategies as st
 
 import helpers
 from panlcs import daglp
-from panlcs import CycleError, DagError, MatchDag, longest_path_edge, longest_path_vertex, parse_dag
-from panlcs.daglp import topo_sort
+from panlcs import CycleError, DagError, MatchDag, Seed, longest_path_edge, longest_path_vertex, parse_dag, parse_graph
+from panlcs.chaining import build_seed_graph
+from panlcs.daglp import _runs, topo_sort
 
 
 def dag(n, arcs=(), weights=None, arc_weights=None):
@@ -34,6 +34,24 @@ class TestTopoSort:
         with pytest.raises(CycleError) as exc:
             topo_sort(dag(1, [(0, 0)]))
         assert exc.value.arc == (0, 0)
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_cycle_error_names_an_arc_on_a_cycle(self, data):
+        n = data.draw(st.integers(1, 8))
+        node = st.integers(0, n - 1)
+        cycle = data.draw(st.lists(node, min_size=1, max_size=n, unique=True))
+        arcs = data.draw(st.lists(st.tuples(node, node), max_size=12))
+        arcs = data.draw(st.permutations(arcs + list(zip(cycle, cycle[1:] + cycle[:1]))))
+        with pytest.raises(CycleError) as exc:
+            topo_sort(dag(n, arcs))
+        u, v = exc.value.arc
+        assert (u, v) in arcs
+        seen, frontier = {v}, [v]  # BFS from the head: it must reach the tail
+        while frontier:
+            frontier = [y for x in frontier for a, y in arcs if a == x and y not in seen]
+            seen.update(frontier)
+        assert u in seen
 
     def test_smallest_ready_index_first(self):
         # 1 must come before 0; 2 is free and larger than both
@@ -275,7 +293,7 @@ class TestCsrLayout:
         # one vertex, every node at offset 0 but the last: n - 1 arcs into it
         q, vert, off = np.arange(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
         off[-1] = 1
-        indptr, dst = daglp.interval_arcs(q, q, vert, off, off, np.zeros((1, 1), dtype=bool))
+        indptr, dst = daglp.match_arcs(q, vert, off, np.zeros((1, 1), dtype=bool))
         assert indptr.dtype == np.int64 and indptr.tolist() == list(range(n)) + [n - 1]
         assert dst.dtype == dtype and (dst == n - 1).all()
 
@@ -285,11 +303,10 @@ class TestCsrLayout:
         q, vert, off = np.arange(n)[::-1].copy(), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
         off[0] = 1
 
-        def successor_copy(*args):
-            raise AssertionError("matches descend in the query: no successor copy")
+        def accept(lo, hi):
+            return (q[lo:hi, None] < q) & (off[lo:hi, None] < off)
 
-        with patch.object(daglp, "_successor_arcs", successor_copy):
-            indptr, dst = daglp.interval_arcs(q, q, vert, off, off, np.zeros((1, 1), dtype=bool))
+        indptr, dst = daglp._pair_arcs(n, accept)
         assert indptr.dtype == np.int64 and indptr.tolist() == [0] + list(range(n))
         assert dst.dtype == dtype and (dst == 0).all()
 
@@ -298,12 +315,31 @@ class TestCsrLayout:
         q = np.array(q_start, dtype=np.int64)
         vert = np.array([0, 1, 0, 1, 0], dtype=np.int64)
         off = np.array([0, 0, 1, 1, 2], dtype=np.int64)
-        indptr, dst = daglp.interval_arcs(q, q, vert, off, off, np.ones((2, 2), dtype=bool))
+        if q_start == sorted(q_start):
+            indptr, dst = daglp.match_arcs(q, vert, off, np.ones((2, 2), dtype=bool))
+        else:  # seeds out of query order: the seed DAG scans every pair
+            g = parse_graph("V a abc\nV b ab\nE a b\nE b a\n")  # every vertex reaches every vertex
+            seeds = [Seed(g.ids[v], f, f, j, j) for j, v, f in zip(q.tolist(), vert.tolist(), off.tolist())]
+            seed_dag = build_seed_graph(seeds, g)
+            indptr, dst = seed_dag.indptr, seed_dag.dst
         assert indptr.dtype == np.int64 and len(indptr) == 6 and dst.dtype == np.uint8
         expected = [
             [x, y] for x in range(5) for y in range(5) if q[x] < q[y] and (vert[x] != vert[y] or off[x] < off[y])
         ]
         assert MatchDag.from_csr(np.ones(5), indptr, dst).arcs.tolist() == expected
+
+
+class TestRuns:
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(*(st.integers(v + 1, n) for v in range(n)))))
+    def test_runs_partition_at_the_smallest_out_neighbor(self, first_dst):
+        n = len(first_dst)
+        runs = list(_runs(np.array(first_dst, dtype=np.int64)))
+        assert [a for a, _ in runs] == [0] + [b for _, b in runs[:-1]] and runs[-1][1] == n
+        for a, b in runs:
+            assert a < b
+            assert min(first_dst[a:b]) >= b  # no arc inside the run
+            if b < n:
+                assert min(first_dst[a:b]) == b
 
 
 class TestArcConversion:

@@ -152,7 +152,7 @@ class TestProductDagMemory:
 
         tracemalloc.start()
         try:
-            with patch.object(daglp, "_successor_arcs", successor_copy):
+            with patch.object(daglp, "match_arcs", successor_copy):
                 dag = build_seed_graph(seeds, g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
