@@ -21,7 +21,8 @@ in any input order, in O(K + block) memory.
 Seeds are held as int64 columns (:class:`SeedTable`), parsed and validated
 in bulk; :class:`Seed` objects are built only for the emitted chain, which
 :meth:`Chain.validate` re-checks with the scalar rule,
-:func:`strictly_precedes`.
+:func:`strictly_precedes`.  Past the validation a seed's graph side is its
+first and last character id (see :mod:`panlcs.graph`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from itertools import compress
 
 import numpy as np
 
-from .daglp import MatchDag, _check_score_bound, _distinct_pairs, _pair_arcs, _reconstruct, _runs
+from .daglp import MatchDag, _check_score_bound, _pair_arcs, _reconstruct, _runs
 from .graph import CharGraph, PangenomeGraph, build_char_graph, precedes, reachability, records, token_text
 
 log = logging.getLogger(__name__)
@@ -185,8 +186,8 @@ class SeedTable(Sequence[Seed]):
 
     def check(self, graph: PangenomeGraph, query: bytes | None = None) -> np.ndarray:
         """:meth:`Seed.validate` of every seed, in bulk, returning each
-        seed's vertex index: bounds, and with a query the substring equality
-        and maximality claims.  A failure re-runs the scalar check on the
+        seed's first character id: bounds, and with a query the substring
+        equality and maximality claims.  A failure re-runs the scalar check on the
         first failing seed, so the error is the one :meth:`Seed.validate`
         raises."""
         vert = np.array([graph.index.get(vid, -1) for vid in self.names], dtype=np.int64)[self.name]
@@ -202,7 +203,7 @@ class SeedTable(Sequence[Seed]):
             k = int(np.argmin(ok))
             self[k].validate(graph, query)
             raise AssertionError(f"bulk check refused seed {k}, the scalar check accepts it")
-        return vert
+        return cg.starts[vert] + self.i
 
     def _spelled(
         self, rows: np.ndarray, vert: np.ndarray, cg: CharGraph, label_len: np.ndarray, query: bytes
@@ -244,16 +245,19 @@ def build_seed_graph(
     """One DAG node per seed (weight = seed length, or 1 when
     ``unit_weights``), one arc per strictly ordered pair, in any seed
     order: a scan over all pairs (:func:`~panlcs.daglp._pair_arcs`) that
-    gathers the graph side from a table over the distinct vertex keys."""
+    gathers the graph side from a table over the distinct characters."""
     table = SeedTable.of(seeds)
-    vert = table.check(graph, query)
-    reach = reachability(graph).matrix
-    y_vert, y_label, y_key = _distinct_pairs(vert, table.i)
+    first = table.check(graph, query)
+    last = first + table.i2 - table.i
+    origin, reach = build_char_graph(graph).origin, reachability(graph).matrix
+    y_char, y_key = np.unique(first, return_inverse=True)
+    y_vert = origin[y_char]
 
     def accept(lo: int, hi: int) -> np.ndarray:
-        x_vert, x_label, x_key = _distinct_pairs(vert[lo:hi], table.i2[lo:hi])
+        x_char, x_key = np.unique(last[lo:hi], return_inverse=True)
+        x_vert = origin[x_char]
         across = reach[x_vert].take(y_vert, axis=1)  # faster than a 2-d fancy gather
-        mask = precedes(x_vert[:, None], x_label[:, None], y_vert, y_label, across)[x_key].take(y_key, axis=1)
+        mask = precedes(x_vert[:, None], x_char[:, None], y_vert, y_char, across)[x_key].take(y_key, axis=1)
         mask &= table.j2[lo:hi, None] < table.j[None, :]
         return mask
 
@@ -270,8 +274,9 @@ _BLOCK_ROWS = 64  # seeds per block: the seeds before a block are scanned once f
 _BLOCK_CELLS = 1 << 20  # seed pairs, or characters compared, at once: bounds the temporaries
 
 
-def _longest_chain(table: SeedTable, vert: np.ndarray, weights: np.ndarray, reach: np.ndarray) -> tuple[int, ...]:
-    """The seed DAG's longest path, as seed indices, without its arcs.
+def _longest_chain(table: SeedTable, first: np.ndarray, weights: np.ndarray, graph: PangenomeGraph) -> tuple[int, ...]:
+    """The seed DAG's longest path, as seed indices, without its arcs;
+    ``first`` holds each seed's first character id.
 
     Seeds are sorted stably by ``j``.  A predecessor ends before its
     successor starts on the query, so it sorts before it; and a seed whose
@@ -280,7 +285,8 @@ def _longest_chain(table: SeedTable, vert: np.ndarray, weights: np.ndarray, reac
     inside (:func:`~panlcs.daglp._runs`, given each seed's first possible
     successor, the first seed whose ``j`` exceeds its ``j2``).  The arc
     rule is the seed DAG's, ``j2_a < j_b`` and
-    :func:`~panlcs.graph.precedes`.
+    :func:`~panlcs.graph.precedes` from ``a``'s last character to ``b``'s
+    first.
 
     Seeds are solved ``_BLOCK_ROWS`` at a time.  The seeds before a block
     are final and are scanned in descending key order, in chunks that
@@ -295,8 +301,10 @@ def _longest_chain(table: SeedTable, vert: np.ndarray, weights: np.ndarray, reac
     :func:`~panlcs.daglp.longest_path_vertex` on the seed DAG."""
     n = len(table)
     _check_score_bound(n, weights, None)
+    reach = reachability(graph).matrix
     order = np.argsort(table.j, kind="stable")
-    v, i, i2, j, j2 = (column[order] for column in (vert, table.i, table.i2, table.j, table.j2))
+    ci, ci2, j, j2 = (column[order] for column in (first, first + table.i2 - table.i, table.j, table.j2))
+    v = build_char_graph(graph).origin[ci]
     w = weights[order]
     b = n.bit_length()
     low = (1 << b) - 1
@@ -309,7 +317,7 @@ def _longest_chain(table: SeedTable, vert: np.ndarray, weights: np.ndarray, reac
         nonlocal cells
         cells += len(a) * len(c)
         across = reach.take(v[a], axis=0).take(v[c], axis=1).T
-        mask = precedes(v[a], i2[a], v[c, None], i[c, None], across)
+        mask = precedes(v[a], ci2[a], v[c, None], ci[c, None], across)
         mask &= j2[a] < j[c, None]
         return mask
 
@@ -348,13 +356,13 @@ def _longest_chain(table: SeedTable, vert: np.ndarray, weights: np.ndarray, reac
 
 
 def _solve(seeds: Sequence[Seed], graph: PangenomeGraph, unit_weights: bool, query: bytes | None) -> Chain:
-    reach = reachability(graph).matrix
+    reachability(graph)  # an oversized graph is refused, seeds or none
     if not seeds:
         return EMPTY_CHAIN
     table = SeedTable.of(seeds)
-    vert = table.check(graph, query)
+    first = table.check(graph, query)
     weights = np.ones(len(table), dtype=np.int64) if unit_weights else table.i2 - table.i + 1
-    picked = tuple(seeds[k] for k in _longest_chain(table, vert, weights, reach))
+    picked = tuple(seeds[k] for k in _longest_chain(table, first, weights, graph))
     chain = Chain(seeds=picked, length=total_length(picked), count=len(picked))
     chain.validate(graph, query)
     return chain

@@ -23,9 +23,10 @@ takes sixteen).  No source column is stored; the builders emit the arcs
 grouped by source, and a source is expanded only for the few arcs a
 longest-path step reads at once.
 
-The product DAG of lcs numbers its nodes in query order.  The out-arcs
+The product DAG of lcs numbers its nodes in query order, and a node's
+graph side is one character id (see :mod:`panlcs.graph`).  The out-arcs
 of a node are then a suffix of one successor list shared by every node
-with its graph key, so :func:`match_arcs` copies them into one
+with its character, so :func:`match_arcs` copies them into one
 preallocated column, at a cost close to writing the arcs.  When every
 arc ascends (the product DAGs, and the seed DAG of seeds listed in query
 order), index order is already topological: one reduction over the
@@ -52,7 +53,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .graph import _strong_components, precedes, records, token_text
+from .graph import _strong_components, check_bytes, precedes, records, token_text
 
 log = logging.getLogger(__name__)
 
@@ -215,36 +216,32 @@ def _pair_arcs(m: int, accept_block) -> tuple[np.ndarray, np.ndarray]:
     return indptr, np.concatenate(pieces)
 
 
-def _distinct_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct pairs of non-negative ``(a, b)``, in ascending order,
-    as two arrays, and each input position's index among them.  The pairs
-    are uniqued as one combined key, which fits in int64 for the vertex
-    indices and label offsets this module pairs."""
-    span = int(b.max(initial=0)) + 1
-    keys, inverse = np.unique(a * span + b, return_inverse=True)
-    return keys // span, keys % span, inverse
-
-
-def match_arcs(qi: np.ndarray, vert: np.ndarray, off: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Arcs of the lcs product DAG over the matches ``(qi, vert, off)``,
-    numbered in query order: ``x -> y`` when ``qi[x] < qi[y]`` and
-    :func:`~panlcs.graph.precedes` holds, with ``reach`` as its
+def match_arcs(qi: np.ndarray, ci: np.ndarray, origin: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arcs of the lcs product DAG over the matches ``(qi, ci)`` of query
+    index and character id, numbered in query order: ``x -> y`` when
+    ``qi[x] < qi[y]`` and :func:`~panlcs.graph.precedes` holds, with
+    ``origin`` mapping a character to its vertex and ``reach`` as the
     cross-vertex predicate.  Returns CSR arcs ``(indptr, dst)`` (see
     :class:`MatchDag`), each source's destinations ascending.
 
-    The graph side depends only on the (``vert``, ``off``) key of each end,
-    and the out-arcs of ``x`` are the suffix, from ``first[x]``, the first
-    match later in the query, of its key's successor list: the matches
-    whose key it precedes, in index order, from the earliest ``first``
-    among the key's matches on.  The lists are built a block of keys at a
-    time (keys x matches cells), a key's row of the precedence table with
-    its prefix before that earliest ``first`` cleared; each match's slice
-    is then copied into one preallocated column.
+    The graph side depends only on the character of each end, and the
+    out-arcs of ``x`` are the suffix, from ``first[x]``, the first match
+    later in the query, of its character's successor list: the matches
+    whose character it precedes, in index order, from the earliest
+    ``first`` among the character's matches on.  The lists are built a
+    block of characters at a time (characters x matches cells), a
+    character's row of the precedence table with its prefix before that
+    earliest ``first`` cleared; each match's slice is then copied into one
+    preallocated column.  Both allocations are refused past
+    :data:`~panlcs.graph.MAX_BYTES` before they are made.
     """
     m = len(qi)
     first = np.searchsorted(qi, qi, "right")
-    k_vert, k_off, key = _distinct_pairs(vert, off)
-    n_keys = len(k_vert)
+    chars, key = np.unique(ci, return_inverse=True)
+    n_keys, k_vert = len(chars), origin[chars]
+    node_type = _node_type(m)  # list entries are node indices, as in ``dst``
+    need = n_keys * m * node_type.itemsize
+    check_bytes(need, f"lcs product DAG: lists of {n_keys} characters x {m} matches need up to {need} bytes")
     key_first = np.full(n_keys, m, dtype=np.int64)
     np.minimum.at(key_first, key, first)
     by_key = np.argsort(key, kind="stable")
@@ -252,7 +249,6 @@ def match_arcs(qi: np.ndarray, vert: np.ndarray, off: np.ndarray, reach: np.ndar
 
     # start/stop: each source's arc suffix within the concatenated lists
     start, stop = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
-    node_type = _node_type(m)  # list entries are node indices, as in ``dst``
     lists: list[np.ndarray] = [np.empty(0, dtype=node_type)]
     base = 0
     rows = max(1, _BLOCK_CELLS // max(m, 1))
@@ -260,9 +256,9 @@ def match_arcs(qi: np.ndarray, vert: np.ndarray, off: np.ndarray, reach: np.ndar
         kb = min(ka + rows, n_keys)
         col = int(key_first[ka:kb].min())
         width = m - col
-        xv, xo = k_vert[ka:kb], k_off[ka:kb]
+        xv = k_vert[ka:kb]
         across = reach[xv].take(k_vert, axis=1)
-        mask = precedes(xv[:, None], xo[:, None], k_vert, k_off, across).take(key[col:], axis=1)
+        mask = precedes(xv[:, None], chars[ka:kb, None], k_vert, chars, across).take(key[col:], axis=1)
         for r, f in enumerate(key_first[ka:kb].tolist()):
             mask[r, : f - col] = False
         flat = np.flatnonzero(mask)  # key row r, node col + c at r * width + c
@@ -279,6 +275,8 @@ def match_arcs(qi: np.ndarray, vert: np.ndarray, off: np.ndarray, reach: np.ndar
     del lists
 
     indptr = np.concatenate(([0], np.cumsum(stop - start)))
+    need = int(indptr[-1]) * node_type.itemsize
+    check_bytes(need, f"lcs product DAG: {indptr[-1]} arcs need {need} bytes")
     dst = np.empty(int(indptr[-1]), dtype=node_type)
     block = max(1, _BLOCK_CELLS // 1024)  # sources per copy: their list of views stays near half a megabyte
     for a in range(0, m, block):  # one memory copy per source

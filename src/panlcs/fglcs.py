@@ -2,10 +2,11 @@
 
 Two per-step bounds apply: consecutive matched query positions may differ by
 at most ``k1``, and the matched graph characters may be at most ``k2`` apart.
-The graph-side distance is the offset difference within one vertex, and
-otherwise the minimum arc count between the two characters in the
-character-split graph (a bounded-gap connection along some path exists
-exactly when the shortest one qualifies).
+A graph position is its character id (see :mod:`panlcs.graph`), and a
+step's graph gap is :meth:`~panlcs.graph.CharGraph.distance`: the id
+difference within one vertex, and otherwise the minimum arc count between
+the two characters in the character-split graph (a bounded-gap connection
+along some path exists exactly when the shortest one qualifies).
 
 The paper's reduction is a product DAG over the character matches, with an
 arc wherever both bounds hold; :func:`build_gap_match_graph` builds it (a
@@ -13,7 +14,7 @@ dense pair scan over a dense :func:`~panlcs.graph.char_distances` matrix)
 and stays as the reference construction.  :func:`solve_fglcs_sg` computes
 that DAG's longest-path table directly instead, one query row at a time:
 
-* cell ``(j, c)`` of the table, for query position ``j`` and character node
+* cell ``(j, c)`` of the table, for query position ``j`` and character id
   ``c``, holds the longest chain ending by matching ``j`` to ``c`` (0 where
   the characters differ);
 * a row is ``1 +`` the per-character maximum, over the predecessor
@@ -22,8 +23,8 @@ that DAG's longest-path table directly instead, one query row at a time:
 * with finite ``k2`` the predecessors of ``c`` are the characters whose
   breadth-first ball of radius ``k2`` holds ``c``
   (:meth:`~panlcs.graph.CharGraph.ball_pairs`), minus the characters of
-  the same vertex at the same or a later offset (reached around a cycle);
-  with unbounded ``k2`` they are the earlier offsets of the same vertex and
+  the same vertex at the same or a higher id (reached around a cycle);
+  with unbounded ``k2`` they are the lower ids of the same vertex and
   every character of another vertex that reaches this one.
 
 Walking back from the first row-major maximum to the first row-major
@@ -37,13 +38,13 @@ type, for N label characters and V vertices.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .daglp import MatchDag, _pair_arcs
-from .graph import CharGraph, PangenomeGraph, build_char_graph, precedes, reachability
-from .lcs import Alignment, MatchPoint, _match_dag, alignment_from_points, match_points
+from .graph import CharGraph, PangenomeGraph, build_char_graph, char_distances, precedes, reachability
+from .lcs import Alignment, _match_dag, alignment_from_points, match_points
 
 log = logging.getLogger(__name__)
 
@@ -83,30 +84,22 @@ class GapParams:
         return np.inf if self.k2 is None else self.k2
 
 
-def build_gap_match_graph(
-    query: bytes,
-    graph: PangenomeGraph,
-    gaps: GapParams,
-    char_dist: np.ndarray,
-) -> MatchDag:
+def build_gap_match_graph(query: bytes, graph: PangenomeGraph, gaps: GapParams) -> MatchDag:
     """Product DAG restricted to arcs whose query and graph gaps are in
-    bounds, graph gaps read from the dense :func:`~panlcs.graph.char_distances`
-    array ``char_dist``; node set identical to the unconstrained construction."""
-    qi, vert, off = match_points(query, graph)
+    bounds, graph gaps read from the graph's dense
+    :func:`~panlcs.graph.char_distances`; node set identical to the
+    unconstrained construction."""
+    qi, ci = match_points(query, graph)
+    origin, dist = build_char_graph(graph).origin, char_distances(graph)
     k1, k2 = gaps.k1_limit, gaps.k2_limit
-    cid = build_char_graph(graph).starts[vert] + off
 
     def accept(lo: int, hi: int) -> np.ndarray:
         dq = qi[None, :] - qi[lo:hi, None]
-        query_ok = (dq > 0) & (dq <= k1)
-        same = vert[lo:hi, None] == vert[None, :]
-        df = off[None, :] - off[lo:hi, None]
-        intra_ok = (df > 0) & (df <= k2)
-        dist = char_dist[cid[lo:hi, None], cid[None, :]]
-        inter_ok = np.isfinite(dist) & (dist <= k2)
-        return query_ok & np.where(same, intra_ok, inter_ok)
+        dg = dist[ci[lo:hi, None], ci[None, :]]  # on one vertex, forward: the id difference
+        ok = (dq > 0) & (dq <= k1) & np.isfinite(dg) & (dg <= k2)
+        return ok & precedes(origin[ci[lo:hi, None]], ci[lo:hi, None], origin[ci], ci, True)
 
-    return _match_dag(qi, vert, off, _pair_arcs(len(qi), accept))
+    return _match_dag(qi, ci, _pair_arcs(len(qi), accept))
 
 
 class _BallRelation:
@@ -115,7 +108,7 @@ class _BallRelation:
 
     def __init__(self, cg: CharGraph, k2: int):
         src, dst = cg.ball_pairs(k2)
-        keep = precedes(cg.origin[src], cg.offset[src], cg.origin[dst], cg.offset[dst], True)
+        keep = precedes(cg.origin[src], src, cg.origin[dst], dst, True)
         self.src = src[keep]
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(dst[keep], minlength=cg.node_count))])
         self.targets = np.flatnonzero(np.diff(self.indptr))
@@ -133,8 +126,8 @@ class _BallRelation:
 
 
 class _ReachRelation:
-    """Predecessors for an unbounded ``k2``: earlier offsets of the same
-    vertex, and every character of another vertex that reaches this one."""
+    """Predecessors for an unbounded ``k2``: lower ids of the same vertex,
+    and every character of another vertex that reaches this one."""
 
     def __init__(self, graph: PangenomeGraph, cg: CharGraph):
         self.cg = cg
@@ -147,14 +140,14 @@ class _ReachRelation:
         earlier = np.where(cg.offset > 0, np.roll(inclusive, 1), 0)
         per_vertex = inclusive[cg.starts[1:] - 1].astype(window.dtype)
         across = np.where(self.reach, per_vertex[:, None], 0)  # V x V at the window dtype
-        np.fill_diagonal(across, 0)  # a vertex's own characters are the earlier offsets
+        np.fill_diagonal(across, 0)  # a vertex's own characters are the lower ids
         across = across.max(axis=0, initial=0)
         return np.maximum(earlier, across[cg.origin]).astype(window.dtype)
 
     def sources(self, c: int) -> np.ndarray:
         cg = self.cg
         u = cg.origin[c]
-        return np.flatnonzero(precedes(cg.origin, cg.offset, u, cg.offset[c], self.reach[cg.origin, u]))
+        return np.flatnonzero(precedes(cg.origin, np.arange(cg.node_count), u, c, self.reach[cg.origin, u]))
 
 
 _Relation = _BallRelation | _ReachRelation
@@ -182,10 +175,10 @@ def _fill_table(q: np.ndarray, cg: CharGraph, k1: int | None, relation: _Relatio
     return table
 
 
-def _trace_back(table: np.ndarray, cg: CharGraph, k1: int | None, relation: _Relation) -> list[MatchPoint]:
-    """The chain ending at the first row-major maximum, each parent the first
-    row-major predecessor cell holding one less: the product DAG's
-    smallest-index tie-break."""
+def _trace_back(table: np.ndarray, cg: CharGraph, k1: int | None, relation: _Relation) -> list[tuple[int, int]]:
+    """The chain of (query index, character id) cells ending at the first
+    row-major maximum, each parent the first row-major predecessor cell
+    holding one less: the product DAG's smallest-index tie-break."""
     j, c = divmod(int(np.argmax(table)), cg.node_count)
     cells = [(j, c)]
     for value in range(int(table[j, c]) - 1, 0, -1):
@@ -194,15 +187,16 @@ def _trace_back(table: np.ndarray, cg: CharGraph, k1: int | None, relation: _Rel
         first = int(np.argmax(table[lo:j, cols] == value))
         j, c = lo + first // len(cols), int(cols[first % len(cols)])
         cells.append((j, c))
-    return [MatchPoint(j, int(cg.origin[c]), int(cg.offset[c])) for j, c in reversed(cells)]
+    return cells[::-1]
 
 
 def solve_fglcs_sg(query: bytes, graph: PangenomeGraph, gaps: GapParams) -> Alignment:
     """Longest gap-bounded common subsequence between ``query`` and ``graph``.
 
     The returned alignment records the realized (query gap, graph gap) of
-    every consecutive pair, the graph gaps found by breadth-first search;
-    both are validated against the bounds before returning.
+    every consecutive pair, the graph gap by
+    :meth:`~panlcs.graph.CharGraph.distance`; both are validated against
+    the bounds before returning.
     """
     cg = build_char_graph(graph)
     q = np.frombuffer(query, dtype=np.uint8)
@@ -219,6 +213,8 @@ def solve_fglcs_sg(query: bytes, graph: PangenomeGraph, gaps: GapParams) -> Alig
     table = _fill_table(q, cg, k1, relation)
     if not table.any():
         return Alignment(0, b"", (), (), gaps=())
-    alignment = alignment_from_points(query, graph, _trace_back(table, cg, k1, relation), record_gaps=True)
+    cells = _trace_back(table, cg, k1, relation)
+    steps = tuple((j2 - j, cg.distance(c, c2)) for (j, c), (j2, c2) in zip(cells, cells[1:]))
+    alignment = replace(alignment_from_points(query, graph, cells), gaps=steps)
     alignment.validate(query, graph, gap_params=gaps)
     return alignment

@@ -5,31 +5,37 @@ labels.  A path through the graph "spells" the concatenation of its vertex
 labels, and those spelled strings are the graph-side sequences that the
 solver modules align queries against.
 
+Inside the solvers a graph position is one coordinate, its character id:
+node ``k`` of :func:`build_char_graph`, numbered label order within vertex
+order, so the characters of one vertex have consecutive ids.  A (vertex,
+offset) pair appears only where a result is built or read.
+
 Preprocessing products computed here:
 
 * :func:`reachability` -- dense vertex-to-vertex reachability (a directed
   path of at least one edge), as a closure over the strongly connected
   components with one packed bitset row per component, refused past
-  :data:`REACH_MAX_BYTES`; lcs, chaining and unbounded-gap fglcs use it.
+  :data:`MAX_BYTES`; lcs, chaining and unbounded-gap fglcs use it.
 * :func:`build_char_graph` -- the character-split graph, one node per label
   character.  It answers bounded distance questions by breadth-first
   search: :meth:`CharGraph.ball_pairs` lists every node pair at most ``r``
   arcs apart (the predecessor relation of gap-bounded fglcs) and
-  :meth:`CharGraph.distance_vf` gives one pair's minimum arc count.
+  :meth:`CharGraph.distance` gives one step's graph gap.
 * :func:`char_distances` -- dense all-pairs minimum arc counts on the
   character-split graph, via Floyd-Warshall: cubic time and quadratic memory
   in the total label length.  No solver needs it; it backs the reference
   product-DAG construction of fglcs and the tests.
 
-The first two are computed on first use and kept on the graph instance, so
-every later call on that graph returns the same object: a batch of queries
+They are computed on first use and kept on the graph instance, so every
+later call on that graph returns the same object: a batch of queries
 against one :class:`PangenomeGraph` pays for its preprocessing once.
 
 :func:`precedes` is the one graph-side step rule of all four reductions:
-a position advances within one vertex's label, or a caller-given
-predicate (reachability, a bounded distance) admits the cross-vertex step.
-:class:`ReachMatrix` holds only its matrix; it stays a type because the
-benchmark tracer reads ``.matrix`` off :func:`reachability`'s result.
+a position advances within one vertex's label (a lower character id comes
+first), or a caller-given predicate (reachability, a bounded distance)
+admits the cross-vertex step.  :class:`ReachMatrix` holds only its matrix;
+it stays a type because the benchmark tracer reads ``.matrix`` off
+:func:`reachability`'s result.
 
 Labels are raw bytes and all comparisons are exact byte equality.
 """
@@ -279,10 +285,10 @@ def _parse_gfa(data: bytes | str) -> PangenomeGraph:
 class CharGraph:
     """One node per label character, preserving the originating vertex.
 
-    Node ``k`` carries ``chars[k]`` and sits at ``offset[k]`` within the
-    label of vertex ``origin[k]``.  Nodes are numbered label-order within
-    vertex-order, so node ids for vertex ``v`` occupy
-    ``starts[v] .. starts[v+1]-1``.  Arcs step through each label
+    Node ``k``, the character id, carries ``chars[k]`` and sits at
+    ``offset[k]`` within the label of vertex ``origin[k]``.  Nodes are
+    numbered label-order within vertex-order, so node ids for vertex ``v``
+    occupy ``starts[v] .. starts[v+1]-1``.  Arcs step through each label
     (``(v,f) -> (v,f+1)``) and jump from the last character of ``u`` to the
     first of ``u'`` for every graph edge ``(u, u')``.
     """
@@ -300,9 +306,6 @@ class CharGraph:
     @property
     def arc_count(self) -> int:
         return len(self.arcs)
-
-    def node_id(self, vertex: int, offset: int) -> int:
-        return int(self.starts[vertex]) + offset
 
     @cached_property
     def _successors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -342,25 +345,25 @@ class CharGraph:
         order = np.lexsort((src, dst))
         return src[order], dst[order]
 
-    def distance_vf(self, u: int, f: int, v: int, g: int) -> int | None:
-        """Minimum arc count from character ``(u, f)`` to ``(v, g)``, or
-        ``None`` if no path leads there; a breadth-first search that stops
-        at the target."""
-        src, dst = self.node_id(u, f), self.node_id(v, g)
-        if src == dst:
-            return 0
+    def distance(self, a: int, b: int) -> int | None:
+        """The graph gap of a step from character ``a`` to character ``b``:
+        the id difference on one vertex, else the minimum arc count, or
+        ``None`` if no path leads there (a breadth-first search that stops
+        at the target).  Forward on one vertex the two agree."""
+        if self.origin[a] == self.origin[b]:
+            return b - a
         indptr, targets = self._successors
-        seen, frontier, depth = {src}, [src], 0
+        seen, frontier, depth = {a}, [a], 0
         while frontier:
             depth += 1
             nxt = []
-            for a in frontier:
-                for b in targets[indptr[a] : indptr[a + 1]].tolist():
-                    if b == dst:
+            for x in frontier:
+                for c in targets[indptr[x] : indptr[x + 1]].tolist():
+                    if c == b:
                         return depth
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
+                    if c not in seen:
+                        seen.add(c)
+                        nxt.append(c)
             frontier = nxt
         return None
 
@@ -432,8 +435,17 @@ class ReachMatrix:
     matrix: np.ndarray
 
 
-REACH_MAX_BYTES = 2 << 30
-"""The largest V x V matrix, in bytes, that :func:`reachability` allocates."""
+MAX_BYTES = 2 << 30
+"""The largest array, in bytes, that the reachability matrix or the lcs
+product DAG's arc lists may take (:func:`check_bytes`)."""
+
+
+def check_bytes(nbytes: int, need: str) -> None:
+    """Refuse a stage before it allocates ``nbytes`` bytes past
+    :data:`MAX_BYTES`: a :class:`GraphError` (exit 3), ``need`` naming the
+    stage and its size."""
+    if nbytes > MAX_BYTES:
+        raise GraphError(f"{need}, over the limit of {MAX_BYTES}")
 
 
 @_kept
@@ -449,13 +461,9 @@ def reachability(graph: PangenomeGraph) -> ReachMatrix:
     cycle (more than one vertex, or a self-loop).
 
     Raises :class:`GraphError` when the matrix would exceed
-    :data:`REACH_MAX_BYTES`, before allocating it."""
+    :data:`MAX_BYTES`, before allocating it."""
     n = graph.n
-    if n * n > REACH_MAX_BYTES:
-        raise GraphError(
-            f"reachability: {n} vertices need {n * n} bytes for the vertex-pair matrix,"
-            f" over the limit of {REACH_MAX_BYTES}"
-        )
+    check_bytes(n * n, f"reachability: {n} vertices need {n * n} bytes for the vertex-pair matrix")
     comp, count = _strong_components(n, graph.edges)
     edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
     src, dst = comp[edges[:, 0]], comp[edges[:, 1]]
@@ -526,20 +534,23 @@ def _strong_components(n: int, edges: Iterable[tuple[int, int]]) -> tuple[np.nda
 
 
 def precedes(u, a, v, b, across) -> np.ndarray:
-    """Whether position ``a`` of vertex ``u`` may come before position ``b``
-    of vertex ``v``: ``a < b`` on one vertex, ``across`` otherwise, where
-    ``across`` is the caller's cross-vertex predicate (reachability, or a
-    character distance within bounds).  Broadcasts as :func:`numpy.where`."""
+    """Whether character ``a`` of vertex ``u`` may come before character
+    ``b`` of vertex ``v``: on one vertex the lower character id comes
+    first (``a < b``), across vertices ``across`` decides, the caller's
+    cross-vertex predicate (reachability, or a character distance within
+    bounds).  Broadcasts as :func:`numpy.where`."""
     return np.where(u == v, a < b, across)
 
 
-def char_distances(char_graph: CharGraph) -> np.ndarray:
+@_kept
+def char_distances(graph: PangenomeGraph) -> np.ndarray:
     """All-pairs minimum arc counts via Floyd-Warshall on the split graph,
-    as a read-only N x N float array: ``inf`` where no path leads, 0 on the
-    diagonal.
+    as a read-only N x N float array indexed by character id: ``inf`` where
+    no path leads, 0 on the diagonal.
 
-    The dense reference for :meth:`CharGraph.distance_vf` and
+    The dense reference for :meth:`CharGraph.distance` and
     :meth:`CharGraph.ball_pairs`: cubic in the character count."""
+    char_graph = build_char_graph(graph)
     total = char_graph.node_count
     dist = np.full((total, total), np.inf)
     if total:

@@ -8,10 +8,13 @@ vertex label or on a vertex reachable through the graph.  Every path in the
 product graph then reads off a common subsequence, and a maximum-node path
 (unit node weights) is a longest one.
 
-The product graph is materialized explicitly by
-:func:`panlcs.daglp.match_arcs`.  Matches are numbered in query order, so
-the out-arcs of a match are the suffix, past its query index, of the
-successor list of its (vertex, offset) character: each suffix is copied
+A match is a (query index, character id) pair: the graph side is the
+character's id in :func:`~panlcs.graph.build_char_graph`, the one graph
+coordinate of the solvers, and (vertex id, offset) pairs are built only
+for the emitted :class:`Alignment`.  The product graph is materialized
+explicitly by :func:`panlcs.daglp.match_arcs`.  Matches are numbered in
+query order, so the out-arcs of a match are the suffix, past its query
+index, of the successor list of its character: each suffix is copied
 into one preallocated destination column, grouped by source (CSR), and
 the longest path needs neither a topological sort nor an arc sort.
 Time and memory grow with the arc count, up to the square of the match
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -33,14 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .fglcs import GapParams
 
 log = logging.getLogger(__name__)
-
-
-class MatchPoint(NamedTuple):
-    """One matched character: query index, vertex index, label offset."""
-
-    q_index: int
-    vertex: int
-    offset: int
 
 
 class AlignmentError(ValueError):
@@ -67,10 +62,10 @@ class Alignment:
         """Re-check every invariant against the instance; raise on violation.
 
         Steps across vertices are checked against the graph's reachability,
-        or, when the alignment records gaps, against the character-graph
-        distances, which must also equal the recorded graph gaps (so a
-        gap-bounded solve never needs the reachability).  ``gap_params``
-        adds the gap-bound checks.
+        or, when the alignment records gaps, against the graph gaps of
+        :meth:`~panlcs.graph.CharGraph.distance`, which must also equal the
+        recorded ones (so a gap-bounded solve never needs the reachability).
+        ``gap_params`` adds the gap-bound checks.
         """
         k = self.score
         if not (len(self.subsequence) == len(self.q_positions) == len(self.g_positions) == k):
@@ -87,16 +82,16 @@ class Alignment:
                 raise AlignmentError("position out of range")
             if not (self.subsequence[t] == query[qi] == label[off]):
                 raise AlignmentError(f"character mismatch at chain position {t}")
+        cg = build_char_graph(graph)
         verts = np.array([graph.vertex_index(vid) for vid, _ in self.g_positions], dtype=np.int64)
-        offs = np.array([f for _, f in self.g_positions], dtype=np.int64)
+        chars = cg.starts[verts] + np.array([f for _, f in self.g_positions], dtype=np.int64)
+        a, b = chars[:-1], chars[1:]
         if self.gaps is None:
-            across = reachability(graph).matrix[verts[:-1], verts[1:]]
+            across = reachability(graph).matrix[cg.origin[a], cg.origin[b]]
         else:
-            cg = build_char_graph(graph)
-            steps = zip(verts.tolist(), offs.tolist(), verts[1:].tolist(), offs[1:].tolist())
-            graph_gaps = [g - f if u == v else cg.distance_vf(u, f, v, g) for u, f, v, g in steps]
+            graph_gaps = [cg.distance(x, y) for x, y in zip(a.tolist(), b.tolist())]
             across = np.array([d is not None for d in graph_gaps], dtype=bool)
-        bad = np.flatnonzero(~precedes(verts[:-1], offs[:-1], verts[1:], offs[1:], across))
+        bad = np.flatnonzero(~precedes(cg.origin[a], a, cg.origin[b], b, across))
         if len(bad):
             (vid_a, _), (vid_b, _) = self.g_positions[bad[0]], self.g_positions[bad[0] + 1]
             if vid_a == vid_b:
@@ -119,19 +114,17 @@ class Alignment:
 EMPTY_ALIGNMENT = Alignment(0, b"", (), (), None)
 
 
-def match_points(query: bytes, graph: PangenomeGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All (query index, vertex, offset) character matches, as parallel
-    arrays ordered by query index, then vertex, then offset."""
-    cg = build_char_graph(graph)
+def match_points(query: bytes, graph: PangenomeGraph) -> tuple[np.ndarray, np.ndarray]:
+    """All (query index, character id) matches, as parallel arrays ordered
+    by query index, then character id."""
     q = np.frombuffer(query, dtype=np.uint8)
-    qi, ci = np.nonzero(q[:, None] == cg.chars[None, :])
-    return qi.astype(np.int64), cg.origin[ci], cg.offset[ci]
+    return np.nonzero(q[:, None] == build_char_graph(graph).chars[None, :])
 
 
-def _match_dag(qi: np.ndarray, vert: np.ndarray, off: np.ndarray, csr: tuple[np.ndarray, ...]) -> MatchDag:
-    """Unit-weight DAG over the matches ``(qi, vert, off)`` with the CSR
-    arcs ``csr``; its payloads are one ``(qi, vert, off)`` row per node."""
-    payloads = np.column_stack((qi, vert, off))
+def _match_dag(qi: np.ndarray, ci: np.ndarray, csr: tuple[np.ndarray, ...]) -> MatchDag:
+    """Unit-weight DAG over the matches ``(qi, ci)`` with the CSR arcs
+    ``csr``; its payloads are one ``(qi, ci)`` row per node."""
+    payloads = np.column_stack((qi, ci))
     payloads.flags.writeable = False
     return MatchDag.from_csr(np.ones(len(qi), dtype=np.int64), *csr, payloads=payloads)
 
@@ -141,56 +134,29 @@ def build_match_graph(query: bytes, graph: PangenomeGraph) -> MatchDag:
 
     Nodes are all query/label character matches; an arc joins two matches
     when the query index strictly increases and the graph side either stays
-    on one vertex with a strictly larger offset or moves to a reachable
-    other vertex (:func:`~panlcs.daglp.match_arcs`).
+    on one vertex at a higher character id or moves to a reachable other
+    vertex (:func:`~panlcs.daglp.match_arcs`).
     """
     reach = reachability(graph).matrix  # first: an oversized graph is refused before any matching
-    qi, vert, off = match_points(query, graph)
-    dag = _match_dag(qi, vert, off, match_arcs(qi, vert, off, reach))
+    qi, ci = match_points(query, graph)
+    dag = _match_dag(qi, ci, match_arcs(qi, ci, build_char_graph(graph).origin, reach))
     log.info("product DAG: %d matches, %d arcs", dag.n_nodes, dag.n_arcs)
     return dag
 
 
 def alignment_from_path(query: bytes, graph: PangenomeGraph, dag: MatchDag, path: tuple[int, ...]) -> Alignment:
     """Read an alignment off a product-graph path."""
-    points = list(map(MatchPoint._make, dag.payloads[list(path)].tolist()))
-    return alignment_from_points(query, graph, points)
+    return alignment_from_points(query, graph, dag.payloads[list(path)].tolist())
 
 
-def alignment_from_points(
-    query: bytes,
-    graph: PangenomeGraph,
-    points: Sequence[MatchPoint],
-    record_gaps: bool = False,
-) -> Alignment:
-    """The alignment through ``points`` in order; with ``record_gaps`` it
-    records each step's query gap and graph gap (the offset difference on
-    one vertex, the minimum arc count across vertices)."""
-    q_positions = tuple(p.q_index for p in points)
-    g_positions = tuple((graph.ids[p.vertex], p.offset) for p in points)
+def alignment_from_points(query: bytes, graph: PangenomeGraph, points: Sequence[Sequence[int]]) -> Alignment:
+    """The alignment through the (query index, character id) ``points``
+    in order, without gap records."""
+    cg = build_char_graph(graph)
+    q_positions = tuple(j for j, _ in points)
+    g_positions = tuple((graph.ids[cg.origin[c]], int(cg.offset[c])) for _, c in points)
     subsequence = bytes(query[i] for i in q_positions)
-    gaps = None
-    if record_gaps:
-        cg = build_char_graph(graph)
-        pairs = []
-        for a, b in zip(points, points[1:]):
-            dq = b.q_index - a.q_index
-            if a.vertex == b.vertex:
-                dg = b.offset - a.offset
-            else:
-                dist = cg.distance_vf(a.vertex, a.offset, b.vertex, b.offset)
-                if dist is None:
-                    raise AlignmentError("path step crosses unreachable characters")
-                dg = dist
-            pairs.append((dq, dg))
-        gaps = tuple(pairs)
-    return Alignment(
-        score=len(points),
-        subsequence=subsequence,
-        q_positions=q_positions,
-        g_positions=g_positions,
-        gaps=gaps,
-    )
+    return Alignment(len(points), subsequence, q_positions, g_positions)
 
 
 def solve_lcs_sg(query: bytes, graph: PangenomeGraph) -> Alignment:

@@ -158,7 +158,7 @@ def test_criterion_2_lcs_oracle_equality():
 
 def dense_graph_gaps(alignment, g, cg, dist):
     """Each step's graph gap, read from the dense ``char_distances`` array."""
-    nodes = [cg.node_id(g.vertex_index(vid), off) for vid, off in alignment.g_positions]
+    nodes = [cg.starts[g.vertex_index(vid)] + off for vid, off in alignment.g_positions]
     return [dist[a, b] for a, b in zip(nodes, nodes[1:])]
 
 
@@ -166,7 +166,7 @@ def test_criterion_3_fglcs_oracle_equality():
     checked = 0
     for q, g in small_acyclic_corpus():
         cg = build_char_graph(g)
-        dist = char_distances(cg)
+        dist = char_distances(g)
         lcs_score = solve_lcs_sg(q, g).score
         for k1 in K_GRID:
             for k2 in K_GRID:
@@ -218,11 +218,10 @@ def test_criterion_5_msp_oracle_equality():
 def test_criterion_6_dag_property():
     built = 0
     for q, g in small_acyclic_corpus() + cyclic_corpus():
-        dist = char_distances(build_char_graph(g))
         dag = build_match_graph(q, g)
         assert len(topo_sort(dag)) == dag.n_nodes
         built += 1
-        gapped = build_gap_match_graph(q, g, GapParams(2, 2), dist)
+        gapped = build_gap_match_graph(q, g, GapParams(2, 2))
         assert len(topo_sort(gapped)) == gapped.n_nodes
         built += 1
     rng = random.Random(RNG_SEED + 5)
@@ -262,8 +261,7 @@ def test_criterion_7_recurrence_residual():
         assert helpers.residual_ok(dag, result.dist, "vertex")
         checked += 1
     for q, g in small_acyclic_corpus()[:100]:
-        dist = char_distances(build_char_graph(g))
-        dag = build_gap_match_graph(q, g, GapParams(2, 3), dist)
+        dag = build_gap_match_graph(q, g, GapParams(2, 3))
         result = longest_path_vertex(dag)
         assert helpers.residual_ok(dag, result.dist, "vertex")
         checked += 1
@@ -283,7 +281,7 @@ def test_criterion_8_output_self_validation():
         gaps = GapParams(2, 2)
         alignment = solve_fglcs_sg(q, g, gaps)
         alignment.validate(q, g, gap_params=gaps)
-        assert [dg for _, dg in alignment.gaps] == dense_graph_gaps(alignment, g, cg, char_distances(cg))
+        assert [dg for _, dg in alignment.gaps] == dense_graph_gaps(alignment, g, cg, char_distances(g))
         checked += 2
     for seeds, g, q in seed_corpus():
         solve_memc(seeds, g, query=q).validate(g, q)

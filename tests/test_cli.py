@@ -2,12 +2,15 @@ import io
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import helpers
 import panlcs
 import panlcs.cli
 from panlcs import Alignment, Chain, Seed, parse_graph
@@ -493,10 +496,23 @@ class TestGenAndMems:
         assert capsysbinary.readouterr().out == b""
 
     def test_oversized_reachability_exits_3(self, capsys, graph_file, monkeypatch):
-        monkeypatch.setattr("panlcs.graph.REACH_MAX_BYTES", 3)
+        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 3)
         code, out, err = run(capsys, ["lcs", "--graph", graph_file, "--query", "aba"])
         assert code == 3 and out == ""
         assert "reachability: 2 vertices need 4 bytes" in err
+
+    def test_oversized_product_dag_exits_3(self, capsys, tmp_path):
+        # the benchmark's 901-vertex DNA graph and a 500-character read:
+        # 751,502 matches over 6,000 characters, whose successor lists could
+        # take 18 GB; refused before any of it is allocated
+        gen = helpers.benchmark_generators()
+        g = gen.bubble_graph(random.Random(3), 300, 6000)
+        path = g.write(tmp_path / "g.tsv", gen.sample_read(random.Random(4), g, 500, 0.05))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["lcs", "--graph", path])
+        assert time.perf_counter() - start < 5.0
+        assert code == 3 and out == ""
+        assert "lcs product DAG: lists of 6000 characters x 751502 matches need up to 18036048000 bytes" in err
 
     def test_no_subcommand_prints_usage(self, capsys):
         code, _, err = run(capsys, [])

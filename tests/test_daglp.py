@@ -290,10 +290,10 @@ class TestCsrLayout:
 
     @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32)])
     def test_successor_copy(self, n, dtype):
-        # one vertex, every node at offset 0 but the last: n - 1 arcs into it
-        q, vert, off = np.arange(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-        off[-1] = 1
-        indptr, dst = daglp.match_arcs(q, vert, off, np.zeros((1, 1), dtype=bool))
+        # one vertex, every node at character 0 but the last: n - 1 arcs into it
+        q, ci = np.arange(n), np.zeros(n, dtype=np.int64)
+        ci[-1] = 1
+        indptr, dst = daglp.match_arcs(q, ci, np.zeros(2, dtype=np.int64), np.zeros((1, 1), dtype=bool))
         assert indptr.dtype == np.int64 and indptr.tolist() == list(range(n)) + [n - 1]
         assert dst.dtype == dtype and (dst == n - 1).all()
 
@@ -316,7 +316,8 @@ class TestCsrLayout:
         vert = np.array([0, 1, 0, 1, 0], dtype=np.int64)
         off = np.array([0, 0, 1, 1, 2], dtype=np.int64)
         if q_start == sorted(q_start):
-            indptr, dst = daglp.match_arcs(q, vert, off, np.ones((2, 2), dtype=bool))
+            ci = np.array([0, 3])[vert] + off  # characters of vertex 0 ("abc") then vertex 1 ("ab")
+            indptr, dst = daglp.match_arcs(q, ci, np.array([0, 0, 0, 1, 1]), np.ones((2, 2), dtype=bool))
         else:  # seeds out of query order: the seed DAG scans every pair
             g = parse_graph("V a abc\nV b ab\nE a b\nE b a\n")  # every vertex reaches every vertex
             seeds = [Seed(g.ids[v], f, f, j, j) for j, v, f in zip(q.tolist(), vert.tolist(), off.tolist())]

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,25 +21,23 @@ from panlcs import (
 )
 from panlcs.daglp import topo_sort
 from panlcs.fglcs import build_gap_match_graph
-from panlcs.graph import build_char_graph, char_distances
-from panlcs.lcs import MatchPoint, alignment_from_points, build_match_graph
+from panlcs.graph import char_distances
+from panlcs.lcs import alignment_from_points, build_match_graph
 from panlcs.oracle import fglcs_bruteforce
 
 K_GRID = [1, 2, 3, None]
 
 
-def dist_of(g):
-    return char_distances(build_char_graph(g))
-
-
 def reference_solve(q, g, gaps):
-    """The paper's reduction: longest path in the gap-bounded product DAG."""
-    dist = dist_of(g)
-    dag = build_gap_match_graph(q, g, gaps, dist)
+    """The paper's reduction: longest path in the gap-bounded product DAG,
+    each step's graph gap read from the dense distances."""
+    dag = build_gap_match_graph(q, g, gaps)
     if dag.n_nodes == 0:
         return Alignment(0, b"", (), (), gaps=())
-    points = [MatchPoint._make(row) for row in dag.payloads[list(longest_path_vertex(dag).path)].tolist()]
-    return alignment_from_points(q, g, points, record_gaps=True)
+    points = dag.payloads[list(longest_path_vertex(dag).path)].tolist()
+    dist = char_distances(g)
+    steps = tuple((j2 - j, int(dist[c, c2])) for (j, c), (j2, c2) in zip(points, points[1:]))
+    return replace(alignment_from_points(q, g, points), gaps=steps)
 
 
 @pytest.fixture()
@@ -77,14 +76,14 @@ class TestBuildGapGraph:
     def test_unbounded_equals_plain_construction(self):
         g = parse_graph("V a ab\nV b ba\nE a b\n")
         plain = build_match_graph(b"aba", g)
-        gapped = build_gap_match_graph(b"aba", g, GapParams.unbounded(), dist_of(g))
+        gapped = build_gap_match_graph(b"aba", g, GapParams.unbounded())
         assert plain.payloads.tolist() == gapped.payloads.tolist()
         assert set(map(tuple, plain.arcs.tolist())) == set(map(tuple, gapped.arcs.tolist()))
 
     def test_intra_vertex_gap_bound(self):
         g = parse_graph("V v axxb\n")
-        dag2 = build_gap_match_graph(b"ab", g, GapParams(None, 2), dist_of(g))
-        dag3 = build_gap_match_graph(b"ab", g, GapParams(None, 3), dist_of(g))
+        dag2 = build_gap_match_graph(b"ab", g, GapParams(None, 2))
+        dag3 = build_gap_match_graph(b"ab", g, GapParams(None, 3))
         assert dag2.n_arcs == 0  # label gap between 'a' and 'b' is 3
         assert dag3.n_arcs == 1
 
@@ -96,7 +95,7 @@ class TestBuildGapGraph:
     )
     @settings(max_examples=60)
     def test_arcs_match_direct_rule(self, g, q, k1, k2):
-        dag = build_gap_match_graph(b"" + q, g, GapParams(k1, k2), dist_of(g))
+        dag = build_gap_match_graph(b"" + q, g, GapParams(k1, k2))
         assert set(map(tuple, dag.arcs.tolist())) == helpers.hgap_arcs_by_rule(q, g, k1, k2)
 
     @given(
@@ -106,7 +105,7 @@ class TestBuildGapGraph:
     @settings(max_examples=40)
     def test_gap_arcs_are_subset_of_plain_arcs_and_acyclic(self, g, q):
         plain = build_match_graph(q, g)
-        gapped = build_gap_match_graph(b"" + q, g, GapParams(2, 2), dist_of(g))
+        gapped = build_gap_match_graph(b"" + q, g, GapParams(2, 2))
         assert set(map(tuple, gapped.arcs.tolist())) <= set(map(tuple, plain.arcs.tolist()))
         assert len(topo_sort(gapped)) == gapped.n_nodes
 
@@ -117,7 +116,7 @@ class TestBuildGapGraph:
     @settings(max_examples=40)
     def test_unbounded_arcs_equal_plain_even_on_cycles(self, g, q):
         plain = build_match_graph(q, g)
-        gapped = build_gap_match_graph(q, g, GapParams.unbounded(), dist_of(g))
+        gapped = build_gap_match_graph(q, g, GapParams.unbounded())
         assert set(map(tuple, plain.arcs.tolist())) == set(map(tuple, gapped.arcs.tolist()))
 
 

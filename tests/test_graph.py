@@ -280,7 +280,7 @@ class TestReachability:
         assert reachability(g).matrix.tolist() == [[False] * 3, [False, True, False], [False] * 3]
 
     def test_refuses_an_oversized_matrix(self, monkeypatch):
-        monkeypatch.setattr("panlcs.graph.REACH_MAX_BYTES", 8)
+        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 8)
         assert not reachability(parse_graph("V a x\nV b y\n")).matrix.any()
         with pytest.raises(GraphError, match=r"^reachability: 3 vertices need 9 bytes .* limit of 8$"):
             reachability(parse_graph("V a x\nV b y\nV c z\n"))
@@ -301,18 +301,19 @@ class TestReachability:
 
 
 class TestKeptOnTheGraph:
-    """``reachability`` and ``build_char_graph`` compute once per graph
-    instance and keep the result on it."""
+    """``reachability``, ``build_char_graph`` and ``char_distances`` compute
+    once per graph instance and keep the result on it."""
 
     def test_repeat_calls_return_the_same_object(self):
         g = parse_graph(TWO_VERTEX)
         assert reachability(g) is reachability(g)
         assert build_char_graph(g) is build_char_graph(g)
+        assert char_distances(g) is char_distances(g)
 
     def test_a_refusal_is_not_kept(self, monkeypatch):
         g = parse_graph("V a x\nV b y\nV c z\n")
         with monkeypatch.context() as patch:
-            patch.setattr(panlcs.graph, "REACH_MAX_BYTES", 8)
+            patch.setattr(panlcs.graph, "MAX_BYTES", 8)
             for _ in range(2):
                 with pytest.raises(GraphError, match="over the limit of 8"):
                     reachability(g)
@@ -351,28 +352,28 @@ class TestKeptOnTheGraph:
 
 class TestCharDistances:
     def test_within_one_label(self):
-        cd = char_distances(build_char_graph(parse_graph("V v abcd\n")))
+        cd = char_distances(parse_graph("V v abcd\n"))
         assert cd[0, 3] == 3
 
     def test_across_edge(self):
         g = parse_graph("V a ab\nV b c\nE a b\n")
-        cd = char_distances(build_char_graph(g))
+        cd = char_distances(g)
         assert cd[0, 2] == 2  # node 2 is (b, 0)
 
     def test_unreachable_pair_absent(self):
         g = parse_graph("V a x\nV b y\n")
-        cd = char_distances(build_char_graph(g))
+        cd = char_distances(g)
         assert np.isinf(cd[0, 1])
 
     def test_diagonal_zero_intra_one(self):
-        cd = char_distances(build_char_graph(parse_graph("V v abc\n")))
+        cd = char_distances(parse_graph("V v abc\n"))
         assert cd[0, 0] == 0
         assert cd[0, 1] == 1
         assert cd[1, 2] == 1
 
     @given(helpers.graphs(acyclic=False, max_n=5, max_label=4))
     def test_matches_bfs(self, g):
-        cd = char_distances(build_char_graph(g))
+        cd = char_distances(g)
         expected = helpers.bfs_char_distances(g)
         total = g.total_label_length
         for a in range(total):
@@ -381,7 +382,7 @@ class TestCharDistances:
 
     @given(helpers.graphs(acyclic=False, max_n=4, max_label=3))
     def test_triangle_inequality(self, g):
-        m = char_distances(build_char_graph(g))
+        m = char_distances(g)
         total = g.total_label_length
         for a in range(total):
             for b in range(total):
@@ -394,13 +395,16 @@ class TestCharGraphDistances:
     reference of the helpers."""
 
     @given(helpers.graphs(acyclic=False, max_n=5, max_label=4))
-    def test_distance_vf_matches_bfs(self, g):
+    def test_distance_matches_bfs(self, g):
+        # the id difference on one vertex, which forward is the BFS distance
         cg = build_char_graph(g)
         expected = helpers.bfs_char_distances(g)
         for a in range(cg.node_count):
             for b in range(cg.node_count):
-                u, f, v, w = cg.origin[a], cg.offset[a], cg.origin[b], cg.offset[b]
-                assert cg.distance_vf(u, f, v, w) == expected.get((a, b))
+                if cg.origin[a] != cg.origin[b]:
+                    assert cg.distance(a, b) == expected.get((a, b))
+                else:
+                    assert cg.distance(a, b) == b - a and (a > b or expected[(a, b)] == b - a)
 
     @given(helpers.graphs(acyclic=False, max_n=5, max_label=4), st.integers(1, 6))
     def test_ball_pairs_are_the_pairs_within_radius(self, g, radius):

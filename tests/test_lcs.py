@@ -12,6 +12,7 @@ from panlcs import (
     Alignment,
     AlignmentError,
     CycleError,
+    GraphError,
     Seed,
     longest_path_vertex,
     parse_graph,
@@ -19,7 +20,7 @@ from panlcs import (
 )
 from panlcs.chaining import build_seed_graph
 from panlcs.daglp import topo_sort
-from panlcs.graph import reachability, spell
+from panlcs.graph import build_char_graph, reachability, spell
 from panlcs.lcs import build_match_graph
 from panlcs.oracle import classic_lcs_dp, embeddable, lcs_sg_bruteforce
 from test_acceptance import stress_instance
@@ -33,7 +34,7 @@ class TestBuildMatchGraph:
     def test_zero_based_query_indexing(self):
         g = parse_graph("V v acah\n")
         dag = build_match_graph(b"xyabcahde", g)
-        assert [2, 0, 0] in dag.payloads.tolist()  # the first 'a' of the query
+        assert [2, 0] in dag.payloads.tolist()  # the first 'a' of the query, character 0
 
     def test_no_matches_gives_empty_graph(self):
         g = TWO_VERTEX
@@ -43,13 +44,14 @@ class TestBuildMatchGraph:
     def test_node_set_of_worked_example(self):
         dag = build_match_graph(b"aba", TWO_VERTEX)
         assert dag.n_nodes == 6
+        # (query index, character id); characters 0, 1 are a's "ab", 2, 3 b's "ba"
         assert set(map(tuple, dag.payloads.tolist())) == {
-            (0, 0, 0),
-            (2, 0, 0),
-            (1, 0, 1),
-            (0, 1, 1),
-            (2, 1, 1),
-            (1, 1, 0),
+            (0, 0),
+            (2, 0),
+            (1, 1),
+            (0, 3),
+            (2, 3),
+            (1, 2),
         }
 
     def test_arcs_match_direct_rule_application(self):
@@ -142,8 +144,12 @@ class TestProductDagMemory:
         # then joins them, so it peaks near twice the CSR bytes; a block's
         # int64 cell indices held into the next block would show
         g, q100, _ = stress_instance()
+        cg = build_char_graph(g)
         seeds = sorted(
-            (Seed(g.ids[v], off, off, qi, qi) for qi, v, off in build_match_graph(q100, g).payloads.tolist()),
+            (
+                Seed(g.ids[cg.origin[c]], int(cg.offset[c]), int(cg.offset[c]), qi, qi)
+                for qi, c in build_match_graph(q100, g).payloads.tolist()
+            ),
             key=lambda s: (g.vertex_index(s.vertex), s.i, s.j),
         )
 
@@ -159,6 +165,29 @@ class TestProductDagMemory:
             tracemalloc.stop()
         assert len(seeds) == 6_227 and dag.n_arcs == 4_061_882 and dag.dst.dtype == np.uint16
         assert peak <= 2.25 * csr_bytes(dag)
+
+
+class TestRefusal:
+    """The product DAG's two large allocations are refused past
+    ``graph.MAX_BYTES`` before they are made."""
+
+    # two one-letter vertices on a cycle and the query "aaaaaa": 12 matches
+    # over 2 characters, 2 x 12 one-byte list entries, and 30 arcs (every
+    # pair of query positions, in either direction between the vertices)
+    CYCLE = parse_graph("V a a\nV b a\nE a b\nE b a\n")
+
+    def test_successor_lists(self, monkeypatch):
+        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 23)
+        message = r"^lcs product DAG: lists of 2 characters x 12 matches need up to 24 bytes, over the limit of 23$"
+        with pytest.raises(GraphError, match=message):
+            build_match_graph(b"aaaaaa", self.CYCLE)
+
+    def test_arc_column(self, monkeypatch):
+        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 24)
+        with pytest.raises(GraphError, match=r"^lcs product DAG: 30 arcs need 30 bytes, over the limit of 24$"):
+            solve_lcs_sg(b"aaaaaa", self.CYCLE)
+        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 30)
+        assert build_match_graph(b"aaaaaa", self.CYCLE).n_arcs == 30
 
 
 class TestSolve:

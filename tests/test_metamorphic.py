@@ -16,6 +16,11 @@ They run on small hypothesis graphs and on the bubble and stress graphs of
 the benchmark generators (``perfbench/gen.py``, imported read-only), where
 no oracle's budget reaches.  fglcs monotonicity in the bounds is checked in
 ``test_fglcs.py``.
+
+Three solvers compute one longest path by three code paths, and must give
+the same score and the same embedding on every graph, cycles included:
+lcs, msp and memc over the query's one-character seeds listed in query
+order, and fglcs with both bounds unbounded.
 """
 
 import dataclasses
@@ -26,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from panlcs import GapParams, PangenomeGraph, solve_fglcs_sg, solve_lcs_sg, solve_memc
+from panlcs import GapParams, PangenomeGraph, Seed, solve_fglcs_sg, solve_lcs_sg, solve_memc, solve_msp
 from panlcs.oracle import enumerate_mems
 
 K_GRID = [1, 2, 3, None]
@@ -110,3 +115,31 @@ def test_relations_on_benchmark_graphs(family, seed):
     absent = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in g.edges]
     order = rng.sample(range(g.n), g.n)
     check_relations(q, g, GapParams(3, 3), seeds, subset, rng.choice(absent), order)
+
+
+def check_solvers_agree(q: bytes, g: PangenomeGraph) -> None:
+    """The cross-solver identities of the module docstring on one instance."""
+    lcs = solve_lcs_sg(q, g)
+    embedding = (lcs.q_positions, lcs.g_positions)
+    seeds = [Seed(g.ids[v], f, f, j, j) for j, v, f in helpers.match_nodes_by_rule(q, g)]  # in query order
+    for chain in (solve_msp(seeds, g), solve_memc(seeds, g)):
+        assert chain.count == chain.length == lcs.score
+        assert (tuple(s.j for s in chain.seeds), tuple((s.vertex, s.i) for s in chain.seeds)) == embedding
+    fglcs = solve_fglcs_sg(q, g, GapParams(None, None))
+    assert (fglcs.score, fglcs.q_positions, fglcs.g_positions) == (lcs.score, *embedding)
+
+
+@given(
+    helpers.graphs(max_n=5, max_label=3, acyclic=False) | helpers.cyclic_graphs(max_n=12),
+    helpers.queries(max_len=8),
+)
+@settings(max_examples=150)
+def test_solvers_agree_on_small_graphs(g, q):
+    check_solvers_agree(q, g)
+
+
+@pytest.mark.parametrize("length", [50, 75, 115])
+def test_solvers_agree_on_stress_graphs(length):
+    rng = random.Random(length)
+    g = helpers.program_graph(gen.stress_graph(rng))
+    check_solvers_agree(gen.random_text(rng, b"abcdefgh", length), g)

@@ -56,7 +56,7 @@ def sources_of(pairs, c: int) -> list[int]:
 @given(cyclic_graphs)
 def test_precedes_is_the_kernel(g):
     cg = build_char_graph(g)
-    u, a = cg.origin, cg.offset
+    u, a = cg.origin, np.arange(cg.node_count)  # vertex and character id
     across = reachability(g).matrix[u[:, None], u[None, :]]
     table = precedes(u[:, None], a[:, None], u, a, across)
     assert set(zip(*map(np.ndarray.tolist, np.nonzero(table)))) == kernel(g)
