@@ -30,9 +30,15 @@ that DAG's longest-path table directly instead, one query row at a time:
 Walking back from the first row-major maximum to the first row-major
 predecessor cell one lower reproduces the product DAG's smallest-index
 tie-break, so the emitted alignment is the one the reference construction
-gives.  Cost: O(|Q| * (N + ball pairs)) time, or O(|Q| * (N + V^2)) with
-unbounded ``k2``, and a |Q| x N table of the narrowest sufficient integer
-type, for N label characters and V vertices.
+gives.
+
+A row touches only the characters equal to its query letter.  It costs O(N)
+for the ``k1`` window, plus the ball pairs that end at those characters (a
+quarter of all pairs on DNA), or with unbounded ``k2`` V times the number of
+vertices holding the letter; the table is |Q| x N of the narrowest sufficient
+integer type, for N label characters and V vertices.  The table, and each
+breadth-first round of the balls, are refused past
+:data:`~panlcs.graph.MAX_BYTES` before they are allocated.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .daglp import MatchDag, _pair_arcs
-from .graph import CharGraph, PangenomeGraph, build_char_graph, char_distances, precedes, reachability
+from .graph import CharGraph, PangenomeGraph, build_char_graph, char_distances, check_bytes, precedes, reachability
 from .lcs import Alignment, _match_dag, alignment_from_points, match_points
 
 log = logging.getLogger(__name__)
@@ -102,23 +108,54 @@ def build_gap_match_graph(query: bytes, graph: PangenomeGraph, gaps: GapParams) 
     return _match_dag(qi, ci, _pair_arcs(len(qi), accept))
 
 
+def _by_letter(chars: np.ndarray) -> tuple[np.ndarray, dict[int, tuple[int, int]]]:
+    """The character ids sorted by letter, ascending within a letter (one
+    stable argsort), and each present letter's run ``(lo, hi)`` in them."""
+    counts = np.bincount(chars, minlength=256)
+    letters = np.flatnonzero(counts)
+    ends = np.cumsum(counts[letters]).tolist()
+    return np.argsort(chars, kind="stable"), dict(zip(letters.tolist(), zip([0] + ends, ends)))
+
+
+_ABSENT = (np.zeros(0, dtype=np.intp),) * 3  # the per-letter arrays of a letter the graph lacks
+
+
 class _BallRelation:
     """Predecessors for a finite ``k2``: character pairs at most ``k2`` arcs
-    apart that do not step backwards (or stay put) on one vertex."""
+    apart that do not step backwards (or stay put) on one vertex.
+
+    The pairs are sorted by target and then source, and regrouped by the
+    letter of their target: per letter, the targets (the letter's columns
+    that have predecessors), their concatenated sources and the offset of
+    each target's run of sources."""
 
     def __init__(self, cg: CharGraph, k2: int):
         src, dst = cg.ball_pairs(k2)
         keep = precedes(cg.origin[src], src, cg.origin[dst], dst, True)
-        self.src = src[keep]
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(dst[keep], minlength=cg.node_count))])
-        self.targets = np.flatnonzero(np.diff(self.indptr))
+        self.src, dst = src[keep], dst[keep]
+        counts = np.bincount(dst, minlength=cg.node_count)
+        self.indptr = np.concatenate([[0], np.cumsum(counts)])
+        order, runs = _by_letter(cg.chars)
+        self.columns = {letter: order[lo:hi] for letter, (lo, hi) in runs.items()}
+        # by target letter, and within a letter still by target and source
+        sources = self.src[np.argsort(cg.chars[dst], kind="stable")]
+        # prefix counts over the characters in letter order map a letter's
+        # run of characters to its run of pairs and its run of targets
+        sizes = counts[order]
+        has = sizes > 0
+        pairs_before = np.concatenate([[0], np.cumsum(sizes)])
+        targets_before = np.concatenate([[0], np.cumsum(has)])
+        targets, offsets = order[has], pairs_before[:-1][has]
+        self.groups = {}
+        for letter, (lo, hi) in runs.items():
+            first, last, start = targets_before[lo], targets_before[hi], pairs_before[lo]
+            self.groups[letter] = (targets[first:last], sources[start : pairs_before[hi]], offsets[first:last] - start)
 
-    def best(self, window: np.ndarray) -> np.ndarray:
-        """Per character, the maximum of ``window`` over its predecessors."""
-        out = np.zeros_like(window)
-        if len(self.src):
-            out[self.targets] = np.maximum.reduceat(window[self.src], self.indptr[self.targets])
-        return out
+    def best(self, window: np.ndarray, letter: int) -> tuple[np.ndarray, np.ndarray]:
+        """The columns of ``letter`` that have predecessors, and for each
+        the maximum of ``window`` over its predecessors."""
+        targets, sources, offsets = self.groups.get(letter, _ABSENT)
+        return targets, np.maximum.reduceat(window[sources], offsets) if len(offsets) else window[:0]
 
     def sources(self, c: int) -> np.ndarray:
         """The predecessors of character ``c``, ascending."""
@@ -127,22 +164,37 @@ class _BallRelation:
 
 class _ReachRelation:
     """Predecessors for an unbounded ``k2``: lower ids of the same vertex,
-    and every character of another vertex that reaches this one."""
+    and every character of another vertex that reaches this one.
+
+    Per letter it keeps the letter's columns, the vertices that hold them
+    and each column's index among those vertices, so a row reads only
+    those vertices' reachability columns."""
 
     def __init__(self, graph: PangenomeGraph, cg: CharGraph):
         self.cg = cg
         self.reach = reachability(graph).matrix  # the graph's own, read-only
         self.lifted = cg.origin << 32  # separates the vertices in one running maximum
+        order, runs = _by_letter(cg.chars)
+        self.columns = {letter: order[lo:hi] for letter, (lo, hi) in runs.items()}
+        self.groups = {}
+        for letter, cols in self.columns.items():
+            new_vertex = np.diff(cg.origin[cols], prepend=-1) != 0
+            self.groups[letter] = (cols, cg.origin[cols][new_vertex], np.cumsum(new_vertex) - 1)
 
-    def best(self, window: np.ndarray) -> np.ndarray:
+    def best(self, window: np.ndarray, letter: int) -> tuple[np.ndarray, np.ndarray]:
+        """The columns of ``letter``, and for each the maximum of
+        ``window`` over its predecessors (0 where it has none)."""
         cg = self.cg
+        cols, vertices, index = self.groups.get(letter, _ABSENT)
         inclusive = np.maximum.accumulate(self.lifted + window) - self.lifted
-        earlier = np.where(cg.offset > 0, np.roll(inclusive, 1), 0)
+        earlier = np.where(cg.offset[cols] > 0, inclusive[cols - 1], 0)
         per_vertex = inclusive[cg.starts[1:] - 1].astype(window.dtype)
-        across = np.where(self.reach, per_vertex[:, None], 0)  # V x V at the window dtype
-        np.fill_diagonal(across, 0)  # a vertex's own characters are the lower ids
-        across = across.max(axis=0, initial=0)
-        return np.maximum(earlier, across[cg.origin]).astype(window.dtype)
+        # V x the letter's vertices, masked by multiplying in place (np.where
+        # is several times slower): one array when the table has 1-byte cells
+        across = self.reach[:, vertices].view(np.uint8).astype(window.dtype, copy=False)
+        across *= per_vertex[:, None]
+        across[vertices, np.arange(len(vertices))] = 0  # a vertex's own characters are the lower ids
+        return cols, np.maximum(earlier, across.max(axis=0, initial=0)[index]).astype(window.dtype)
 
     def sources(self, c: int) -> np.ndarray:
         cg = self.cg
@@ -154,24 +206,35 @@ _Relation = _BallRelation | _ReachRelation
 
 
 def _fill_table(q: np.ndarray, cg: CharGraph, k1: int | None, relation: _Relation) -> np.ndarray:
-    """The longest-chain table, row by row.  The maximum over the last
-    ``k1`` rows combines the suffix maxima of the last complete block of
-    ``k1`` rows with the running maximum of the current block, so a row
-    costs O(N) whatever ``k1`` is."""
+    """The longest-chain table, row by row.  A row writes only the columns
+    of its query letter: 1 at each, then one more than the predecessor
+    maximum at those with predecessors.  The maximum over the last ``k1``
+    rows combines the suffix maxima of the last complete block of ``k1``
+    rows with the running maximum of the current block, so that window
+    costs O(N) per row whatever ``k1`` is."""
     m, n = len(q), cg.node_count
-    table = np.zeros((m, n), dtype=np.min_scalar_type(m))
+    dtype = np.min_scalar_type(m)
+    nbytes = m * n * dtype.itemsize
+    check_bytes(nbytes, f"fglcs table: {m} query rows x {n} characters need {nbytes} bytes")
+    table = np.zeros((m, n), dtype=dtype)
     span = m if k1 is None else k1
-    running = np.zeros(n, dtype=table.dtype)
+    running = np.zeros(n, dtype=dtype)
     suffix = None
-    for j in range(m):
+    for j, letter in enumerate(q.tolist()):
         if j and j % span == 0:
-            suffix = np.maximum.accumulate(table[j - span : j][::-1], axis=0)[::-1]
-            running = np.zeros(n, dtype=table.dtype)
-        match = cg.chars == q[j]
-        if match.any():
-            window = running if suffix is None else np.maximum(suffix[j % span], running)
-            table[j] = np.where(match, relation.best(window) + 1, 0)
-            np.maximum(running, table[j], out=running)
+            suffix = table[j - span : j].copy()
+            for r in range(span - 2, -1, -1):  # row by row: a strided accumulate is many times slower
+                np.maximum(suffix[r], suffix[r + 1], out=suffix[r])
+            running = np.zeros(n, dtype=dtype)
+        cols = relation.columns.get(letter)
+        if cols is None:
+            continue
+        window = running if suffix is None else np.maximum(suffix[j % span], running)
+        targets, best = relation.best(window, letter)
+        row = table[j]
+        row[cols] = 1
+        row[targets] = best + 1
+        np.maximum(running, row, out=running)
     return table
 
 
@@ -179,12 +242,12 @@ def _trace_back(table: np.ndarray, cg: CharGraph, k1: int | None, relation: _Rel
     """The chain of (query index, character id) cells ending at the first
     row-major maximum, each parent the first row-major predecessor cell
     holding one less: the product DAG's smallest-index tie-break."""
-    j, c = divmod(int(np.argmax(table)), cg.node_count)
+    j, c = divmod(int(table.argmax()), cg.node_count)
     cells = [(j, c)]
     for value in range(int(table[j, c]) - 1, 0, -1):
         cols = relation.sources(c)
         lo = 0 if k1 is None else max(0, j - k1)
-        first = int(np.argmax(table[lo:j, cols] == value))
+        first = int((table[lo:j].take(cols, axis=1) == value).argmax())
         j, c = lo + first // len(cols), int(cols[first % len(cols)])
         cells.append((j, c))
     return cells[::-1]
@@ -204,12 +267,11 @@ def solve_fglcs_sg(query: bytes, graph: PangenomeGraph, gaps: GapParams) -> Alig
     k1 = None if gaps.k1 is None or gaps.k1 >= len(q) - 1 else gaps.k1
     if gaps.k2 is None or gaps.k2 >= cg.node_count - 1:
         relation: _Relation = _ReachRelation(graph, cg)
+        predecessors = f"reachability, {graph.n} x {graph.n} vertices"
     else:
         relation = _BallRelation(cg, gaps.k2)
-    log.info(
-        "fglcs table: %d query rows x %d characters, predecessors by %s",
-        len(q), cg.node_count, "reachability" if isinstance(relation, _ReachRelation) else f"radius-{gaps.k2} balls",
-    )
+        predecessors = f"radius-{gaps.k2} balls, {len(relation.src)} character pairs"
+    log.info("fglcs table: %d query rows x %d characters, predecessors by %s", len(q), cg.node_count, predecessors)
     table = _fill_table(q, cg, k1, relation)
     if not table.any():
         return Alignment(0, b"", (), (), gaps=())

@@ -322,28 +322,32 @@ class CharGraph:
         A breadth-first search from every node at once, one round per
         depth over the (source, node) pairs first reached at the previous
         depth; it suits small radii, and the pair count is the size of all
-        radius-``radius`` balls together."""
+        radius-``radius`` balls together.  Each round is refused past
+        :data:`MAX_BYTES` (:func:`check_bytes`) before it allocates its
+        candidate keys."""
         n = self.node_count
         indptr, targets = self._successors
+        degrees = np.diff(indptr)
         src = node = np.arange(n, dtype=np.int64)
-        seen = src * n + node  # sorted (source, node) keys reached so far
-        found = []
-        for _ in range(radius):
-            degree = indptr[node + 1] - indptr[node]
-            if not degree.sum():
+        seen = node * (n + 1)  # sorted (node, source) keys reached so far
+        for depth in range(1, radius + 1):
+            degree = degrees[node]
+            total = int(degree.sum())
+            if not total:
                 break
-            first = np.repeat(indptr[node] - (np.cumsum(degree) - degree), degree)
-            keys = _sorted_unique(np.repeat(src, degree) * n + targets[first + np.arange(len(first))])
+            need = f"radius-{radius} balls: depth {depth} needs {8 * total} bytes for {total} candidate pairs"
+            check_bytes(8 * total, need)
+            slot = np.arange(total) + np.repeat(indptr[node] - np.cumsum(degree) + degree, degree)
+            keys = _sorted_unique(targets[slot] * n + np.repeat(src, degree))
             keys = keys[seen[np.minimum(np.searchsorted(seen, keys), len(seen) - 1)] != keys]
             if not len(keys):
                 break
-            found.append(keys)
             # timsort merges the two sorted runs in linear time
             seen = np.sort(np.concatenate([seen, keys]), kind="stable")
-            src, node = np.divmod(keys, n)
-        src, dst = np.divmod(np.concatenate(found), n) if found else (seen[:0], seen[:0])
-        order = np.lexsort((src, dst))
-        return src[order], dst[order]
+            node, src = np.divmod(keys, n)
+        dst, src = np.divmod(seen, n)
+        apart = dst != src
+        return src[apart], dst[apart]
 
     def distance(self, a: int, b: int) -> int | None:
         """The graph gap of a step from character ``a`` to character ``b``:
@@ -436,8 +440,9 @@ class ReachMatrix:
 
 
 MAX_BYTES = 2 << 30
-"""The largest array, in bytes, that the reachability matrix or the lcs
-product DAG's arc lists may take (:func:`check_bytes`)."""
+"""The largest array, in bytes, that the reachability matrix, the lcs
+product DAG's arc lists, a round of :meth:`CharGraph.ball_pairs` or the
+fglcs table may take (:func:`check_bytes`)."""
 
 
 def check_bytes(nbytes: int, need: str) -> None:

@@ -16,6 +16,7 @@ from itertools import permutations
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
 from hypothesis import strategies as st
 
 from panlcs import MatchDag, PangenomeGraph, Seed
@@ -88,6 +89,54 @@ def bfs_char_distances(graph: PangenomeGraph) -> dict[tuple[int, int], int]:
                         nxt.append(other)
             frontier = nxt
     return dists
+
+
+def char_nodes(graph: PangenomeGraph) -> list[tuple[int, int]]:
+    """(vertex, offset) of every character node, in character id order."""
+    return [(v, f) for v, label in enumerate(graph.labels) for f in range(len(label))]
+
+
+def step_kernel(graph: PangenomeGraph) -> set[tuple[int, int]]:
+    """The character-node pairs ``(x, y)`` the step rule admits: a lower
+    offset on one vertex, or a DFS path of at least one edge between two
+    vertices."""
+    nodes, reach = char_nodes(graph), dfs_reach_pairs(graph)
+    return {
+        (x, y)
+        for x, (u, a) in enumerate(nodes)
+        for y, (v, b) in enumerate(nodes)
+        if (a < b if u == v else (u, v) in reach)
+    }
+
+
+def ball_kernel(graph: PangenomeGraph, k2: int) -> set[tuple[int, int]]:
+    """The character-node pairs at most ``k2`` arcs apart (BFS) that do not
+    stay put or step back on one vertex."""
+    nodes, dist = char_nodes(graph), bfs_char_distances(graph)
+    return {
+        (x, y)
+        for (x, y), d in dist.items()
+        if d <= k2 and (nodes[x][0] != nodes[y][0] or nodes[x][1] < nodes[y][1])
+    }
+
+
+def fglcs_rows(query: bytes, graph: PangenomeGraph, k1: int | None, k2: int | None) -> np.ndarray:
+    """The fglcs longest-chain table by the all-characters row rule: row
+    ``j`` is one more than every character's maximum, over its predecessors
+    (:func:`ball_kernel`, or :func:`step_kernel` for an unbounded ``k2``),
+    of the last ``k1`` rows (all earlier rows for an unbounded ``k1``),
+    kept where the character equals ``query[j]``; at the narrowest integer
+    type that holds ``len(query)``."""
+    chars = np.frombuffer(b"".join(graph.labels), dtype=np.uint8)
+    pred = np.zeros((len(chars), len(chars)), dtype=bool)
+    for x, y in step_kernel(graph) if k2 is None else ball_kernel(graph, k2):
+        pred[x, y] = True
+    table = np.zeros((len(query), len(chars)), dtype=np.min_scalar_type(len(query)))
+    for j, letter in enumerate(query):
+        window = table[0 if k1 is None else max(0, j - k1) : j].max(axis=0, initial=0)
+        best = (window[:, None] * pred).max(axis=0, initial=0)
+        table[j] = np.where(chars == letter, best + 1, 0)
+    return table
 
 
 # ---------------------------------------------------------------------------

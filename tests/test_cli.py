@@ -371,7 +371,7 @@ class TestVerbose:
         "argv, lines",
         [
             (["lcs", "--query", "aba"], ["panlcs.lcs: product DAG: 6 matches, 5 arcs", "panlcs.daglp: longest path: 6 nodes, 5 arcs, 3 runs"]),
-            (["fglcs", "--query", "aba", "--k1", "2", "--k2", "2"], ["panlcs.fglcs: fglcs table: 3 query rows x 4 characters, predecessors by radius-2 balls"]),
+            (["fglcs", "--query", "aba", "--k1", "2", "--k2", "2"], ["panlcs.fglcs: fglcs table: 3 query rows x 4 characters, predecessors by radius-2 balls, 5 character pairs"]),
             (["chain", "--seeds", "SEEDS", "--objective", "len"], ["panlcs.chaining: chain: 2 seeds, 2 runs, 2 cells scanned"]),
         ],
         ids=["lcs", "fglcs", "chain"],
@@ -500,6 +500,13 @@ class TestGenAndMems:
         code, out, err = run(capsys, ["lcs", "--graph", graph_file, "--query", "aba"])
         assert code == 3 and out == ""
         assert "reachability: 2 vertices need 4 bytes" in err
+
+    def test_oversized_fglcs_table_exits_3(self, capsys, graph_file, monkeypatch):
+        # 3 query rows x 4 characters at one byte; the 2 x 2 reachability passes
+        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 11)
+        code, out, err = run(capsys, ["fglcs", "--graph", graph_file, "--query", "aba", "--k1", "2", "--k2", "inf"])
+        assert code == 3 and out == ""
+        assert "fglcs table: 3 query rows x 4 characters need 12 bytes, over the limit of 11" in err
 
     def test_oversized_product_dag_exits_3(self, capsys, tmp_path):
         # the benchmark's 901-vertex DNA graph and a 500-character read:

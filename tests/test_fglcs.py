@@ -20,8 +20,8 @@ from panlcs import (
     solve_lcs_sg,
 )
 from panlcs.daglp import topo_sort
-from panlcs.fglcs import build_gap_match_graph
-from panlcs.graph import char_distances
+from panlcs.fglcs import _BallRelation, _fill_table, _ReachRelation, build_gap_match_graph
+from panlcs.graph import GraphError, build_char_graph, char_distances
 from panlcs.lcs import alignment_from_points, build_match_graph
 from panlcs.oracle import fglcs_bruteforce
 
@@ -202,6 +202,20 @@ class TestTableDp:
             lcs = solve_lcs_sg(q, g)
             assert (expected.q_positions, expected.g_positions) == (lcs.q_positions, lcs.g_positions)
 
+    @given(
+        st.one_of(helpers.cyclic_graphs(max_n=12), helpers.graphs(acyclic=False)),
+        helpers.queries(max_len=8, alphabet=4),  # "d" is absent from every graph, "b" and "c" from the one-letter ones
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_table_equals_the_row_rule(self, g, q):
+        cg = build_char_graph(g)
+        for k2 in K_GRID:
+            relation = _ReachRelation(g, cg) if k2 is None else _BallRelation(cg, k2)
+            for k1 in K_GRID:
+                table = _fill_table(np.frombuffer(q, dtype=np.uint8), cg, k1, relation)
+                expected = helpers.fglcs_rows(q, g, k1, k2)
+                assert table.dtype == expected.dtype and np.array_equal(table, expected), (k1, k2)
+
     def test_dense_reference_is_not_called(self, no_dense_path):
         g = parse_graph("V a ab\nV b ba\nE a b\nE b a\n")
         for k1 in K_GRID:
@@ -249,3 +263,32 @@ class TestTableDp:
             tracemalloc.stop()
         assert g.n == 1501 and alignment.score == len(query)
         assert peak <= 3 * g.n**2
+
+
+class TestRefusal:
+    """The table and the radius-``k2`` balls are refused past
+    ``graph.MAX_BYTES`` before they are allocated."""
+
+    def test_table(self, monkeypatch):
+        # unbounded k2 reads the 1-byte reachability; the table is 4 x 3 bytes
+        g = parse_graph("V a aaa\n")
+        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 11)
+        message = r"^fglcs table: 4 query rows x 3 characters need 12 bytes, over the limit of 11$"
+        with pytest.raises(GraphError, match=message):
+            solve_fglcs_sg(b"aaaa", g, GapParams(1, None))
+        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 12)
+        assert solve_fglcs_sg(b"aaaa", g, GapParams(1, None)).score == 3
+
+    def test_ball_rounds(self, monkeypatch):
+        # 4 characters on a path: depth 1 expands 3 arcs (3 int64 keys),
+        # depth 2 the 2 arcs past them
+        g = parse_graph("V a aaaa\n")
+        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 23)
+        message = r"^radius-2 balls: depth 1 needs 24 bytes for 3 candidate pairs, over the limit of 23$"
+        with pytest.raises(GraphError, match=message):
+            build_char_graph(g).ball_pairs(2)
+        with pytest.raises(GraphError, match=message):
+            solve_fglcs_sg(b"aaa", g, GapParams(1, 2))
+        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 24)
+        assert [a.tolist() for a in build_char_graph(g).ball_pairs(2)] == [[0, 0, 1, 1, 2], [1, 2, 2, 3, 3]]
+        assert solve_fglcs_sg(b"aaa", g, GapParams(1, 2)).score == 3
