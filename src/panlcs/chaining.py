@@ -18,11 +18,13 @@ a time, in descending score order so that it stops at its best predecessor
 (:func:`_longest_chain`).  That is at most about K^2/2 cells for K seeds,
 in any input order, in O(K + block) memory.
 
-Seeds are held as int64 columns (:class:`SeedTable`), parsed and validated
-in bulk; :class:`Seed` objects are built only for the emitted chain, which
-:meth:`Chain.validate` re-checks with the scalar rule,
-:func:`strictly_precedes`.  Past the validation a seed's graph side is its
-first and last character id (see :mod:`panlcs.graph`).
+Seeds are held as int64 columns (:class:`SeedTable`), read from seed files
+and instance ``S`` lines alike and validated in bulk; :class:`Seed` objects
+are built only for the emitted chain, which :meth:`Chain.validate` re-checks
+in bulk by the same rule.  :func:`format_seeds` writes both formats' seed
+records, so seeds and instances round-trip exactly.  Past the validation a
+seed's graph side is its first and last character id (see
+:mod:`panlcs.graph`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import io
 import logging
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress
 
@@ -49,18 +51,13 @@ class SeedError(ValueError):
 @dataclass(frozen=True, slots=True)  # slots: MEM sets run to 10^5 seeds
 class Seed:
     """An exact match: vertex id, inclusive label interval ``[i, i2]``, and
-    inclusive query interval ``[j, j2]`` of equal length.
-
-    ``maximal`` marks a seed claimed to be extendable in neither direction;
-    the claim is only checked by :meth:`validate` when a query is supplied.
-    """
+    inclusive query interval ``[j, j2]`` of equal length."""
 
     vertex: str
     i: int
     i2: int
     j: int
     j2: int
-    maximal: bool = False
 
     def __post_init__(self) -> None:
         if self.i < 0 or self.j < 0:
@@ -81,7 +78,7 @@ class Seed:
 
     def validate(self, graph: PangenomeGraph, query: bytes | None = None) -> None:
         """Check bounds against the graph and, when ``query`` is given, the
-        substring equality plus any claimed maximality."""
+        substring equality."""
         label = graph.label_of(self.vertex)
         if self.i2 >= len(label):
             raise SeedError(f"seed {self._brief()}: label interval exceeds {self.vertex!r}")
@@ -91,26 +88,11 @@ class Seed:
             raise SeedError(f"seed {self._brief()}: query interval out of range")
         if label[self.i : self.i2 + 1] != query[self.j : self.j2 + 1]:
             raise SeedError(f"seed {self._brief()}: matched substrings differ")
-        if self.maximal:
-            left_open = self.i > 0 and self.j > 0 and label[self.i - 1] == query[self.j - 1]
-            right_open = (
-                self.i2 + 1 < len(label)
-                and self.j2 + 1 < len(query)
-                and label[self.i2 + 1] == query[self.j2 + 1]
-            )
-            if left_open or right_open:
-                raise SeedError(f"seed {self._brief()}: flagged maximal but extendable")
 
 
 def total_length(seeds: Iterable[Seed]) -> int:
     """Sum of seed lengths (equal over label and query intervals)."""
     return sum(seed.length for seed in seeds)
-
-
-def strictly_precedes(a: Seed, b: Seed, graph: PangenomeGraph) -> bool:
-    """Whether ``a`` can come before ``b`` in one chain."""
-    u, v = graph.vertex_index(a.vertex), graph.vertex_index(b.vertex)
-    return a.j2 < b.j and bool(precedes(u, a.i2, v, b.i, reachability(graph).matrix[u, v]))
 
 
 @dataclass(frozen=True)
@@ -122,15 +104,21 @@ class Chain:
     count: int
 
     def validate(self, graph: PangenomeGraph, query: bytes | None = None) -> None:
+        """Re-check the counts, every seed (:meth:`SeedTable.check`) and
+        every step, by the seed DAG's arc rule."""
         if self.count != len(self.seeds):
             raise SeedError("chain count disagrees with its seed list")
         if self.length != total_length(self.seeds):
             raise SeedError("chain length disagrees with its seed lengths")
-        for seed in self.seeds:
-            seed.validate(graph, query)
-        for a, b in zip(self.seeds, self.seeds[1:]):
-            if not strictly_precedes(a, b, graph):
-                raise SeedError(f"chain breaks strict order between {a._brief()} and {b._brief()}")
+        table = SeedTable.of(self.seeds)
+        first = table.check(graph, query)
+        origin = build_char_graph(graph).origin
+        a, b = (first + table.i2 - table.i)[:-1], first[1:]
+        u, v = origin[a], origin[b]
+        bad = np.flatnonzero(~precedes(u, a, v, b, reachability(graph).matrix[u, v]) | (table.j2[:-1] >= table.j[1:]))
+        if len(bad):
+            x, y = self.seeds[bad[0]], self.seeds[bad[0] + 1]
+            raise SeedError(f"chain breaks strict order between {x._brief()} and {y._brief()}")
 
 
 EMPTY_CHAIN = Chain((), 0, 0)
@@ -141,18 +129,17 @@ class SeedTable(Sequence[Seed]):
     :class:`Seed` only when it is read.
 
     ``names`` are the distinct vertex ids and ``name`` each seed's index
-    into them; ``i``, ``i2``, ``j`` and ``j2`` are int64 and ``maximal`` is
-    bool, one entry per seed.  The bounds obey the checks of :class:`Seed`.
+    into them; ``i``, ``i2``, ``j`` and ``j2`` are int64, one entry per
+    seed.  The bounds obey the checks of :class:`Seed`.
     """
 
-    __slots__ = ("names", "name", "i", "i2", "j", "j2", "maximal")
+    __slots__ = ("names", "name", "i", "i2", "j", "j2")
 
-    def __init__(self, names: tuple[str, ...], name: np.ndarray, bounds: np.ndarray, maximal: np.ndarray):
+    def __init__(self, names: tuple[str, ...], name: np.ndarray, bounds: np.ndarray):
         self.names = names
         self.name = name
         self.i, self.i2, self.j, self.j2 = np.ascontiguousarray(bounds.reshape(-1, 4).T)
-        self.maximal = maximal
-        for column in (name, self.i, self.i2, self.j, self.j2, maximal):
+        for column in (name, self.i, self.i2, self.j, self.j2):
             column.flags.writeable = False
 
     @classmethod
@@ -163,8 +150,7 @@ class SeedTable(Sequence[Seed]):
         index: dict[str, int] = {}
         name = [index.setdefault(s.vertex, len(index)) for s in seeds]
         bounds = [(s.i, s.i2, s.j, s.j2) for s in seeds]
-        maximal = np.array([s.maximal for s in seeds], dtype=bool)
-        return cls(tuple(index), np.array(name, dtype=np.int64), np.array(bounds, dtype=np.int64), maximal)
+        return cls(tuple(index), np.array(name, dtype=np.int64), np.array(bounds, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.name)
@@ -172,14 +158,14 @@ class SeedTable(Sequence[Seed]):
     def __getitem__(self, k):
         if isinstance(k, slice):
             bounds = np.stack([self.i[k], self.i2[k], self.j[k], self.j2[k]], axis=1)
-            return SeedTable(self.names, self.name[k], bounds, self.maximal[k])
+            return SeedTable(self.names, self.name[k], bounds)
         i, i2, j, j2 = (int(column[k]) for column in (self.i, self.i2, self.j, self.j2))
-        return Seed(self.names[self.name[k]], i, i2, j, j2, bool(self.maximal[k]))
+        return Seed(self.names[self.name[k]], i, i2, j, j2)
 
     def __iter__(self) -> Iterator[Seed]:
-        columns = (self.name, self.i, self.i2, self.j, self.j2, self.maximal)
-        for name, i, i2, j, j2, maximal in zip(*(column.tolist() for column in columns)):
-            yield Seed(self.names[name], i, i2, j, j2, maximal)
+        columns = (self.name, self.i, self.i2, self.j, self.j2)
+        for name, i, i2, j, j2 in zip(*(column.tolist() for column in columns)):
+            yield Seed(self.names[name], i, i2, j, j2)
 
     def __repr__(self) -> str:
         return f"SeedTable({len(self)} seeds)"
@@ -187,9 +173,8 @@ class SeedTable(Sequence[Seed]):
     def check(self, graph: PangenomeGraph, query: bytes | None = None) -> np.ndarray:
         """:meth:`Seed.validate` of every seed, in bulk, returning each
         seed's first character id: bounds, and with a query the substring
-        equality and maximality claims.  A failure re-runs the scalar check on the
-        first failing seed, so the error is the one :meth:`Seed.validate`
-        raises."""
+        equality.  A failure re-runs the scalar check on the first failing
+        seed, so the error is the one :meth:`Seed.validate` raises."""
         vert = np.array([graph.index.get(vid, -1) for vid in self.names], dtype=np.int64)[self.name]
         cg = build_char_graph(graph)
         label_len = np.diff(cg.starts)
@@ -198,21 +183,19 @@ class SeedTable(Sequence[Seed]):
         if query is not None:
             ok &= self.j2 < len(query)
             rows = np.flatnonzero(ok)
-            ok[rows] = self._spelled(rows, vert[rows], cg, label_len, query)
+            ok[rows] = self._spelled(rows, vert[rows], cg, query)
         if not ok.all():
             k = int(np.argmin(ok))
             self[k].validate(graph, query)
             raise AssertionError(f"bulk check refused seed {k}, the scalar check accepts it")
         return cg.starts[vert] + self.i
 
-    def _spelled(
-        self, rows: np.ndarray, vert: np.ndarray, cg: CharGraph, label_len: np.ndarray, query: bytes
-    ) -> np.ndarray:
+    def _spelled(self, rows: np.ndarray, vert: np.ndarray, cg: CharGraph, query: bytes) -> np.ndarray:
         """Whether each seed of ``rows``, in bounds on vertices ``vert``,
-        spells the query's bytes and, if flagged maximal, extends in
-        neither direction; compared ``_BLOCK_CELLS`` characters at a time."""
+        spells the query's bytes; compared ``_BLOCK_CELLS`` characters at a
+        time."""
         q = np.frombuffer(query, dtype=np.uint8)
-        i, i2, j, j2 = self.i[rows], self.i2[rows], self.j[rows], self.j2[rows]
+        i, i2, j = self.i[rows], self.i2[rows], self.j[rows]
         shift = cg.starts[vert] + i - j  # label character of query position p: p + shift
         length = i2 - i + 1
         ends = np.cumsum(length)
@@ -225,13 +208,6 @@ class SeedTable(Sequence[Seed]):
             qpos = np.arange(int(runs.sum())) - np.repeat(first - j[lo:hi], runs)
             ok[lo:hi] = np.logical_and.reduceat(cg.chars[qpos + np.repeat(shift[lo:hi], runs)] == q[qpos], first)
             lo = hi
-        flagged = np.flatnonzero(self.maximal[rows] & ok)
-        i, i2, j, j2, shift = i[flagged], i2[flagged], j[flagged], j2[flagged], shift[flagged]
-        left = (i > 0) & (j > 0)
-        left[left] = cg.chars[j[left] - 1 + shift[left]] == q[j[left] - 1]
-        right = (i2 + 1 < label_len[vert[flagged]]) & (j2 + 1 < len(q))
-        right[right] = cg.chars[j2[right] + 1 + shift[right]] == q[j2[right] + 1]
-        ok[flagged] = ~(left | right)
         return ok
 
 
@@ -384,31 +360,22 @@ def solve_msp(seeds: Sequence[Seed], graph: PangenomeGraph, *, query: bytes | No
 # ---------------------------------------------------------------------------
 
 
-def parse_seed_line(tokens: Sequence[bytes], lineno: int) -> Seed:
-    """One `<vertex> <i> <i'> <j> <j'>` record, already split into tokens;
-    errors name ``lineno``."""
-    if len(tokens) != 5:
-        raise SeedError(f"line {lineno}: expected `<vertex> <i> <i'> <j> <j'>`")
-    try:
-        return Seed(token_text(tokens[0]), *[int(t) for t in tokens[1:]])
-    except SeedError as exc:
-        raise SeedError(f"line {lineno}: {exc}") from None
-    except ValueError:
-        raise SeedError(f"line {lineno}: interval bounds must be integers") from None
-
-
 def parse_seeds(text: bytes | str) -> SeedTable:
     """Parse `<vertex> <i> <i'> <j> <j'>` records (inclusive bounds; see
-    :func:`~panlcs.graph.records`) into a :class:`SeedTable`.
+    :func:`~panlcs.graph.records`) into a :class:`SeedTable`."""
+    return _read_seeds(lambda: records(text))
 
-    The bounds are checked in bulk; on any malformed record the records are
-    parsed again one by one, so the error names the first bad line as
-    :func:`parse_seed_line` does."""
+
+def _read_seeds(rows: Callable[[], Iterable[tuple[int, Sequence[bytes]]]]) -> SeedTable:
+    """The seed records that ``rows()`` yields as (line number, tokens), in
+    a :class:`SeedTable`.  The bounds are checked in bulk; on any malformed
+    record the records are read again one by one, so the error names the
+    first bad line."""
     index: dict[bytes, int] = {}
     name: list[int] = []
     bounds: list[int] = []
     try:
-        for _, tokens in records(text):
+        for _, tokens in rows():
             if len(tokens) != 5:
                 raise ValueError
             name.append(index.setdefault(tokens[0], len(index)))
@@ -418,11 +385,17 @@ def parse_seeds(text: bytes | str) -> SeedTable:
         if not np.all((i >= 0) & (j >= 0) & (i2 >= i) & (j2 >= j) & (i2 - i == j2 - j)):
             raise ValueError
     except (ValueError, OverflowError):  # OverflowError: a bound beyond int64
-        for lineno, tokens in records(text):
-            parse_seed_line(tokens, lineno)
+        for lineno, tokens in rows():
+            if len(tokens) != 5:
+                raise SeedError(f"line {lineno}: expected `<vertex> <i> <i'> <j> <j'>`") from None
+            try:
+                Seed(token_text(tokens[0]), *[int(t) for t in tokens[1:]])
+            except SeedError as exc:
+                raise SeedError(f"line {lineno}: {exc}") from None
+            except ValueError:
+                raise SeedError(f"line {lineno}: interval bounds must be integers") from None
         raise AssertionError("bulk seed parsing refused what the scalar parser accepts") from None
-    names = tuple(map(token_text, index))
-    return SeedTable(names, np.array(name, dtype=np.int64), columns, np.zeros(len(name), dtype=bool))
+    return SeedTable(tuple(map(token_text, index)), np.array(name, dtype=np.int64), columns)
 
 
 def format_seeds(seeds: Iterable[Seed]) -> str:

@@ -203,7 +203,9 @@ def _pair_arcs(m: int, accept_block) -> tuple[np.ndarray, np.ndarray]:
     destination.  Returns CSR arcs ``(indptr, dst)``, each source's
     destinations ascending.
 
-    Each block's destinations are kept at the node dtype, then joined."""
+    Each block's destinations are kept at the node dtype, then joined;
+    the running total is refused past :data:`~panlcs.graph.MAX_BYTES`
+    before a block is kept."""
     block = max(1, _BLOCK_CELLS // max(m, 1))
     indptr = np.zeros(m + 1, dtype=np.int64)
     pieces = [np.empty(0, dtype=_node_type(m))]
@@ -211,6 +213,8 @@ def _pair_arcs(m: int, accept_block) -> tuple[np.ndarray, np.ndarray]:
         hi = min(lo + block, m)
         flat = np.flatnonzero(accept_block(lo, hi))  # row r, column c at r * m + c; 2-d nonzero is slower
         indptr[lo + 1 : hi + 1] = indptr[lo] + np.searchsorted(flat, np.arange(1, hi - lo + 1) * m)
+        need = int(indptr[hi]) * pieces[0].itemsize
+        check_bytes(need, f"pair scan: {indptr[hi]} arcs over {m} nodes need {need} bytes")
         pieces.append(np.remainder(flat, m, out=flat).astype(pieces[0].dtype))
         del flat  # free the block's cell indices before the next block's
     return indptr, np.concatenate(pieces)

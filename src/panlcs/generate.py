@@ -10,6 +10,9 @@ solver subcommands::
     Q abcab         the query (at most one line)
     S v0 0 2 1 3    seeds: vertex, label interval, query interval
 
+``S`` lines are written and read as seed files are, so :func:`parse_instance`
+reads back exactly the instance :func:`instance_to_tsv` wrote.
+
 Generation is fully determined by the seed: identical inputs reproduce
 byte-identical output.  Labels are drawn from a small alphabet on purpose;
 sparse alphabets keep matches dense enough to exercise long chains.
@@ -20,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .chaining import Seed, parse_seed_line
+from .chaining import Seed, _read_seeds, format_seeds
 from .graph import GraphError, PangenomeGraph, records, tsv_record
 from .oracle import enumerate_mems
 
@@ -97,8 +100,9 @@ def generate_instance(seed: int, profile: GenProfile = GenProfile()) -> Instance
 
 
 def instance_to_tsv(instance: Instance) -> str:
-    """Render an instance in the bundled TSV format; :func:`parse_instance`
-    reads back the same instance, maximality claims of seeds aside."""
+    """Render an instance in the bundled TSV format (``S`` lines by
+    :func:`~panlcs.chaining.format_seeds`); :func:`parse_instance` reads
+    back the same instance."""
     lines = []
     graph = instance.graph
     for vid, label in zip(graph.ids, graph.labels):
@@ -107,29 +111,35 @@ def instance_to_tsv(instance: Instance) -> str:
         lines.append(f"E\t{graph.ids[u]}\t{graph.ids[v]}")
     if instance.query is not None:
         lines.append(f"Q\t{instance.query.decode('latin-1')}" if instance.query else "Q")
-    for s in instance.seeds:
-        lines.append(f"S\t{s.vertex}\t{s.i}\t{s.i2}\t{s.j}\t{s.j2}")
+    # split at "\n" only: str.splitlines also breaks at bytes a label may hold (0x1c-0x1e, 0x85)
+    lines.extend("S\t" + line for line in format_seeds(instance.seeds).split("\n")[:-1])
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_instance(text: bytes | str) -> Instance:
     """Parse the bundled format in one pass over its records (see
     :func:`~panlcs.graph.records`); plain V/E graph files parse as
-    instances with no query and no seeds."""
+    instances with no query and no seeds.  ``S`` records are read as seed
+    files are (:func:`~panlcs.chaining.parse_seeds`)."""
     vertices: list[tuple[str, bytes]] = []
     edges: list[tuple[str, str]] = []
     query: bytes | None = None
-    seeds: list[Seed] = []
-    for lineno, tokens in records(text):
-        tag = tokens[0]
-        if tag == b"Q":
-            if query is not None:
-                raise GraphError(f"line {lineno}: more than one Q line")
-            if len(tokens) > 2:
-                raise GraphError(f"line {lineno}: queries may not contain whitespace")
-            query = tokens[1] if len(tokens) == 2 else b""
-        elif tag == b"S":
-            seeds.append(parse_seed_line(tokens[1:], lineno))
-        else:
-            tsv_record(lineno, tokens, vertices, edges)
-    return Instance(PangenomeGraph.from_items(vertices, edges), query, tuple(seeds))
+    seed_rows: list[tuple[int, list[bytes]]] = []
+    try:
+        for lineno, tokens in records(text):
+            tag = tokens[0]
+            if tag == b"Q":
+                if query is not None:
+                    raise GraphError(f"line {lineno}: more than one Q line")
+                if len(tokens) > 2:
+                    raise GraphError(f"line {lineno}: queries may not contain whitespace")
+                query = tokens[1] if len(tokens) == 2 else b""
+            elif tag == b"S":
+                seed_rows.append((lineno, tokens[1:]))
+            else:
+                tsv_record(lineno, tokens, vertices, edges)
+    except GraphError:
+        _read_seeds(lambda: seed_rows)  # a bad S line before the bad record is named instead
+        raise
+    seeds = tuple(_read_seeds(lambda: seed_rows))  # before a graph error, as the S lines come first
+    return Instance(PangenomeGraph.from_items(vertices, edges), query, seeds)

@@ -441,8 +441,9 @@ class ReachMatrix:
 
 MAX_BYTES = 2 << 30
 """The largest array, in bytes, that the reachability matrix, the lcs
-product DAG's arc lists, a round of :meth:`CharGraph.ball_pairs` or the
-fglcs table may take (:func:`check_bytes`)."""
+product DAG's arc lists, the arcs of a pair scan, a round of
+:meth:`CharGraph.ball_pairs`, the fglcs table or the character distances
+may take (:func:`check_bytes`)."""
 
 
 def check_bytes(nbytes: int, need: str) -> None:
@@ -554,9 +555,12 @@ def char_distances(graph: PangenomeGraph) -> np.ndarray:
     no path leads, 0 on the diagonal.
 
     The dense reference for :meth:`CharGraph.distance` and
-    :meth:`CharGraph.ball_pairs`: cubic in the character count."""
+    :meth:`CharGraph.ball_pairs`: cubic in the character count, refused
+    past :data:`MAX_BYTES` before the matrix is allocated."""
     char_graph = build_char_graph(graph)
     total = char_graph.node_count
+    need = 8 * total * total
+    check_bytes(need, f"character distances: {total} characters need {need} bytes for the character-pair matrix")
     dist = np.full((total, total), np.inf)
     if total:
         np.fill_diagonal(dist, 0.0)

@@ -382,5 +382,5 @@ def enumerate_mems(query: bytes, graph: PangenomeGraph) -> tuple[Seed, ...]:
                 run = 1
                 while i + run < len(label) and j + run < len(query) and label[i + run] == query[j + run]:
                     run += 1
-                mems.append(Seed(vid, i, i + run - 1, j, j + run - 1, maximal=True))
+                mems.append(Seed(vid, i, i + run - 1, j, j + run - 1))
     return tuple(mems)

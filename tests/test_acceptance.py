@@ -7,7 +7,6 @@ lines on the terminal.
 import json
 import random
 import time
-from dataclasses import replace
 from functools import lru_cache
 
 import helpers
@@ -83,7 +82,7 @@ def seed_corpus(count=300) -> tuple:
         alphabet = rng.randint(2, 3)
         g = helpers.random_graph(rng, max_n=5, max_label=3, alphabet=alphabet, acyclic=True)
         q = helpers.random_query(rng, max_len=8, alphabet=alphabet)
-        mems = [replace(m, maximal=False) for m in enumerate_mems(q, g)]
+        mems = list(enumerate_mems(q, g))
         if len(mems) > 10:
             mems = [mems[k] for k in sorted(rng.sample(range(len(mems)), 10))]
         # occasionally shrink a seed: chaining must accept non-maximal input

@@ -20,7 +20,7 @@ from panlcs import (
     solve_memc,
     solve_msp,
 )
-from panlcs.chaining import SeedTable, build_seed_graph, format_seeds, parse_seed_line, strictly_precedes, total_length
+from panlcs.chaining import EMPTY_CHAIN, Chain, SeedTable, build_seed_graph, format_seeds, total_length
 from panlcs.daglp import longest_path_vertex, topo_sort
 from panlcs.graph import GraphError, records
 from panlcs.oracle import memc_bruteforce, msp_bruteforce
@@ -78,12 +78,6 @@ class TestSeed:
         with pytest.raises(SeedError, match="substrings differ"):
             Seed("u", 0, 2, 0, 2).validate(TWO_VERTEX, b"abz")
 
-    def test_maximality_flag_checked_with_query(self):
-        # "ab" inside label "abcq" and query "abc": extendable right
-        with pytest.raises(SeedError, match="extendable"):
-            Seed("u", 0, 1, 0, 1, maximal=True).validate(TWO_VERTEX, b"abc")
-        Seed("u", 0, 2, 0, 2, maximal=True).validate(TWO_VERTEX, b"abc")
-
     def test_length(self):
         assert Seed("u", 1, 3, 5, 7).length == 3
 
@@ -102,7 +96,20 @@ class TestTotalLength:
         assert total_length(seeds) == sum(s.j2 - s.j + 1 for s in seeds)
 
 
+def strictly_precedes(a, b, graph):
+    """Whether the two-seed chain ``a, b`` passes :meth:`Chain.validate`;
+    any other refusal fails the test."""
+    try:
+        Chain((a, b), a.length + b.length, 2).validate(graph)
+    except SeedError as exc:
+        assert str(exc) == f"chain breaks strict order between {a._brief()} and {b._brief()}"
+        return False
+    return True
+
+
 class TestStrictlyPrecedes:
+    """The step rule of chains, as :meth:`Chain.validate` checks it."""
+
     def test_same_vertex_disjoint_forward(self):
         a = Seed("u", 0, 1, 0, 1)
         b = Seed("u", 3, 3, 5, 5)
@@ -275,8 +282,29 @@ class TestChainValidation:
             chain = solve_memc(seeds, g)
             chain.validate(g)
             for a, b in zip(chain.seeds, chain.seeds[1:]):
-                assert strictly_precedes(a, b, g)
+                assert helpers.seed_precedes_brute(a, b, g)
             assert chain.length == total_length(chain.seeds)
+
+    def test_empty_and_one_seed_chains_pass(self):
+        EMPTY_CHAIN.validate(TWO_VERTEX, b"")
+        Chain((Seed("w", 1, 2, 0, 1),), 2, 1).validate(TWO_VERTEX, b"bc")
+
+    def test_counts_are_checked_first(self):
+        seeds = (Seed("x", 0, 0, 0, 0),)  # an unknown vertex: the seed check comes after
+        with pytest.raises(SeedError, match="^chain count disagrees with its seed list$"):
+            Chain(seeds, 1, 2).validate(TWO_VERTEX)
+        with pytest.raises(SeedError, match="^chain length disagrees with its seed lengths$"):
+            Chain(seeds, 2, 1).validate(TWO_VERTEX)
+
+    def test_first_bad_seed_then_first_bad_step(self):
+        a, b, c = Seed("u", 0, 0, 0, 0), Seed("w", 0, 0, 1, 1), Seed("u", 1, 1, 2, 2)
+        with pytest.raises(SeedError, match=r"^chain breaks strict order between \('w', \[0,0\], \[1,1\]\) and \('u'"):
+            Chain((a, b, c, Seed("u", 0, 0, 1, 1)), 4, 4).validate(TWO_VERTEX)  # b -> c and c -> the last fail
+        bad = Seed("w", 2, 3, 4, 5)  # spells "cq", not the query's "ab"
+        with pytest.raises(SeedError, match=re.escape("seed ('w', [2,3], [4,5]): matched substrings differ")):
+            Chain((c, a, bad, Seed("u", 0, 9, 0, 9)), 14, 4).validate(TWO_VERTEX, b"abbqab")
+        with pytest.raises(GraphError, match="unknown vertex id 'x'"):
+            Chain((c, a, Seed("x", 0, 0, 0, 0)), 3, 3).validate(TWO_VERTEX)
 
 
 class TestSeedTsv:
@@ -406,9 +434,11 @@ class TestSeedTable:
         with pytest.raises(ValueError):
             table.j[0] = 5
 
-    def test_of_seeds_keeps_maximal_flags(self):
-        seeds = (Seed("u", 0, 2, 0, 2, maximal=True), Seed("w", 1, 1, 5, 5))
+    def test_of_seeds_reads_back_the_seeds(self):
+        seeds = (Seed("u", 0, 2, 0, 2), Seed("w", 1, 1, 5, 5), Seed("u", 3, 3, 1, 1))
         assert tuple(SeedTable.of(seeds)) == seeds
+        table = parse_seeds(format_seeds(seeds))
+        assert SeedTable.of(table) is table
 
 
 def scalar_validate_error(seeds, graph, query):
@@ -432,19 +462,14 @@ class TestBulkSeedErrors:
             ([Seed("w", 3, 3, 3, 3), Seed("u", 0, 9, 0, 9), Seed("x", 0, 0, 0, 0)], "label interval exceeds"),
             ([Seed("u", 0, 0, 0, 0), Seed("w", 0, 1, 3, 4), Seed("u", 1, 1, 0, 0)], "query interval out of range"),
             ([Seed("u", 0, 1, 1, 2), Seed("w", 0, 1, 3, 4)], "matched substrings differ"),
-            ([Seed("u", 0, 0, 0, 0), Seed("u", 0, 1, 0, 1, maximal=True), Seed("u", 0, 0, 1, 1)], "flagged maximal"),
-            ([Seed("u", 1, 1, 1, 1, maximal=True), Seed("x", 0, 0, 0, 0)], "flagged maximal"),
         ],
-        ids=["vertex", "label", "query", "substrings", "maximal-right", "maximal-left"],
+        ids=["vertex", "label", "query", "substrings"],
     )
     def test_first_failing_seed_names_its_fault(self, seeds, message):
         query = b"abcq"
         kind, expected = scalar_validate_error(seeds, TWO_VERTEX, query)
         assert message in expected
-        inputs = [tuple(seeds)]
-        if not any(s.maximal for s in seeds):
-            inputs.append(parse_seeds(format_seeds(seeds)))
-        for given_seeds in inputs:
+        for given_seeds in (tuple(seeds), parse_seeds(format_seeds(seeds))):
             for solve in (solve_memc, solve_msp):
                 with pytest.raises(kind, match=re.escape(expected)):
                     solve(given_seeds, TWO_VERTEX, query=query)
@@ -468,16 +493,23 @@ class TestBulkSeedErrors:
         ],
     )
     def test_parse_errors_name_the_first_bad_line(self, text, message):
-        scalar = next(filter(None, (_scalar_parse_error(lineno, tokens) for lineno, tokens in records(text))))
+        scalar = next(filter(None, (_one_record_error(lineno, tokens) for lineno, tokens in records(text))))
         assert scalar.startswith(message)
         with pytest.raises(SeedError) as info:
             parse_seeds(text)
         assert str(info.value) == scalar
+        # the same records as the S lines of an instance, on the same lines
+        lines = text.splitlines(keepends=True)
+        instance = "".join(line if line[:1] in "#\n" else "S " + line for line in lines)
+        with pytest.raises(SeedError) as info:
+            parse_instance(instance)
+        assert str(info.value) == scalar
 
 
-def _scalar_parse_error(lineno, tokens):
+def _one_record_error(lineno, tokens):
+    """The error of :func:`parse_seeds` on this record alone, at ``lineno``."""
     try:
-        parse_seed_line(tokens, lineno)
+        parse_seeds(b" ".join(tokens))
     except SeedError as exc:
-        return str(exc)
+        return str(exc).replace("line 1:", f"line {lineno}:", 1)
     return None

@@ -10,6 +10,7 @@ from panlcs import daglp
 from panlcs import CycleError, DagError, MatchDag, Seed, longest_path_edge, longest_path_vertex, parse_dag, parse_graph
 from panlcs.chaining import build_seed_graph
 from panlcs.daglp import _runs, topo_sort
+from panlcs.graph import GraphError
 
 
 def dag(n, arcs=(), weights=None, arc_weights=None):
@@ -309,6 +310,31 @@ class TestCsrLayout:
         indptr, dst = daglp._pair_arcs(n, accept)
         assert indptr.dtype == np.int64 and indptr.tolist() == [0] + list(range(n))
         assert dst.dtype == dtype and (dst == 0).all()
+
+    def test_dense_scan_refused_before_the_block_past_the_limit(self, monkeypatch):
+        # one row per block, 4 arcs each: the third block brings 12 one-byte destinations
+        monkeypatch.setattr(daglp, "_BLOCK_CELLS", 4)
+        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 11)
+        blocks = []
+
+        def accept(lo, hi):
+            blocks.append(lo)
+            return np.ones((hi - lo, 4), dtype=bool)
+
+        with pytest.raises(GraphError, match=r"^pair scan: 12 arcs over 4 nodes need 12 bytes, over the limit of 11$"):
+            daglp._pair_arcs(4, accept)
+        assert blocks == [0, 1, 2]
+        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 16)
+        assert len(daglp._pair_arcs(4, accept)[1]) == 16
+
+    def test_seed_graph_refused_past_the_limit(self, monkeypatch):
+        g = parse_graph("V a aaa\n")
+        seeds = [Seed("a", k, k, k, k) for k in range(3)]  # 3 arcs: 0 -> 1, 0 -> 2, 1 -> 2
+        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 2)
+        with pytest.raises(GraphError, match=r"^pair scan: 3 arcs over 3 nodes need 3 bytes"):
+            build_seed_graph(seeds, g)
+        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 3)
+        assert build_seed_graph(seeds, g).n_arcs == 3
 
     @pytest.mark.parametrize("q_start", [[0, 0, 1, 2, 3], [3, 0, 2, 1, 0]], ids=["successor", "dense"])
     def test_builders_return_csr(self, q_start):

@@ -1,11 +1,9 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from panlcs import Instance, PangenomeGraph, Seed, parse_instance, parse_seeds, solve_lcs_sg
+from panlcs import GraphError, Instance, PangenomeGraph, Seed, SeedError, parse_instance, parse_seeds, solve_lcs_sg
 from panlcs.chaining import format_seeds
 from panlcs.generate import GenProfile, generate_instance, instance_to_tsv
 from panlcs.graph import reachability
@@ -50,9 +48,12 @@ class TestGenerateInstance:
 
     def test_seeds_are_verified_maximal_matches(self):
         inst = generate_instance(9, GenProfile(n=4, query_len=8))
-        assert all(s.maximal for s in inst.seeds)
+        assert inst.seeds
         for seed in inst.seeds:
             seed.validate(inst.graph, inst.query)
+            label, q = inst.graph.label_of(seed.vertex), inst.query
+            assert seed.i == 0 or seed.j == 0 or label[seed.i - 1] != q[seed.j - 1]
+            assert seed.i2 == len(label) - 1 or seed.j2 == len(q) - 1 or label[seed.i2 + 1] != q[seed.j2 + 1]
 
     def test_max_seeds_cap(self):
         inst = generate_instance(3, GenProfile(n=4, query_len=10, alphabet=2, max_seeds=5))
@@ -67,11 +68,10 @@ class TestGenerateInstance:
             GenProfile(n=0)
 
     def test_round_trip_through_tsv(self):
-        inst = generate_instance(5, GenProfile(n=4, query_len=8))
-        parsed = parse_instance(instance_to_tsv(inst))
-        assert parsed.graph == inst.graph
-        assert parsed.query == inst.query
-        assert parsed.seeds == tuple(replace(s, maximal=False) for s in inst.seeds)
+        for acyclic in (True, False):
+            for seed in range(50):
+                inst = generate_instance(seed, GenProfile(acyclic=acyclic))
+                assert parse_instance(instance_to_tsv(inst)) == inst
 
     def test_empty_query_round_trips(self):
         inst = generate_instance(5, GenProfile(n=2, query_len=0, max_seeds=0))
@@ -107,3 +107,19 @@ def test_writers_and_readers_round_trip_every_byte(instance):
     assert parse_instance(instance_to_tsv(instance)) == instance
     assert parse_instance(instance_to_tsv(instance).encode("latin-1")) == instance
     assert tuple(parse_seeds(format_seeds(instance.seeds))) == instance.seeds
+
+
+@pytest.mark.parametrize(
+    "text, kind, message",
+    [
+        ("V a x\nS a 0 1 0\nV a\n", SeedError, "line 2: expected `<vertex> <i> <i'> <j> <j'>`"),
+        ("V a\nS a 0 1 0\n", GraphError, "line 1: empty label (V lines need `V <id> <label>`)"),
+        ("Q ab\nS a 0 x 0 0\nQ c\n", SeedError, "line 2: interval bounds must be integers"),
+        ("Q ab\nS a 0 0 0 0\nQ c\nS a 1 0 0 0\n", GraphError, "line 3: more than one Q line"),
+        ("S a 1 0 1 0\nE a b\n", SeedError, "line 1: seed ('a', [1,0], [1,0]): empty or reversed interval"),
+    ],
+)
+def test_instance_errors_name_the_first_bad_line(text, kind, message):
+    with pytest.raises(kind) as info:
+        parse_instance(text)
+    assert type(info.value) is kind and str(info.value) == message

@@ -380,6 +380,15 @@ class TestCharDistances:
             for b in range(total):
                 assert cd[a, b] == expected.get((a, b), np.inf)
 
+    def test_refuses_an_oversized_matrix(self, monkeypatch):
+        # 3 characters: a 3 x 3 float64 matrix of 72 bytes
+        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 71)
+        g = parse_graph("V a xyz\n")
+        with pytest.raises(GraphError, match=r"^character distances: 3 characters need 72 bytes .* limit of 71$"):
+            char_distances(g)
+        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 72)
+        assert char_distances(g).shape == (3, 3)
+
     @given(helpers.graphs(acyclic=False, max_n=4, max_label=3))
     def test_triangle_inequality(self, g):
         m = char_distances(g)

@@ -165,7 +165,7 @@ class TestChainBruteforce:
 class TestEnumerateMems:
     def test_full_match(self):
         mems = enumerate_mems(b"abc", parse_graph("V v abc\n"))
-        assert mems == (Seed("v", 0, 2, 0, 2, maximal=True),)
+        assert mems == (Seed("v", 0, 2, 0, 2),)
 
     def test_two_single_characters(self):
         mems = enumerate_mems(b"ab", parse_graph("V v ba\n"))

@@ -2,6 +2,11 @@
 longest-path solver, the parsers and the result types.  Reference
 builders, oracles and generators are imported from their own modules."""
 
+import ast
+from pathlib import Path
+
+import pytest
+
 import panlcs
 
 PUBLIC = [
@@ -45,3 +50,16 @@ def test_star_import_binds_exactly_the_api():
 
 def test_no_oracle_export():
     assert all(getattr(panlcs, name).__module__ != "panlcs.oracle" for name in PUBLIC)
+
+
+@pytest.mark.parametrize("module", ["graph", "daglp", "lcs", "fglcs", "chaining"])
+def test_solver_modules_import_no_oracle(module):
+    # read the source: ``import panlcs`` loads ``generate``, which imports the oracle
+    tree = ast.parse((Path(panlcs.__file__).parent / f"{module}.py").read_text())
+    imported = []  # each module, and each name imported from one, as a dotted path
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert not {path.rsplit(".", 1)[-1] for path in imported} & {"oracle", "generate"}

@@ -6,8 +6,9 @@ depth-first search finds a path of at least one edge from ``u`` to ``v``.
 ``graph.precedes`` states it once.  Here it, ``Alignment.validate`` and both
 fglcs predecessor relations (including their per-letter ``best``, which
 restates the rule) must give the kernel's answer, cycles included.  The arc
-builders and ``chaining.strictly_precedes`` are held to the same rule in
-``test_lcs.py`` and ``test_chaining.py``.
+builders and the step check of ``Chain.validate`` (on two-seed chains,
+``TestStrictlyPrecedes``) are held to the same rule in ``test_lcs.py`` and
+``test_chaining.py``.
 """
 
 import numpy as np
