@@ -4,12 +4,13 @@ Subcommands: ``lcs``, ``fglcs``, ``chain`` (objective len or count), ``lp``
 (raw DAG debug solve), ``oracle`` (brute-force optimum), ``gen`` (seeded
 instance generator), and ``mems`` (maximal exact match enumeration).
 ``oracle`` and ``--oracle-check`` run the exhaustive oracles, which refuse
-instances beyond their size budget (exit 3); ``mems`` and ``gen`` enumerate
-MEMs in polynomial time, with no budget.
+instances beyond their fixed size caps (exit 3); ``mems`` and ``gen`` enumerate
+MEMs in polynomial time, with no cap.
 
 JSON is the canonical machine output; the human and tsv modes render the
 same record.  Exit codes: 0 success, 2 usage error, 3 parse or validation
-error, 4 oracle mismatch under ``--oracle-check``.  The only environment
+error or an instance too large (a size check, or running out of memory),
+4 oracle mismatch under ``--oracle-check``.  The only environment
 variable honored is ``NO_COLOR``, which disables colored human output.
 ``-v`` on the solver subcommands logs each stage's sizes to stderr.
 """
@@ -408,6 +409,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (GraphError, DagError, CycleError, SeedError, OracleError, AlignmentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:  # the backstop behind the size checks that refuse before allocating
+        print("error: out of memory: the input is too large to solve in the memory available", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -21,7 +21,9 @@ sparse alphabets keep matches dense enough to exercise long chains.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, groupby
 
 from .chaining import Seed, _read_seeds, format_seeds
 from .graph import GraphError, PangenomeGraph, records, tsv_record
@@ -70,26 +72,30 @@ def generate_instance(seed: int, profile: GenProfile = GenProfile()) -> Instance
     matches.  With ``profile.acyclic`` the graph is a DAG by construction
     (edges only follow a random vertex order)."""
     rng = random.Random(seed)
+    n = profile.n
     letters = _LETTERS[: profile.alphabet]
-    ids = [f"v{k}" for k in range(profile.n)]
+    ids = [f"v{k}" for k in range(n)]
     labels = [
         bytes(rng.choice(letters) for _ in range(rng.randint(profile.label_min, profile.label_max)))
         for _ in ids
     ]
+    # edges are drawn as indices into the candidate (u, v) pairs in u-major
+    # order, so memory grows with n and the edge count, never n**2
     if profile.acyclic:
-        order = rng.sample(range(profile.n), profile.n)
-        position = {v: k for k, v in enumerate(order)}
-        candidates = [
-            (ids[u], ids[v])
-            for u in range(profile.n)
-            for v in range(profile.n)
-            if position[u] < position[v]
-        ]
+        order = rng.sample(range(n), n)
+        position = [0] * n
+        for k, v in enumerate(order):
+            position[v] = k
+        # u's block of pairs: the n - 1 - position[u] vertices after u in the order, by index
+        firsts = list(accumulate((n - 1 - position[u] for u in range(n)), initial=0))
+        picks = sorted(rng.sample(range(firsts[-1]), min(profile.edges, firsts[-1])))
+        pairs = []
+        for u, group in groupby(picks, key=lambda k: bisect_right(firsts, k) - 1):
+            later = sorted(order[position[u] + 1 :])
+            pairs += ((u, later[k - firsts[u]]) for k in group)
     else:
-        candidates = [
-            (ids[u], ids[v]) for u in range(profile.n) for v in range(profile.n)
-        ]
-    edges = sorted(rng.sample(candidates, min(profile.edges, len(candidates))))
+        pairs = [divmod(k, n) for k in rng.sample(range(n * n), min(profile.edges, n * n))]
+    edges = sorted((ids[u], ids[v]) for u, v in pairs)
     graph = PangenomeGraph.from_items(zip(ids, labels), edges)
     query = bytes(rng.choice(letters) for _ in range(profile.query_len))
     seeds = enumerate_mems(query, graph)

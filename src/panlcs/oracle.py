@@ -7,17 +7,17 @@ DAGs, topological sorting, longest-path programs, dense matrices) is used,
 so an agreement between a solver and its oracle is meaningful evidence.
 The only pieces shared with the solvers are the input data types.
 
-The exhaustive oracles (subsequence enumeration, subset search) are
-guarded by an :class:`OracleBudget`; exceeding it raises
-:class:`OracleError` rather than silently truncating.  The subsequence
-oracles additionally refuse cyclic graphs, where walk-based embeddings and
-path-based solving may legitimately disagree.  :func:`enumerate_mems` runs
-in polynomial time and takes no budget.
+The exhaustive oracles (subsequence enumeration, subset search) refuse
+an instance beyond the fixed caps :data:`MAX_QUERY`, :data:`MAX_VERTICES`,
+:data:`MAX_LABEL_TOTAL` and :data:`MAX_SEEDS` with :class:`OracleError`
+rather than silently truncating.  The subsequence oracles additionally
+refuse cyclic graphs, where walk-based embeddings and path-based solving
+may legitimately disagree.  :func:`enumerate_mems` runs in polynomial time
+and has no cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import inf
@@ -28,42 +28,24 @@ from .graph import PangenomeGraph
 
 
 class OracleError(ValueError):
-    """Budget exceeded or an instance the oracle refuses to evaluate."""
+    """A size cap exceeded, or an instance the oracle refuses to evaluate."""
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    """Instance-size caps the exhaustive oracles accept."""
-
-    max_query: int = 12
-    max_vertices: int = 6
-    max_label_total: int = 16
-    max_seeds: int = 12
-
-    def __post_init__(self) -> None:
-        for name in ("max_query", "max_vertices", "max_label_total", "max_seeds"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-
-    def check_graph(self, graph: PangenomeGraph) -> None:
-        if graph.n > self.max_vertices:
-            raise OracleError(f"budget exceeded: {graph.n} vertices > {self.max_vertices}")
-        if graph.total_label_length > self.max_label_total:
-            raise OracleError(
-                f"budget exceeded: {graph.total_label_length} label characters"
-                f" > {self.max_label_total}"
-            )
-
-    def check_query(self, query: bytes) -> None:
-        if len(query) > self.max_query:
-            raise OracleError(f"budget exceeded: query length {len(query)} > {self.max_query}")
-
-    def check_seeds(self, seeds: tuple[Seed, ...]) -> None:
-        if len(seeds) > self.max_seeds:
-            raise OracleError(f"budget exceeded: {len(seeds)} seeds > {self.max_seeds}")
+# caps on query characters, graph vertices, label characters and seeds
+MAX_QUERY, MAX_VERTICES, MAX_LABEL_TOTAL, MAX_SEEDS = 12, 6, 16, 12
 
 
-DEFAULT_BUDGET = OracleBudget()
+def _check_size(query: bytes = b"", graph: PangenomeGraph | None = None, seeds: tuple[Seed, ...] = ()) -> None:
+    """Refuse an instance beyond the caps.  Callers check before any cached
+    work: the caps are no part of a cache key, so an answer cached under
+    raised caps must not be returned once they are back."""
+    sizes = [(len(query), MAX_QUERY, "query length {}"), (len(seeds), MAX_SEEDS, "{} seeds")]
+    if graph is not None:
+        sizes += [(graph.n, MAX_VERTICES, "{} vertices")]
+        sizes += [(graph.total_label_length, MAX_LABEL_TOTAL, "{} label characters")]
+    for size, cap, what in sizes:
+        if size > cap:
+            raise OracleError(f"budget exceeded: {what.format(size)} > {cap}")
 
 
 def classic_lcs_dp(a: bytes, b: bytes) -> int:
@@ -164,32 +146,9 @@ def _vertex_reach_sets(graph: PangenomeGraph) -> dict[str, frozenset[str]]:
     return result
 
 
-@lru_cache(maxsize=512)
 def is_acyclic(graph: PangenomeGraph) -> bool:
-    """Cycle test on the vertex graph by iterative depth-first search."""
-    out: dict[int, list[int]] = {k: [] for k in range(graph.n)}
-    for u, v in graph.edges:
-        out[u].append(v)
-    color = [0] * graph.n  # 0 new, 1 on stack, 2 done
-    for root in range(graph.n):
-        if color[root]:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        color[root] = 1
-        while stack:
-            node, ptr = stack[-1]
-            if ptr < len(out[node]):
-                stack[-1] = (node, ptr + 1)
-                nxt = out[node][ptr]
-                if color[nxt] == 1:
-                    return False
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, 0))
-            else:
-                color[node] = 2
-                stack.pop()
-    return True
+    """Whether no vertex reaches itself through >= 1 edge."""
+    return not any(vid in reach for vid, reach in _vertex_reach_sets(graph).items())
 
 
 def _require_acyclic(graph: PangenomeGraph) -> None:
@@ -202,11 +161,15 @@ def _require_acyclic(graph: PangenomeGraph) -> None:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1 << 16)
-def embeddable(s: bytes, graph: PangenomeGraph, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
+def embeddable(s: bytes, graph: PangenomeGraph) -> bool:
     """Whether ``s`` can be spelled, in order, by strictly advancing
     character positions along the graph (each step >= 1 arc)."""
-    budget.check_graph(graph)
+    _check_size(graph=graph)
+    return _embeddable(s, graph)
+
+
+@lru_cache(maxsize=1 << 16)
+def _embeddable(s: bytes, graph: PangenomeGraph) -> bool:
     if not s:
         return True
     chars, _ = _char_table(graph)
@@ -228,13 +191,10 @@ def embeddable(s: bytes, graph: PangenomeGraph, budget: OracleBudget = DEFAULT_B
     return bool(frontier)
 
 
-def lcs_sg_bruteforce(
-    query: bytes, graph: PangenomeGraph, budget: OracleBudget = DEFAULT_BUDGET
-) -> int:
+def lcs_sg_bruteforce(query: bytes, graph: PangenomeGraph) -> int:
     """Longest embeddable subsequence of ``query``, by direct enumeration
     of position subsets from the longest down."""
-    budget.check_query(query)
-    budget.check_graph(graph)
+    _check_size(query, graph)
     _require_acyclic(graph)
     tried: set[bytes] = set()
     for size in range(len(query), 0, -1):
@@ -243,15 +203,12 @@ def lcs_sg_bruteforce(
             if s in tried:
                 continue
             tried.add(s)
-            if embeddable(s, graph, budget):
+            if _embeddable(s, graph):
                 return size
     return 0
 
 
-@lru_cache(maxsize=4096)
-def gap_profiles(
-    query: bytes, graph: PangenomeGraph, budget: OracleBudget = DEFAULT_BUDGET
-) -> tuple[tuple[int, int, float], ...]:
+def gap_profiles(query: bytes, graph: PangenomeGraph) -> tuple[tuple[int, int, float], ...]:
     """Profiles of every embeddable increasing position chain of ``query``:
     (chain length, largest query gap, smallest achievable largest graph gap).
 
@@ -259,12 +216,15 @@ def gap_profiles(
     two gap statistics fit the bounds, so one enumeration serves the whole
     bound grid.
     """
-    budget.check_query(query)
-    budget.check_graph(graph)
+    _check_size(query, graph)
     _require_acyclic(graph)
+    return _gap_profiles(query, graph)
+
+
+@lru_cache(maxsize=4096)
+def _gap_profiles(query: bytes, graph: PangenomeGraph) -> tuple[tuple[int, int, float], ...]:
     chars, _ = _char_table(graph)
     dists = _char_bfs_dists(graph)
-    n = len(chars)
     by_char: dict[int, tuple[int, ...]] = {}
     for node, ch in enumerate(chars):
         by_char.setdefault(ch, ())
@@ -296,15 +256,10 @@ def gap_profiles(
     return tuple(profiles)
 
 
-def fglcs_bruteforce(
-    query: bytes,
-    graph: PangenomeGraph,
-    gaps: GapParams,
-    budget: OracleBudget = DEFAULT_BUDGET,
-) -> int:
+def fglcs_bruteforce(query: bytes, graph: PangenomeGraph, gaps: GapParams) -> int:
     """Longest embeddable subsequence under per-step gap bounds."""
     best = 0
-    for length, max_qgap, minimax in gap_profiles(query, graph, budget):
+    for length, max_qgap, minimax in gap_profiles(query, graph):
         if max_qgap <= gaps.k1_limit and minimax <= gaps.k2_limit:
             best = max(best, length)
     return best
@@ -323,13 +278,8 @@ def _precedes(a: Seed, b: Seed, reach: dict[str, frozenset[str]]) -> bool:
     return b.vertex in reach[a.vertex]
 
 
-def _best_chain(
-    seeds: tuple[Seed, ...],
-    graph: PangenomeGraph,
-    budget: OracleBudget,
-    value,
-) -> int:
-    budget.check_seeds(seeds)
+def _best_chain(seeds: tuple[Seed, ...], graph: PangenomeGraph, value) -> int:
+    _check_size(seeds=seeds)
     for seed in seeds:
         seed.validate(graph)
     reach = _vertex_reach_sets(graph)
@@ -342,19 +292,15 @@ def _best_chain(
     return best
 
 
-def memc_bruteforce(
-    seeds: tuple[Seed, ...], graph: PangenomeGraph, budget: OracleBudget = DEFAULT_BUDGET
-) -> int:
+def memc_bruteforce(seeds: tuple[Seed, ...], graph: PangenomeGraph) -> int:
     """Maximum total seed length over strictly orderable subsets, checked
     exhaustively over all subsets."""
-    return _best_chain(tuple(seeds), graph, budget, lambda s: s.length)
+    return _best_chain(tuple(seeds), graph, lambda s: s.length)
 
 
-def msp_bruteforce(
-    seeds: tuple[Seed, ...], graph: PangenomeGraph, budget: OracleBudget = DEFAULT_BUDGET
-) -> int:
+def msp_bruteforce(seeds: tuple[Seed, ...], graph: PangenomeGraph) -> int:
     """Maximum seed count over strictly orderable subsets."""
-    return _best_chain(tuple(seeds), graph, budget, lambda s: 1)
+    return _best_chain(tuple(seeds), graph, lambda s: 1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from typing import Iterator
 import numpy as np
 from hypothesis import strategies as st
 
-from panlcs import MatchDag, PangenomeGraph, Seed
+from panlcs import Instance, MatchDag, PangenomeGraph, Seed
+from panlcs.oracle import enumerate_mems
 
 # ---------------------------------------------------------------------------
 # graph-side references
@@ -374,6 +375,35 @@ def random_graph(
     m = rng.randint(0, len(candidates))
     edges = [(f"v{u}", f"v{v}") for u, v in rng.sample(candidates, m)]
     return PangenomeGraph.from_items(vertices, edges)
+
+
+def generate_instance_from_pair_list(seed: int, profile) -> Instance:
+    """``generate.generate_instance`` by the direct method: list every
+    candidate (u, v) pair, then sample ``edges`` of them.  Quadratic in
+    memory; the generator must reproduce its instances exactly."""
+    rng = random.Random(seed)
+    letters = b"abcdefghijklmnopqrstuvwxyz"[: profile.alphabet]
+    ids = [f"v{k}" for k in range(profile.n)]
+    labels = [
+        bytes(rng.choice(letters) for _ in range(rng.randint(profile.label_min, profile.label_max)))
+        for _ in ids
+    ]
+    if profile.acyclic:
+        order = rng.sample(range(profile.n), profile.n)
+        position = {v: k for k, v in enumerate(order)}
+        candidates = [
+            (ids[u], ids[v]) for u in range(profile.n) for v in range(profile.n) if position[u] < position[v]
+        ]
+    else:
+        candidates = [(ids[u], ids[v]) for u in range(profile.n) for v in range(profile.n)]
+    edges = sorted(rng.sample(candidates, min(profile.edges, len(candidates))))
+    graph = PangenomeGraph.from_items(zip(ids, labels), edges)
+    query = bytes(rng.choice(letters) for _ in range(profile.query_len))
+    seeds = enumerate_mems(query, graph)
+    if profile.max_seeds is not None and len(seeds) > profile.max_seeds:
+        picked = rng.sample(range(len(seeds)), profile.max_seeds)
+        seeds = tuple(seeds[k] for k in sorted(picked))
+    return Instance(graph=graph, query=query, seeds=seeds)
 
 
 def bubble_chain(rng: random.Random, total: int) -> tuple[PangenomeGraph, bytes]:

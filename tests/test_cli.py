@@ -521,6 +521,15 @@ class TestGenAndMems:
         assert code == 3 and out == ""
         assert "lcs product DAG: lists of 6000 characters x 751502 matches need up to 18036048000 bytes" in err
 
+    def test_out_of_memory_exits_3(self, capsys, graph_file, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(panlcs.cli, "solve_lcs_sg", exhausted)
+        code, out, err = run(capsys, ["lcs", "--graph", graph_file, "--query", "aba"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+
     def test_no_subcommand_prints_usage(self, capsys):
         code, _, err = run(capsys, [])
         assert code == 2

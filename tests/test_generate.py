@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -72,6 +75,26 @@ class TestGenerateInstance:
             for seed in range(50):
                 inst = generate_instance(seed, GenProfile(acyclic=acyclic))
                 assert parse_instance(instance_to_tsv(inst)) == inst
+
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_same_instances_as_sampling_a_pair_list(self, acyclic):
+        rng = random.Random(acyclic)
+        for seed in range(50):
+            n = rng.randint(1, 30)
+            profile = GenProfile(n=n, edges=rng.randint(0, n * n + 2), acyclic=acyclic)
+            assert generate_instance(seed, profile) == helpers.generate_instance_from_pair_list(seed, profile)
+
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_memory_linear_in_vertices(self, acyclic):
+        # 20,000 vertices have 2e8 (acyclic) or 4e8 candidate pairs; listing them would take gigabytes
+        tracemalloc.start()
+        try:
+            inst = generate_instance(0, GenProfile(n=20_000, edges=50, query_len=0, max_seeds=0, acyclic=acyclic))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(inst.graph.edges) == 50
+        assert peak < 32 << 20
 
     def test_empty_query_round_trips(self):
         inst = generate_instance(5, GenProfile(n=2, query_len=0, max_seeds=0))

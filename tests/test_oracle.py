@@ -1,18 +1,21 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import panlcs.oracle
 from panlcs import GapParams, Seed, parse_graph
 from panlcs.oracle import (
-    OracleBudget,
     OracleError,
     classic_lcs_dp,
     embeddable,
     enumerate_mems,
     fglcs_bruteforce,
+    is_acyclic,
     lcs_sg_bruteforce,
     memc_bruteforce,
     msp_bruteforce,
@@ -213,18 +216,51 @@ class TestEnumerateMems:
 
 
 class TestBudget:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OracleBudget(max_query=0)
-
-    def test_custom_budget_expands(self):
-        budget = OracleBudget(max_query=40, max_vertices=40, max_label_total=200)
+    def test_raised_caps_leave_no_cached_answer(self, monkeypatch):
         big = parse_graph("".join(f"V v{k} abc\n" for k in range(10)))
-        assert embeddable(b"a", big, budget)
+        monkeypatch.setattr(panlcs.oracle, "MAX_VERTICES", 40)
+        monkeypatch.setattr(panlcs.oracle, "MAX_LABEL_TOTAL", 200)
+        assert embeddable(b"a", big)
+        assert lcs_sg_bruteforce(b"abc", big) == 3
+        assert fglcs_bruteforce(b"abc", big, GapParams.unbounded()) == 3
+        monkeypatch.undo()
+        # the answers above are cached; back under the fixed caps each call still refuses
+        for call in (
+            lambda: embeddable(b"a", big),
+            lambda: lcs_sg_bruteforce(b"abc", big),
+            lambda: fglcs_bruteforce(b"abc", big, GapParams.unbounded()),
+        ):
+            with pytest.raises(OracleError, match="budget exceeded: 10 vertices > 6"):
+                call()
 
     def test_refusal_is_loud_not_truncating(self):
         with pytest.raises(OracleError):
             lcs_sg_bruteforce(b"a" * 20, TWO_VERTEX)
+
+
+@given(helpers.cyclic_graphs(max_n=12))
+@settings(max_examples=60)
+def test_is_acyclic_means_no_vertex_reaches_itself(g):
+    assert is_acyclic(g) == all(u != v for u, v in helpers.dfs_reach_pairs(g))
+
+
+def test_imports_only_the_input_types():
+    # an oracle that borrowed solver machinery would check the solvers against themselves
+    tree = ast.parse(Path(panlcs.oracle.__file__).read_text())
+    borrowed = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("panlcs"))
+        for alias in node.names
+    }
+    plain = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] == "panlcs"
+    }
+    assert borrowed == {"PangenomeGraph", "Seed", "GapParams"} and not plain
 
 
 @given(st.data())
