@@ -3,9 +3,10 @@
 Subcommands: ``lcs``, ``fglcs``, ``chain`` (objective len or count), ``lp``
 (raw DAG debug solve), ``oracle`` (brute-force optimum), ``gen`` (seeded
 instance generator), and ``mems`` (maximal exact match enumeration).
-``oracle`` and ``--oracle-check`` run the exhaustive oracles, which refuse
-instances beyond their fixed size caps (exit 3); ``mems`` and ``gen`` enumerate
-MEMs in polynomial time, with no cap.
+One function, :func:`_problem`, reads each problem's inputs and gives its
+solver and its oracle.  ``oracle`` and ``--oracle-check`` run the exhaustive
+oracles, which refuse instances beyond their fixed size caps (exit 3);
+``mems`` and ``gen`` enumerate MEMs in polynomial time, with no cap.
 
 JSON is the canonical machine output; the human and tsv modes render the
 same record.  Exit codes: 0 success, 2 usage error, 3 parse or validation
@@ -178,45 +179,38 @@ def _load_seeds(args: argparse.Namespace, instance: Instance) -> Sequence[Seed]:
     raise UsageError("no seeds: pass --seeds or embed S lines in the instance")
 
 
-def _oracle_check(args: argparse.Namespace, score: int, oracle: Callable[[], int]) -> int:
-    """Under ``--oracle-check``, compare ``score`` with ``oracle()``."""
+def _problem(name: str, args: argparse.Namespace) -> tuple[Callable[[], dict], Callable[[], int]]:
+    """Read the inputs of problem ``name`` (lcs, fglcs, memc or msp) from
+    ``args``; return its solver, which gives the output record, and its
+    brute-force oracle, which gives the optimum for the same inputs."""
+    instance = _load_instance(args)
+    if name in ("memc", "msp"):
+        inputs = (_load_seeds(args, instance), instance.graph)
+        query = os.fsencode(args.query) if args.query is not None else instance.query  # for the solver's seed check
+        solve, brute = (solve_memc, memc_bruteforce) if name == "memc" else (solve_msp, msp_bruteforce)
+        return lambda: _chain_record(name, solve(*inputs, query=query)), lambda: brute(*inputs)
+    inputs = (_resolve_query(args, instance), instance.graph)
+    if name == "fglcs":
+        if args.k1 is None or args.k2 is None:
+            raise UsageError("oracle --problem fglcs needs --k1 and --k2")
+        inputs += (GapParams(GapParams.parse_bound(args.k1), GapParams.parse_bound(args.k2)),)
+    solve, brute = (solve_lcs_sg, lcs_sg_bruteforce) if name == "lcs" else (solve_fglcs_sg, fglcs_bruteforce)
+    return lambda: _alignment_record(f"{name}-sg", solve(*inputs)), lambda: brute(*inputs)
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    """``lcs``, ``fglcs`` and ``chain``: print the solver's record; under
+    ``--oracle-check``, compare its score with the oracle's optimum."""
+    name = {"len": "memc", "count": "msp"}[args.objective] if args.command == "chain" else args.command
+    solve, oracle = _problem(name, args)
+    record = solve()
+    _emit(record, _output_mode(args))
     if args.oracle_check:
         expected = oracle()
-        if score != expected:
-            print(f"oracle mismatch: solver {score}, oracle {expected}", file=sys.stderr)
+        if record["score"] != expected:
+            print(f"oracle mismatch: solver {record['score']}, oracle {expected}", file=sys.stderr)
             return EXIT_MISMATCH
     return EXIT_OK
-
-
-def _cmd_lcs(args: argparse.Namespace) -> int:
-    instance = _load_instance(args)
-    query = _resolve_query(args, instance)
-    alignment = solve_lcs_sg(query, instance.graph)
-    _emit(_alignment_record("lcs-sg", alignment), _output_mode(args))
-    return _oracle_check(args, alignment.score, lambda: lcs_sg_bruteforce(query, instance.graph))
-
-
-def _cmd_fglcs(args: argparse.Namespace) -> int:
-    instance = _load_instance(args)
-    query = _resolve_query(args, instance)
-    gaps = GapParams(GapParams.parse_bound(args.k1), GapParams.parse_bound(args.k2))
-    alignment = solve_fglcs_sg(query, instance.graph, gaps)
-    _emit(_alignment_record("fglcs-sg", alignment), _output_mode(args))
-    return _oracle_check(args, alignment.score, lambda: fglcs_bruteforce(query, instance.graph, gaps))
-
-
-def _cmd_chain(args: argparse.Namespace) -> int:
-    instance = _load_instance(args)
-    seeds = _load_seeds(args, instance)
-    query = os.fsencode(args.query) if args.query is not None else instance.query
-    if args.objective == "len":
-        chain = solve_memc(seeds, instance.graph, query=query)
-        problem, score, brute = "memc", chain.length, memc_bruteforce
-    else:
-        chain = solve_msp(seeds, instance.graph, query=query)
-        problem, score, brute = "msp", chain.count, msp_bruteforce
-    _emit(_chain_record(problem, chain), _output_mode(args))
-    return _oracle_check(args, score, lambda: brute(seeds, instance.graph))
 
 
 def _cmd_lp(args: argparse.Namespace) -> int:
@@ -234,21 +228,8 @@ def _cmd_lp(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    instance = _load_instance(args)
-    if args.problem in ("lcs", "fglcs"):
-        query = _resolve_query(args, instance)
-        if args.problem == "lcs":
-            optimum = lcs_sg_bruteforce(query, instance.graph)
-        else:
-            if args.k1 is None or args.k2 is None:
-                raise UsageError("oracle --problem fglcs needs --k1 and --k2")
-            gaps = GapParams(GapParams.parse_bound(args.k1), GapParams.parse_bound(args.k2))
-            optimum = fglcs_bruteforce(query, instance.graph, gaps)
-    else:
-        seeds = _load_seeds(args, instance)
-        brute = memc_bruteforce if args.problem == "memc" else msp_bruteforce
-        optimum = brute(seeds, instance.graph)
-    _write(f"{optimum}\n")
+    _, oracle = _problem(args.problem, args)
+    _write(f"{oracle()}\n")
     return EXIT_OK
 
 
@@ -302,6 +283,13 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help="log solver stages and their sizes to stderr")
 
 
+def _add_oracle_check(p: argparse.ArgumentParser) -> None:
+    """The last flag of a solver subcommand, and the command that serves it."""
+    p.add_argument("--oracle-check", action="store_true",
+                   help="re-solve with the brute-force oracle; exit 4 on mismatch")
+    p.set_defaults(func=_cmd_solve)
+
+
 @functools.cache  # built on first use, not at import; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -314,9 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_flags(p)
     _add_query_flags(p)
     _add_output_flags(p)
-    p.add_argument("--oracle-check", action="store_true",
-                   help="re-solve with the brute-force oracle; exit 4 on mismatch")
-    p.set_defaults(func=_cmd_lcs)
+    _add_oracle_check(p)
 
     p = sub.add_parser("fglcs", help="gap-bounded longest common subsequence")
     _add_graph_flags(p)
@@ -324,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.add_argument("--k1", required=True, help="max query gap per step (integer or 'inf')")
     p.add_argument("--k2", required=True, help="max graph gap per step (integer or 'inf')")
-    p.add_argument("--oracle-check", action="store_true")
-    p.set_defaults(func=_cmd_fglcs)
+    _add_oracle_check(p)
 
     p = sub.add_parser("chain", help="best strictly ordered seed chain")
     _add_graph_flags(p)
@@ -334,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=("len", "count"), required=True,
                    help="len = total matched length, count = number of seeds")
     _add_output_flags(p)
-    p.add_argument("--oracle-check", action="store_true")
-    p.set_defaults(func=_cmd_chain)
+    _add_oracle_check(p)
 
     p = sub.add_parser("lp", help="solve a raw DAG in the debug TSV format")
     p.add_argument("--dag", default="-", metavar="FILE", help="N/A-line DAG file ('-' = stdin)")

@@ -98,7 +98,7 @@ def generate_instance(seed: int, profile: GenProfile = GenProfile()) -> Instance
     edges = sorted((ids[u], ids[v]) for u, v in pairs)
     graph = PangenomeGraph.from_items(zip(ids, labels), edges)
     query = bytes(rng.choice(letters) for _ in range(profile.query_len))
-    seeds = enumerate_mems(query, graph)
+    seeds = enumerate_mems(query, graph) if profile.max_seeds != 0 else ()  # none would be kept
     if profile.max_seeds is not None and len(seeds) > profile.max_seeds:
         picked = rng.sample(range(len(seeds)), profile.max_seeds)
         seeds = tuple(seeds[k] for k in sorted(picked))

@@ -434,6 +434,41 @@ class TestOracleCommand:
         assert "budget" in err
 
 
+class TestOracleAgreement:
+    """``panlcs oracle --problem P`` and ``--oracle-check`` give the brute-force oracle the same inputs."""
+
+    @pytest.mark.parametrize(
+        "problem, solver_argv, oracle_flags, brute",
+        [
+            ("lcs", ["lcs"], [], "lcs_sg_bruteforce"),
+            ("fglcs", ["fglcs", "--k1", "2", "--k2", "3"], ["--k1", "2", "--k2", "3"], "fglcs_bruteforce"),
+            ("memc", ["chain", "--objective", "len"], [], "memc_bruteforce"),
+            ("msp", ["chain", "--objective", "count"], [], "msp_bruteforce"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(10))
+    def test_same_inputs(self, capsys, tmp_path, monkeypatch, problem, solver_argv, oracle_flags, brute, seed):
+        path = tmp_path / "instance.tsv"
+        path.write_text(run(capsys, ["gen", "--seed", str(seed)])[1])
+        calls, original = [], getattr(panlcs.cli, brute)
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(panlcs.cli, brute, record)
+        check = run(capsys, solver_argv + ["--graph", str(path), "--oracle-check"])
+        oracle = run(capsys, ["oracle", "--problem", problem, "--graph", str(path)] + oracle_flags)
+        assert (check[0], oracle[0]) == (0, 0), (check, oracle)
+        assert len(calls) == 2 and calls[0] == calls[1]
+
+    def test_every_solver_documents_oracle_check(self, capsys):
+        for command in ("lcs", "fglcs", "chain"):
+            code, out, _ = run(capsys, [command, "--help"])
+            assert code == 0
+            assert "--oracle-check re-solve with the brute-force oracle; exit 4 on mismatch" in " ".join(out.split())
+
+
 class TestGenAndMems:
     def test_gen_deterministic(self, capsys):
         code1, out1, _ = run(capsys, ["gen", "--seed", "7"])

@@ -77,11 +77,21 @@ class TestGenerateInstance:
                 assert parse_instance(instance_to_tsv(inst)) == inst
 
     @pytest.mark.parametrize("acyclic", [True, False])
-    def test_same_instances_as_sampling_a_pair_list(self, acyclic):
+    def test_same_instances_as_sampling_a_pair_list(self, acyclic, monkeypatch):
         rng = random.Random(acyclic)
         for seed in range(50):
             n = rng.randint(1, 30)
             profile = GenProfile(n=n, edges=rng.randint(0, n * n + 2), acyclic=acyclic)
+            assert generate_instance(seed, profile) == helpers.generate_instance_from_pair_list(seed, profile)
+
+        def refuse(*args):
+            raise AssertionError("MEMs enumerated for an instance that keeps no seeds")
+
+        # with max_seeds=0 no MEM is kept, so none is enumerated, and the instance is the same
+        monkeypatch.setattr("panlcs.generate.enumerate_mems", refuse)
+        for seed in range(50):
+            n = rng.randint(1, 30)
+            profile = GenProfile(n=n, edges=rng.randint(0, n * n + 2), acyclic=acyclic, max_seeds=0)
             assert generate_instance(seed, profile) == helpers.generate_instance_from_pair_list(seed, profile)
 
     @pytest.mark.parametrize("acyclic", [True, False])
