@@ -39,7 +39,7 @@ from itertools import compress
 import numpy as np
 
 from .daglp import MatchDag, _check_score_bound, _pair_arcs, _reconstruct, _runs
-from .graph import CharGraph, PangenomeGraph, build_char_graph, precedes, reachability, records, token_text
+from .graph import CharGraph, PangenomeGraph, build_char_graph, precedes, reachability, records, token_text, token_texts
 
 log = logging.getLogger(__name__)
 
@@ -368,34 +368,37 @@ def parse_seeds(text: bytes | str) -> SeedTable:
 
 def _read_seeds(rows: Callable[[], Iterable[tuple[int, Sequence[bytes]]]]) -> SeedTable:
     """The seed records that ``rows()`` yields as (line number, tokens), in
-    a :class:`SeedTable`.  The bounds are checked in bulk; on any malformed
-    record the records are read again one by one, so the error names the
-    first bad line."""
-    index: dict[bytes, int] = {}
-    name: list[int] = []
-    bounds: list[int] = []
+    a :class:`SeedTable`.  The bounds are converted with one ``int`` map
+    over the flat token list and checked in bulk; on any malformed record
+    the records are read again one by one, so the error names the first
+    bad line."""
+    tokens: list[bytes] = []
     try:
-        for _, tokens in rows():
-            if len(tokens) != 5:
+        for _, record in rows():
+            if len(record) != 5:
                 raise ValueError
-            name.append(index.setdefault(tokens[0], len(index)))
-            bounds.extend(map(int, tokens[1:]))
-        columns = np.array(bounds, dtype=np.int64).reshape(-1, 4)
+            tokens += record
+        names = tokens[::5]
+        del tokens[::5]
+        columns = np.fromiter(map(int, tokens), np.int64, len(tokens)).reshape(-1, 4)
         i, i2, j, j2 = columns.T
         if not np.all((i >= 0) & (j >= 0) & (i2 >= i) & (j2 >= j) & (i2 - i == j2 - j)):
             raise ValueError
     except (ValueError, OverflowError):  # OverflowError: a bound beyond int64
-        for lineno, tokens in rows():
-            if len(tokens) != 5:
+        for lineno, record in rows():
+            if len(record) != 5:
                 raise SeedError(f"line {lineno}: expected `<vertex> <i> <i'> <j> <j'>`") from None
             try:
-                Seed(token_text(tokens[0]), *[int(t) for t in tokens[1:]])
+                Seed(token_text(record[0]), *[int(t) for t in record[1:]])
             except SeedError as exc:
                 raise SeedError(f"line {lineno}: {exc}") from None
             except ValueError:
                 raise SeedError(f"line {lineno}: interval bounds must be integers") from None
         raise AssertionError("bulk seed parsing refused what the scalar parser accepts") from None
-    return SeedTable(tuple(map(token_text, index)), np.array(name, dtype=np.int64), columns)
+    distinct = list(dict.fromkeys(names))
+    index = dict(zip(distinct, range(len(distinct))))
+    name = np.fromiter(map(index.__getitem__, names), np.int64, len(names))
+    return SeedTable(tuple(token_texts(distinct)), name, columns)
 
 
 def format_seeds(seeds: Iterable[Seed]) -> str:

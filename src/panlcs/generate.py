@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import accumulate, groupby
 
 from .chaining import Seed, _read_seeds, format_seeds
-from .graph import GraphError, PangenomeGraph, records, tsv_record
+from .graph import GraphError, PangenomeGraph, read_tsv
 from .oracle import enumerate_mems
 
 _LETTERS = b"abcdefghijklmnopqrstuvwxyz"
@@ -123,29 +123,14 @@ def instance_to_tsv(instance: Instance) -> str:
 
 
 def parse_instance(text: bytes | str) -> Instance:
-    """Parse the bundled format in one pass over its records (see
-    :func:`~panlcs.graph.records`); plain V/E graph files parse as
+    """Parse the bundled format in one loop over its records
+    (:func:`~panlcs.graph.read_tsv`); plain V/E graph files parse as
     instances with no query and no seeds.  ``S`` records are read as seed
     files are (:func:`~panlcs.chaining.parse_seeds`)."""
-    vertices: list[tuple[str, bytes]] = []
-    edges: list[tuple[str, str]] = []
-    query: bytes | None = None
     seed_rows: list[tuple[int, list[bytes]]] = []
     try:
-        for lineno, tokens in records(text):
-            tag = tokens[0]
-            if tag == b"Q":
-                if query is not None:
-                    raise GraphError(f"line {lineno}: more than one Q line")
-                if len(tokens) > 2:
-                    raise GraphError(f"line {lineno}: queries may not contain whitespace")
-                query = tokens[1] if len(tokens) == 2 else b""
-            elif tag == b"S":
-                seed_rows.append((lineno, tokens[1:]))
-            else:
-                tsv_record(lineno, tokens, vertices, edges)
+        graph, query = read_tsv(text, seed_rows)
     except GraphError:
-        _read_seeds(lambda: seed_rows)  # a bad S line before the bad record is named instead
+        _read_seeds(lambda: seed_rows)  # a bad S line wins: one before the bad record, or any if the graph is bad
         raise
-    seeds = tuple(_read_seeds(lambda: seed_rows))  # before a graph error, as the S lines come first
-    return Instance(PangenomeGraph.from_items(vertices, edges), query, seeds)
+    return Instance(graph, query, tuple(_read_seeds(lambda: seed_rows)) if seed_rows else ())

@@ -14,8 +14,10 @@ Preprocessing products computed here:
 
 * :func:`reachability` -- dense vertex-to-vertex reachability (a directed
   path of at least one edge), as a closure over the strongly connected
-  components with one packed bitset row per component, refused past
-  :data:`MAX_BYTES`; lcs, chaining and unbounded-gap fglcs use it.
+  components: one Python-int bitset row per component, filled in the
+  order the components complete and unpacked into the matrix once,
+  refused past :data:`MAX_BYTES`; lcs, chaining and unbounded-gap fglcs
+  use it.
 * :func:`build_char_graph` -- the character-split graph, one node per label
   character.  It answers bounded distance questions by breadth-first
   search: :meth:`CharGraph.ball_pairs` lists every node pair at most ``r``
@@ -46,6 +48,7 @@ import functools
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -74,6 +77,10 @@ class PangenomeGraph:
     and ``edges`` ordered pairs of vertex indices.  Duplicate edges are
     collapsed on construction; self-loops and cycles are allowed.  Instances
     are immutable (and hashable) after construction.
+
+    The constructor checks ids, labels and edges in bulk, walking them one
+    by one only to name the first offender, and converts the edges once
+    into the (E, 2) int64 array that the numpy stages read.
     """
 
     ids: tuple[str, ...]
@@ -81,24 +88,24 @@ class PangenomeGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if len(self.ids) != len(self.labels):
+        ids, labels, n = self.ids, self.labels, len(self.ids)
+        if n != len(labels):
             raise GraphError("ids and labels must have equal length")
-        seen: set[str] = set()
-        for vid in self.ids:
-            if vid in seen:
-                raise GraphError(f"duplicate vertex id {vid!r}")
-            seen.add(vid)
-        for vid, label in zip(self.ids, self.labels):
-            if not isinstance(label, bytes):
-                raise GraphError(f"label of vertex {vid!r} must be bytes")
-            if not label:
-                raise GraphError(f"empty label for vertex {vid!r}")
-        n = len(self.ids)
-        deduped = dict.fromkeys(tuple(e) for e in self.edges)
-        for u, v in deduped:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) references a missing vertex")
-        object.__setattr__(self, "edges", tuple(deduped))
+        if len(set(ids)) < n or not (set(map(type, labels)) <= {bytes} and all(labels)):
+            _name_vertex_fault(ids, labels)  # bytes subclasses pass
+        edges = tuple(dict.fromkeys(map(tuple, self.edges)))
+        try:
+            ends = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2)
+            valid = set(map(len, edges)) <= {2} and (not len(ends) or (ends.min() >= 0 and ends.max() < n))
+        except (TypeError, ValueError, OverflowError):  # not integers, too few, or past int64
+            valid = False
+        if not valid:
+            for u, v in edges:  # name the first offender
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphError(f"edge ({u}, {v}) references a missing vertex")
+            raise GraphError("edges must be pairs of vertex indices")
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_ends", _freeze(ends))
 
     @classmethod
     def from_items(
@@ -107,19 +114,25 @@ class PangenomeGraph:
         edges: Iterable[tuple[str, str]] = (),
     ) -> "PangenomeGraph":
         """Build a graph from (id, label) pairs and id-level edges."""
-        ids: list[str] = []
-        labels: list[bytes] = []
-        for vid, label in vertices:
-            ids.append(str(vid))
-            labels.append(_as_bytes(label))
-        index = {vid: k for k, vid in enumerate(ids)}
-        idx_edges = []
-        for src, dst in edges:
-            for vid in (src, dst):
-                if vid not in index:
-                    raise GraphError(f"edge endpoint {vid!r} is not a declared vertex")
-            idx_edges.append((index[src], index[dst]))
-        return cls(tuple(ids), tuple(labels), tuple(idx_edges))
+        vertices = list(vertices)
+        ids = [str(vid) for vid, _ in vertices]
+        labels = [_as_bytes(label) for _, label in vertices]
+        return cls._of_ends(ids, labels, [vid for src, dst in edges for vid in (src, dst)])
+
+    @classmethod
+    def _of_ends(cls, ids: list[str], labels: list[bytes], ends: list[str]) -> "PangenomeGraph":
+        """Build a graph from its ids, labels and edge endpoint ids, the
+        edges flat (source, target, source, target, ...); the first
+        endpoint that names no vertex is an error."""
+        index = dict(zip(ids, range(len(ids))))  # a repeated id maps to its last vertex
+        try:
+            found = list(map(index.__getitem__, ends))
+        except KeyError as exc:
+            raise GraphError(f"edge endpoint {exc.args[0]!r} is not a declared vertex") from None
+        pairs = iter(found)
+        graph = cls(tuple(ids), tuple(labels), tuple(zip(pairs, pairs)))
+        vars(graph)["index"] = index  # the ids are distinct: it is the graph's index
+        return graph
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -150,6 +163,21 @@ class PangenomeGraph:
     @cached_property
     def _edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
+
+
+def _name_vertex_fault(ids: Sequence[str], labels: Sequence[bytes]) -> None:
+    """Raise the error of the first repeated id, or else of the first label
+    that is not bytes or is empty, in vertex order."""
+    seen: set[str] = set()
+    for vid in ids:
+        if vid in seen:
+            raise GraphError(f"duplicate vertex id {vid!r}")
+        seen.add(vid)
+    for vid, label in zip(ids, labels):
+        if not isinstance(label, bytes):
+            raise GraphError(f"label of vertex {vid!r} must be bytes")
+        if not label:
+            raise GraphError(f"empty label for vertex {vid!r}")
 
 
 def spell(graph: PangenomeGraph, path: Sequence[str]) -> bytes:
@@ -184,9 +212,8 @@ def records(data: bytes | str) -> Iterator[tuple[int, list[bytes]]]:
     token starts with ``#`` is a comment; every other byte is data.  A
     ``str`` argument stands for its latin-1 bytes.
     """
-    for lineno, line in enumerate(_as_bytes(data).splitlines(), start=1):
-        tokens = line.split()
-        if tokens and not tokens[0].startswith(b"#"):
+    for lineno, tokens in enumerate(map(bytes.split, _as_bytes(data).splitlines()), start=1):
+        if tokens and tokens[0][0] != b"#"[0]:
             yield lineno, tokens
 
 
@@ -194,6 +221,12 @@ def token_text(token: bytes) -> str:
     """A token as text, one latin-1 code point per byte: the form of vertex
     ids, and of tokens quoted in error messages."""
     return token.decode("latin-1")
+
+
+def token_texts(tokens: list[bytes]) -> list[str]:
+    """:func:`token_text` of every token, decoded at once (a token never
+    holds a line end)."""
+    return b"\n".join(tokens).decode("latin-1").split("\n") if tokens else []
 
 
 def parse_graph(text: bytes | str, fmt: str = "tsv") -> PangenomeGraph:
@@ -208,38 +241,55 @@ def parse_graph(text: bytes | str, fmt: str = "tsv") -> PangenomeGraph:
     skip count is logged).
     """
     if fmt == "tsv":
-        return _parse_tsv(text)
+        return read_tsv(text)[0]
     if fmt == "gfa":
         return _parse_gfa(text)
     raise GraphError(f"unknown graph format {fmt!r} (expected one of {GRAPH_FORMATS})")
 
 
-def tsv_record(
-    lineno: int, tokens: list[bytes], vertices: list[tuple[str, bytes]], edges: list[tuple[str, str]]
-) -> None:
-    """Add one ``V`` or ``E`` record to ``vertices`` or ``edges``; any
-    other tag is an error naming ``lineno``."""
-    tag = tokens[0]
-    if tag == b"V":
-        if len(tokens) < 3:
-            raise GraphError(f"line {lineno}: empty label (V lines need `V <id> <label>`)")
-        if len(tokens) > 3:
-            raise GraphError(f"line {lineno}: labels may not contain whitespace")
-        vertices.append((token_text(tokens[1]), tokens[2]))
-    elif tag == b"E":
-        if len(tokens) != 3:
-            raise GraphError(f"line {lineno}: E lines need `E <src> <dst>`")
-        edges.append((token_text(tokens[1]), token_text(tokens[2])))
-    else:
-        raise GraphError(f"line {lineno}: unknown record tag {token_text(tag)!r}")
+def read_tsv(
+    data: bytes | str, seed_rows: list[tuple[int, list[bytes]]] | None = None
+) -> tuple[PangenomeGraph, bytes | None]:
+    """The graph, and the query or ``None``, of a TSV graph file, read in
+    one loop over its records.  Vertex ids are decoded once, at the end.
 
-
-def _parse_tsv(data: bytes | str) -> PangenomeGraph:
-    vertices: list[tuple[str, bytes]] = []
-    edges: list[tuple[str, str]] = []
+    Given a ``seed_rows`` list, the file is an instance: ``Q`` and ``S``
+    records are read too, each ``S`` record appended to ``seed_rows`` as
+    (line number, tokens after the tag); a bad record raises after the
+    ``S`` records before it are appended."""
+    vertices: list[bytes] = []  # V records' tokens, flat
+    edges: list[bytes] = []  # E records' tokens, flat
+    query: bytes | None = None
+    instance = seed_rows is not None
     for lineno, tokens in records(data):
-        tsv_record(lineno, tokens, vertices, edges)
-    return PangenomeGraph.from_items(vertices, edges)
+        tag = tokens[0]
+        if len(tokens) == 3 and tag == b"V":
+            vertices += tokens
+        elif len(tokens) == 3 and tag == b"E":
+            edges += tokens
+        elif instance and tag == b"S":
+            seed_rows.append((lineno, tokens[1:]))
+        elif instance and tag == b"Q" and query is None and len(tokens) <= 2:
+            query = tokens[1] if len(tokens) == 2 else b""
+        else:
+            raise GraphError(f"line {lineno}: {_record_fault(tokens, instance, query)}")
+    del edges[::3]  # the tags; source, target, source, ... remain
+    n = len(vertices) // 3
+    texts = token_texts(vertices[1::3] + edges)
+    return PangenomeGraph._of_ends(texts[:n], vertices[2::3], texts[n:]), query
+
+
+def _record_fault(tokens: list[bytes], instance: bool, query: bytes | None) -> str:
+    """What is wrong with a record that :func:`read_tsv` refuses, the
+    instance's query read so far being ``query``."""
+    tag = tokens[0]
+    if instance and tag == b"Q":
+        return "more than one Q line" if query is not None else "queries may not contain whitespace"
+    if tag == b"V":
+        return "empty label (V lines need `V <id> <label>`)" if len(tokens) < 3 else "labels may not contain whitespace"
+    if tag == b"E":
+        return "E lines need `E <src> <dst>`"
+    return f"unknown record tag {token_text(tag)!r}"
 
 
 def _parse_gfa(data: bytes | str) -> PangenomeGraph:
@@ -411,7 +461,7 @@ def build_char_graph(graph: PangenomeGraph) -> CharGraph:
     origin = np.repeat(np.arange(graph.n, dtype=np.int64), lengths)
     offset = np.arange(int(starts[-1]), dtype=np.int64) - starts[origin]
     intra = np.flatnonzero(offset[:-1] + 1 == offset[1:])
-    edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+    edges = graph._ends
     arcs = np.concatenate([
         np.stack([intra, intra + 1], axis=1),
         np.stack([starts[edges[:, 0] + 1] - 1, starts[edges[:, 1]]], axis=1),
@@ -458,37 +508,39 @@ def check_bytes(nbytes: int, need: str) -> None:
 def reachability(graph: PangenomeGraph) -> ReachMatrix:
     """All-pairs reachability as a closure over the strongly connected
     components (Purdom 1970): one O(V + E) pass for the components, then
-    one OR of a V/8-byte row per arc between components.
+    one OR of a V-bit row per arc between components.
 
-    Every component gets one packed bitset row of the vertices it reaches
-    or holds.  Components are filled in reverse topological order, so a
-    component's row is the OR of its successor components' rows and its
-    own members.  A vertex reaches itself only if its component holds a
-    cycle (more than one vertex, or a self-loop).
+    Every component's row is a Python int, a bitset of the vertices it
+    reaches or holds (bit v for vertex v).  Rows are filled in the order
+    :func:`_strong_components` completes the components, so a component's
+    row is its members ORed with its successor components' finished rows.
+    The rows are packed once (``int.to_bytes``, one row per vertex) and
+    unpacked once into the matrix.  A vertex reaches itself only if its
+    component holds a cycle (more than one vertex, or a self-loop).
 
     Raises :class:`GraphError` when the matrix would exceed
     :data:`MAX_BYTES`, before allocating it."""
     n = graph.n
     check_bytes(n * n, f"reachability: {n} vertices need {n * n} bytes for the vertex-pair matrix")
     comp, count = _strong_components(n, graph.edges)
-    edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
-    src, dst = comp[edges[:, 0]], comp[edges[:, 1]]
+    src, dst = comp[graph._ends[:, 0]], comp[graph._ends[:, 1]]
     cyclic = np.bincount(comp, minlength=count) > 1
     cyclic[src[src == dst]] = True
     keys = _sorted_unique(src[src != dst] * count + dst[src != dst])  # component arcs, by source
-    bounds = np.searchsorted(keys, np.arange(count + 1) * count).tolist()
-    succ = keys % count
 
+    order = comp.tolist()
+    rows = [0] * count
+    for v, c in enumerate(order):
+        rows[c] |= 1 << v
+    for c, d in zip(*(part.tolist() for part in np.divmod(keys, count))):  # d < c: its row is final
+        rows[c] |= rows[d]
+    width = (n + 7) // 8
+    packed = [row.to_bytes(width, "little") for row in rows]
+    del rows  # each form is freed before the next is built: the peak stays near 1.15 V^2 bytes
+    data = np.frombuffer(b"".join(map(packed.__getitem__, order)), np.uint8).reshape(n, width)
+    del packed
+    reach = np.unpackbits(data, axis=1, count=n, bitorder="little").view(bool)
     vertices = np.arange(n)
-    rows = np.zeros((count, (n + 7) // 8), dtype=np.uint8)
-    np.bitwise_or.at(rows, (comp, vertices >> 3), np.uint8(0x80) >> (vertices & 7).astype(np.uint8))
-    for c in range(count):  # successors of c are numbered below c
-        lo, hi = bounds[c], bounds[c + 1]
-        if hi - lo == 1:  # the common case; a gather and reduce would double the time
-            rows[c] |= rows[succ[lo]]
-        elif hi > lo:
-            rows[c] |= np.bitwise_or.reduce(rows[succ[lo:hi]], axis=0)
-    reach = np.unpackbits(rows[comp], axis=1, count=n).view(bool)
     reach[vertices, vertices] = cyclic[comp]
     return ReachMatrix(matrix=_freeze(reach))
 
@@ -522,13 +574,12 @@ def _strong_components(n: int, edges: Iterable[tuple[int, int]]) -> tuple[np.nda
                     stack.append(w)
                     work.append((w, iter(out[w])))
                     break
-                if comp[w] < 0:  # on the stack: same component as v, or an ancestor's
-                    low[v] = min(low[v], order[w])
+                if comp[w] < 0 and order[w] < low[v]:  # on the stack: same component as v, or an ancestor's
+                    low[v] = order[w]
             else:
                 work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
                 if low[v] == order[v]:
                     while True:
                         w = stack.pop()

@@ -19,7 +19,8 @@ from typing import Iterator
 import numpy as np
 from hypothesis import strategies as st
 
-from panlcs import Instance, MatchDag, PangenomeGraph, Seed
+from panlcs import GraphError, Instance, MatchDag, PangenomeGraph, Seed, SeedError
+from panlcs.graph import records, token_text
 from panlcs.oracle import enumerate_mems
 
 # ---------------------------------------------------------------------------
@@ -346,6 +347,109 @@ def best_chain_by_permutation(seeds, graph: PangenomeGraph, value) -> int:
                 best = max(best, sum(value(s) for s in order))
                 break
     return best
+
+
+# ---------------------------------------------------------------------------
+# record-by-record readers: the reference for the bulk readers
+# ---------------------------------------------------------------------------
+
+
+def tsv_record(
+    lineno: int, tokens: list[bytes], vertices: list[tuple[str, bytes]], edges: list[tuple[str, str]]
+) -> None:
+    """Add one ``V`` or ``E`` record to ``vertices`` or ``edges``; any
+    other tag is an error naming ``lineno``."""
+    tag = tokens[0]
+    if tag == b"V":
+        if len(tokens) < 3:
+            raise GraphError(f"line {lineno}: empty label (V lines need `V <id> <label>`)")
+        if len(tokens) > 3:
+            raise GraphError(f"line {lineno}: labels may not contain whitespace")
+        vertices.append((token_text(tokens[1]), tokens[2]))
+    elif tag == b"E":
+        if len(tokens) != 3:
+            raise GraphError(f"line {lineno}: E lines need `E <src> <dst>`")
+        edges.append((token_text(tokens[1]), token_text(tokens[2])))
+    else:
+        raise GraphError(f"line {lineno}: unknown record tag {token_text(tag)!r}")
+
+
+def graph_by_item(vertices, edges) -> PangenomeGraph:
+    """``PangenomeGraph.from_items`` one item at a time: every check of the
+    constructor, in its order, before the graph is built."""
+    ids: list[str] = []
+    labels: list[bytes] = []
+    for vid, label in vertices:
+        ids.append(str(vid))
+        labels.append(label.encode("latin-1") if isinstance(label, str) else bytes(label))
+    index = {vid: k for k, vid in enumerate(ids)}
+    idx_edges = []
+    for src, dst in edges:
+        for vid in (src, dst):
+            if vid not in index:
+                raise GraphError(f"edge endpoint {vid!r} is not a declared vertex")
+        idx_edges.append((index[src], index[dst]))
+    seen: set[str] = set()
+    for vid in ids:
+        if vid in seen:
+            raise GraphError(f"duplicate vertex id {vid!r}")
+        seen.add(vid)
+    for vid, label in zip(ids, labels):
+        if not label:
+            raise GraphError(f"empty label for vertex {vid!r}")
+    return PangenomeGraph(tuple(ids), tuple(labels), tuple(dict.fromkeys(idx_edges)))
+
+
+def parse_graph_by_record(text: bytes | str) -> PangenomeGraph:
+    """A TSV graph file, read one record at a time."""
+    vertices: list[tuple[str, bytes]] = []
+    edges: list[tuple[str, str]] = []
+    for lineno, tokens in records(text):
+        tsv_record(lineno, tokens, vertices, edges)
+    return graph_by_item(vertices, edges)
+
+
+def read_seeds_by_record(rows) -> list[Seed]:
+    """Seed records, given as (line number, tokens), one at a time; the
+    first bad record is the error."""
+    seeds = []
+    for lineno, tokens in rows:
+        if len(tokens) != 5:
+            raise SeedError(f"line {lineno}: expected `<vertex> <i> <i'> <j> <j'>`")
+        try:
+            seeds.append(Seed(token_text(tokens[0]), *[int(t) for t in tokens[1:]]))
+        except SeedError as exc:
+            raise SeedError(f"line {lineno}: {exc}") from None
+        except ValueError:
+            raise SeedError(f"line {lineno}: interval bounds must be integers") from None
+    return seeds
+
+
+def parse_instance_by_record(text: bytes | str) -> Instance:
+    """An instance file, read one record at a time.  A bad S line wins over
+    a bad record after it and over a bad graph."""
+    vertices: list[tuple[str, bytes]] = []
+    edges: list[tuple[str, str]] = []
+    query: bytes | None = None
+    seed_rows: list[tuple[int, list[bytes]]] = []
+    try:
+        for lineno, tokens in records(text):
+            tag = tokens[0]
+            if tag == b"Q":
+                if query is not None:
+                    raise GraphError(f"line {lineno}: more than one Q line")
+                if len(tokens) > 2:
+                    raise GraphError(f"line {lineno}: queries may not contain whitespace")
+                query = tokens[1] if len(tokens) == 2 else b""
+            elif tag == b"S":
+                seed_rows.append((lineno, tokens[1:]))
+            else:
+                tsv_record(lineno, tokens, vertices, edges)
+    except GraphError:
+        read_seeds_by_record(seed_rows)
+        raise
+    seeds = tuple(read_seeds_by_record(seed_rows))
+    return Instance(graph_by_item(vertices, edges), query, seeds)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import gc
 import logging
 import random
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -298,6 +299,19 @@ class TestReachability:
         assert not m.diagonal().any()  # acyclic
         assert m[0, 1:].all() and not m[1:, 0].any()  # s0 reaches every vertex
         assert not m[1, 2] and not m[2, 1]  # the two alleles of one bubble
+
+    def test_wall_rung_4501_peak_memory(self):
+        """The traced peak of the closure stays within 1.4 x V^2 bytes: the
+        V^2-byte matrix, the packed rows and the component rows."""
+        gen = helpers.benchmark_generators()
+        g = helpers.program_graph(gen.bubble_graph(random.Random(1), 1500, 10000))
+        tracemalloc.start()
+        try:
+            reachability(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * g.n**2
 
 
 class TestKeptOnTheGraph:
