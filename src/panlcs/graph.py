@@ -293,37 +293,35 @@ def _record_fault(tokens: list[bytes], instance: bool, query: bytes | None) -> s
 
 
 def _parse_gfa(data: bytes | str) -> PangenomeGraph:
-    vertices: list[tuple[str, bytes]] = []
-    edges: list[tuple[str, str]] = []
+    """The graph of a GFA file, read in one loop over its records as
+    :func:`read_tsv` reads TSV: segment ids are decoded once, at the end."""
+    segments: list[bytes] = []  # S records' id and sequence tokens, flat
+    links: list[bytes] = []  # L records' source and target tokens, flat
     skipped = 0
     for lineno, tokens in records(data):
         tag = tokens[0]
         if tag == b"S":
             if len(tokens) < 3:
                 raise GraphError(f"line {lineno}: S lines need `S <id> <seq>`")
-            vid, seq = token_text(tokens[1]), tokens[2]
-            if seq == b"*":
-                raise GraphError(f"line {lineno}: segment {vid!r} has no sequence")
-            vertices.append((vid, seq))
+            if tokens[2] == b"*":
+                raise GraphError(f"line {lineno}: segment {token_text(tokens[1])!r} has no sequence")
+            segments += tokens[1:3]
         elif tag == b"L":
             if len(tokens) < 5:
-                raise GraphError(
-                    f"line {lineno}: L lines need `L <from> <orient> <to> <orient> [overlap]`"
-                )
-            src, src_orient, dst, dst_orient = tokens[1:5]
-            for orient in (src_orient, dst_orient):
+                raise GraphError(f"line {lineno}: L lines need `L <from> <orient> <to> <orient> [overlap]`")
+            if not tokens[2] == tokens[4] == b"+":
+                orient = tokens[2] if tokens[2] != b"+" else tokens[4]
                 if orient == b"-":
-                    raise GraphError(
-                        f"line {lineno}: '-' orientation is unsupported (forward strand only)"
-                    )
-                if orient != b"+":
-                    raise GraphError(f"line {lineno}: bad orientation {token_text(orient)!r}")
-            edges.append((token_text(src), token_text(dst)))
+                    raise GraphError(f"line {lineno}: '-' orientation is unsupported (forward strand only)")
+                raise GraphError(f"line {lineno}: bad orientation {token_text(orient)!r}")
+            links += tokens[1:4:2]
         else:
             skipped += 1
     if skipped:
         log.warning("skipped %d GFA records of unsupported types", skipped)
-    return PangenomeGraph.from_items(vertices, edges)
+    n = len(segments) // 2
+    texts = token_texts(segments[::2] + links)
+    return PangenomeGraph._of_ends(texts[:n], segments[1::2], texts[n:])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import heapq
 import importlib.util
+import logging
 import random
 import sys
 from itertools import permutations
@@ -406,6 +407,38 @@ def parse_graph_by_record(text: bytes | str) -> PangenomeGraph:
     edges: list[tuple[str, str]] = []
     for lineno, tokens in records(text):
         tsv_record(lineno, tokens, vertices, edges)
+    return graph_by_item(vertices, edges)
+
+
+def parse_gfa_by_record(text: bytes | str) -> PangenomeGraph:
+    """A GFA graph file, read one record at a time; the skipped-record
+    warning goes to the logger of the bulk reader."""
+    vertices: list[tuple[str, bytes]] = []
+    edges: list[tuple[str, str]] = []
+    skipped = 0
+    for lineno, tokens in records(text):
+        tag = tokens[0]
+        if tag == b"S":
+            if len(tokens) < 3:
+                raise GraphError(f"line {lineno}: S lines need `S <id> <seq>`")
+            vid, seq = token_text(tokens[1]), tokens[2]
+            if seq == b"*":
+                raise GraphError(f"line {lineno}: segment {vid!r} has no sequence")
+            vertices.append((vid, seq))
+        elif tag == b"L":
+            if len(tokens) < 5:
+                raise GraphError(f"line {lineno}: L lines need `L <from> <orient> <to> <orient> [overlap]`")
+            src, src_orient, dst, dst_orient = tokens[1:5]
+            for orient in (src_orient, dst_orient):
+                if orient == b"-":
+                    raise GraphError(f"line {lineno}: '-' orientation is unsupported (forward strand only)")
+                if orient != b"+":
+                    raise GraphError(f"line {lineno}: bad orientation {token_text(orient)!r}")
+            edges.append((token_text(src), token_text(dst)))
+        else:
+            skipped += 1
+    if skipped:
+        logging.getLogger("panlcs.graph").warning("skipped %d GFA records of unsupported types", skipped)
     return graph_by_item(vertices, edges)
 
 

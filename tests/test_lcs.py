@@ -116,26 +116,49 @@ def csr_bytes(dag):
     return dag.indptr.nbytes + dag.dst.nbytes
 
 
+def traced_build_and_solve(query, graph):
+    """The product DAG of ``query`` and ``graph``, the traced peak of
+    building it, and the traced peak of solving it above what the DAG holds."""
+    reachability(graph)  # kept on the graph, so the traced build only reads it
+    tracemalloc.start()
+    try:
+        dag = build_match_graph(query, graph)
+        _, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        longest_path_vertex(dag)
+        _, solve_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return dag, build_peak, solve_peak - held
+
+
 class TestProductDagMemory:
     def test_peaks_at_stress_scale(self):
         # 17.4 M arcs: 279 MB as int64 pairs, 35 MB as CSR with uint16
         # destinations; a source column or any (m, 2) array would show
         g, _, q200 = stress_instance()
-        reachability(g)  # kept on g, so the traced build below only reads it
-        tracemalloc.start()
-        try:
-            dag = build_match_graph(q200, g)
-            _, build_peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            held, _ = tracemalloc.get_traced_memory()
-            longest_path_vertex(dag)
-            _, solve_peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        dag, build_peak, solve_extra = traced_build_and_solve(q200, g)
         assert dag.n_arcs == 17_440_087 and dag.dst.dtype == np.uint16
         assert build_peak <= 1.3 * csr_bytes(dag)
         assert build_peak < 0.25 * 16 * dag.n_arcs
-        assert solve_peak - held < csr_bytes(dag) / 3  # no whole-array pass over the arcs
+        assert solve_extra < csr_bytes(dag) / 3  # no whole-array pass over the arcs
+
+    @pytest.mark.parametrize("length, bound", [(115, 1.4), (50, 2.4)])
+    def test_peaks_at_benchmark_scale(self, length, bound):
+        # the benchmark's lcs requests: a 50-vertex stress graph and a random
+        # query over its eight letters.  Every successor list fits in one
+        # character block, so the build peaks at the arc copy (|Q| = 115) or
+        # at the block's precedence mask and cell indices (|Q| = 50); cell
+        # indices held through the copy would show (1.8x at |Q| = 115, 3.0x
+        # at |Q| = 50)
+        gen, rng = helpers.benchmark_generators(), random.Random(length)
+        g = helpers.program_graph(gen.stress_graph(rng, letters=b"abcdefgh"))
+        dag, build_peak, solve_extra = traced_build_and_solve(gen.random_text(rng, b"abcdefgh", length), g)
+        assert g.total_label_length * dag.n_nodes <= daglp._BLOCK_CELLS  # one block, whatever the characters
+        assert build_peak <= bound * csr_bytes(dag)
+        if length == 115:
+            assert solve_extra < csr_bytes(dag) / 3
 
     def test_dense_scan_peak(self):
         # the |Q| = 100 matches as length-one seeds listed by vertex are not

@@ -2,6 +2,7 @@
 record-by-record readers of ``helpers``: the same result, or the same
 error type and message, line number and winning error included."""
 
+import logging
 import random
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from panlcs import parse_graph, parse_instance, parse_seeds
+from panlcs import GraphError, PangenomeGraph, parse_graph, parse_instance, parse_seeds
 from panlcs.generate import GenProfile, generate_instance, instance_to_tsv
 from panlcs.graph import reachability, records
 
@@ -23,7 +24,11 @@ _FAULTS = {
     "graph": ["count", "tag", "dangling", "duplicate"],
     "instance": ["count", "tag", "second Q", "dangling", "duplicate", "interval", "integer"],
     "seeds": ["count", "interval", "integer"],
+    "gfa": ["count", "sequence", "orientation", "dangling", "duplicate"],
 }
+# GFA records of the types the reader skips, and overlap or tag columns after a link's orientations
+_GFA_SKIPPED = [[b"H", b"VN:Z:1.0"], [b"P", b"p1", b"a+,b+", b"*"], [b"s", b"a", b"b"], [b"E"]]
+_GFA_LINK_TAILS = [[], [b"0M"], [b"*", b"ID:Z:e"]]
 
 tokens = st.lists(st.sampled_from(_DATA), min_size=1, max_size=3).map(bytes)
 numbers = st.integers(0, 20)
@@ -39,6 +44,8 @@ def seed_record(draw, ids):
 def fault_record(draw, kind, ids):
     """One bad record of the kind of file ``kind``."""
     fault = draw(st.sampled_from(_FAULTS[kind]))
+    if kind == "gfa":
+        return draw(gfa_fault_record(fault, ids))
     seed = draw(seed_record(ids))
     tag = [b"S"] if kind == "instance" else []
     if fault == "count":
@@ -67,18 +74,45 @@ def fault_record(draw, kind, ids):
 
 
 @st.composite
+def gfa_fault_record(draw, fault, ids):
+    """One bad record of a GFA file."""
+    vertex = st.sampled_from(ids)
+    if fault == "count":
+        return draw(st.sampled_from([[b"S"], [b"S", draw(vertex)], [b"L", draw(vertex), b"+", draw(vertex)]]))
+    if fault == "sequence":
+        return [b"S", draw(st.sampled_from([*ids, b"zz"])), b"*"]
+    if fault == "orientation":
+        orients = draw(st.lists(st.sampled_from([b"+", b"-", b"x", b"\xff"]), min_size=2, max_size=2))
+        orients[draw(st.integers(0, 1))] = draw(st.sampled_from([b"-", b"x", b"\xff"]))
+        return [b"L", draw(vertex), orients[0], draw(vertex), orients[1]]
+    if fault == "dangling":
+        src, dst = draw(st.permutations([draw(vertex), b"zz"]))
+        return [b"L", src, b"+", dst, b"+"]
+    return [b"S", draw(vertex), draw(tokens)]
+
+
+@st.composite
 def record_files(draw, kind):
-    """A graph, instance or seed file as bytes: comments, blank lines,
-    mixed line ends and separators, and zero to two faults."""
+    """A TSV graph, instance or seed file, or a GFA graph file, as bytes:
+    comments, blank lines, mixed line ends and separators, and zero to two
+    faults."""
     ids = draw(st.lists(tokens, min_size=1, max_size=5, unique=True))
     rows = []
-    if kind != "seeds":
+    if kind == "gfa":
+        rows += [[b"S", vid, draw(tokens), *draw(st.sampled_from([[], [b"LN:i:3"]]))] for vid in ids]
+        vertex = st.sampled_from(ids)
+        rows += [
+            [b"L", draw(vertex), b"+", draw(vertex), b"+", *draw(st.sampled_from(_GFA_LINK_TAILS))]
+            for _ in range(draw(st.integers(0, 8)))
+        ]
+        rows += draw(st.lists(st.sampled_from(_GFA_SKIPPED), max_size=2))
+    elif kind != "seeds":
         rows += [[b"V", vid, draw(tokens)] for vid in ids]
         vertex = st.sampled_from(ids)
         rows += [[b"E", draw(vertex), draw(vertex)] for _ in range(draw(st.integers(0, 8)))]
     if kind == "instance" and draw(st.booleans()):
         rows.append([b"Q", draw(tokens)] if draw(st.booleans()) else [b"Q"])
-    if kind != "graph":
+    if kind in ("instance", "seeds"):
         tag = [b"S"] if kind == "instance" else []
         rows += [tag + draw(seed_record(ids)) for _ in range(draw(st.integers(0, 4)))]
     rows = draw(st.permutations(rows))
@@ -102,6 +136,24 @@ def outcome(parse, text):
         return type(exc), str(exc)
 
 
+def logged_outcome(parse, text):
+    """:func:`outcome` and the messages logged by :mod:`panlcs.graph`."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("panlcs.graph")
+    logger.addHandler(handler)
+    try:
+        return outcome(parse, text), messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def gfa_outcomes(text):
+    """The logged outcomes of the GFA reader and of its record-by-record reference."""
+    return logged_outcome(lambda t: parse_graph(t, "gfa"), text), logged_outcome(helpers.parse_gfa_by_record, text)
+
+
 def seeds_outcome(text):
     kind, value = outcome(parse_seeds, text)
     return (kind, (list(value), value.names)) if kind == "ok" else (kind, value)
@@ -117,6 +169,40 @@ class TestBulkReadersMatchRecordByRecord:
     @settings(max_examples=300)
     def test_graph_files(self, text):
         assert outcome(parse_graph, text) == outcome(helpers.parse_graph_by_record, text)
+
+    @given(record_files("gfa"))
+    @settings(max_examples=300)
+    def test_gfa_files(self, text):
+        bulk, by_record = gfa_outcomes(text)
+        assert bulk == by_record
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"S a ac\nS b\nL a + b + 0M\n", "line 2: S lines need `S <id> <seq>`"),
+            (b"S a ac\nL a + b\n", "line 2: L lines need `L <from> <orient> <to> <orient> [overlap]`"),
+            (b"S a ac\nS b *\n", "line 2: segment 'b' has no sequence"),
+            (b"S a ac\nL a - a x\n", "line 2: '-' orientation is unsupported (forward strand only)"),
+            (b"S a ac\nL a x a -\n", "line 2: bad orientation 'x'"),
+            (b"S a ac\nL a + a \xe9\n", "line 2: bad orientation '\xe9'"),
+            # a record's fault wins over a graph's: a bad link after a dangling one
+            (b"S a ac\nL a + b +\nL a + a -\n", "line 3: '-' orientation is unsupported (forward strand only)"),
+            # a dangling link before a duplicate id
+            (b"S a ac\nL a + b +\nS a g\n", "edge endpoint 'b' is not a declared vertex"),
+            (b"S a ac\nS a g\n", "duplicate vertex id 'a'"),
+        ],
+    )
+    def test_gfa_faults(self, text, message):
+        bulk, by_record = gfa_outcomes(text)
+        assert bulk == by_record
+        assert bulk == ((GraphError, message), [])
+
+    def test_gfa_skipped_records(self):
+        text = b"H VN:Z:1.0\nS a ac\nP p a+ *\nS b g LN:i:1\nL a + b + 0M\n"
+        bulk, by_record = gfa_outcomes(text)
+        assert bulk == by_record
+        assert bulk[0][1] == PangenomeGraph(("a", "b"), (b"ac", b"g"), ((0, 1),))
+        assert bulk[1] == ["skipped 2 GFA records of unsupported types"]
 
     @given(record_files("instance"))
     @settings(max_examples=300)
