@@ -13,10 +13,11 @@ maximize the seed count.  :func:`build_seed_graph` builds that DAG, as the
 reference reduction.  :func:`solve_memc` and :func:`solve_msp` compute the
 same longest path, tie-breaks included, without holding any arc: the seeds
 are sorted by query start, so that every predecessor of a seed sorts before
-it, and each seed is scanned against the earlier ones, a block of seeds at
-a time, in descending score order so that it stops at its best predecessor
-(:func:`_longest_chain`).  That is at most about K^2/2 cells for K seeds,
-in any input order, in O(K + block) memory.
+it, and each seed is scanned against the earlier ones, a block of whole
+runs of seeds at a time (a run holds no arc), in descending score order so
+that it stops at its best predecessor (:func:`_longest_chain`).  That is at
+most about K^2/2 cells for K seeds, in any input order, in O(K + block)
+memory.
 
 Seeds are held as int64 columns (:class:`SeedTable`), read from seed files
 and instance ``S`` lines alike and validated in bulk; :class:`Seed` objects
@@ -34,7 +35,6 @@ import logging
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -246,8 +246,8 @@ def build_seed_graph(
     return dag
 
 
-_BLOCK_ROWS = 64  # seeds per block: the seeds before a block are scanned once for all its rows
-_BLOCK_CELLS = 1 << 20  # seed pairs, or characters compared, at once: bounds the temporaries
+_BLOCK_ROWS = 64  # rows per block of whole runs: the seeds before a block are scanned once for all its rows
+_BLOCK_CELLS = 1 << 20  # seed pairs, or characters compared, at once: bounds the temporaries, >= (_BLOCK_ROWS - 1)**2
 
 
 def _longest_chain(table: SeedTable, first: np.ndarray, weights: np.ndarray, graph: PangenomeGraph) -> tuple[int, ...]:
@@ -262,13 +262,17 @@ def _longest_chain(table: SeedTable, first: np.ndarray, weights: np.ndarray, gra
     successor, the first seed whose ``j`` exceeds its ``j2``).  The arc
     rule is the seed DAG's, ``j2_a < j_b`` and
     :func:`~panlcs.graph.precedes` from ``a``'s last character to ``b``'s
-    first.
+    first, its reachability read pair by pair from the flat matrix.
 
-    Seeds are solved ``_BLOCK_ROWS`` at a time.  The seeds before a block
-    are final and are scanned in descending key order, in chunks that
-    double in width, so that a row stops at its first predecessor, the
-    best; a row without one scans them all.  Predecessors inside the block
-    are taken row by row, for the rows whose run begins inside it.
+    Seeds are solved in blocks of whole runs, as many as fit in
+    ``_BLOCK_ROWS`` rows; a longer run is a block of its own.  The keys of
+    the seeds before a block are final and kept in ascending order.  They
+    are scanned in descending order, ``_BLOCK_ROWS`` rows at a time, in
+    chunks that double in width, so that a row stops at its first
+    predecessor, the best; a row without one scans them all.  Inside the
+    block, each run after the first takes its predecessors in the runs
+    before it by one maximum over one mask of the block.  The block's keys
+    are then merged into the kept order.
 
     The key of a seed is ``dist << b | (low - index)``, the key of
     :func:`~panlcs.daglp._forward_dp`: the largest predecessor key gives
@@ -278,56 +282,62 @@ def _longest_chain(table: SeedTable, first: np.ndarray, weights: np.ndarray, gra
     n = len(table)
     _check_score_bound(n, weights, None)
     reach = reachability(graph).matrix
+    side, reach = len(reach), reach.ravel()
     order = np.argsort(table.j, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
     ci, ci2, j, j2 = (column[order] for column in (first, first + table.i2 - table.i, table.j, table.j2))
     v = build_char_graph(graph).origin[ci]
-    w = weights[order]
     b = n.bit_length()
     low = (1 << b) - 1
-    tie = low - order
-    run_starts = [a for a, _ in _runs(np.searchsorted(j, j2, "right"))]
+    own = weights[order] << b | low - order  # a seed's key without a predecessor
+    starts = [a for a, _ in _runs(np.searchsorted(j, j2, "right"))] + [n]  # run k: [starts[k], starts[k + 1])
     cells = 0
 
     def arcs(a: np.ndarray, c: np.ndarray) -> np.ndarray:
         """mask[r, x]: sorted seed ``a[x]`` precedes sorted seed ``c[r]``."""
         nonlocal cells
         cells += len(a) * len(c)
-        across = reach.take(v[a], axis=0).take(v[c], axis=1).T
-        mask = precedes(v[a], ci2[a], v[c, None], ci[c, None], across)
+        va, vc = v[a], v[c, None]
+        mask = precedes(va, ci2[a], vc, ci[c, None], reach.take(va * side + vc))
         mask &= j2[a] < j[c, None]
         return mask
 
-    key = np.empty(n, dtype=np.int64)  # per sorted seed: dist << b | tie, once final
-    best = np.full(n, -1, dtype=np.int64)  # the largest predecessor key; -1: none
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(n, lo + _BLOCK_ROWS)
-        by_key = np.argsort(key[:lo])[::-1]  # keys are distinct: their low bits are
-        rows, start, width = np.arange(lo, hi), 0, max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // (hi - lo)))
-        while len(rows) and start < lo:
-            cols = by_key[start : start + width]
-            mask = arcs(cols, rows)
-            at = mask.argmax(axis=1)
-            hit = mask[np.arange(len(rows)), at]
-            best[rows[hit]] = key[cols[at[hit]]]
-            rows = rows[~hit]
-            start += width
-            width = max(1, min(2 * width, _BLOCK_CELLS // max(len(rows), 1)))
-        # rows of a run that began at or before lo have no predecessor in the block
-        k = bisect_right(run_starts, lo)
-        first = min(hi, run_starts[k] if k < len(run_starts) else n)
-        key[lo:first] = (w[lo:first] + np.maximum(best[lo:first] >> b, 0)) << b | tie[lo:first]
-        done, found = key[lo:first].tolist(), []
-        inner = arcs(np.arange(lo, hi), np.arange(first, hi)).tolist()
-        for p, row, weight, t in zip(best[first:hi].tolist(), inner, w[first:hi].tolist(), tie[first:hi].tolist()):
-            p = max(p, max(compress(done, row), default=-1))
-            found.append(p)
-            done.append((weight + max(p >> b, 0)) << b | t)
-        key[lo:hi], best[first:hi] = done, found
-    log.info("chain: %d seeds, %d runs, %d cells scanned", n, len(run_starts), cells)
+    key = np.empty(n, dtype=np.int64)  # per sorted seed: dist << b | (low - index), once final
+    best = np.zeros(n, dtype=np.int64)  # the largest predecessor key; 0: none, as keys are at least 1 << b
+    final = np.empty(0, dtype=np.int64)  # the final keys, ascending; the low bits of a key name its seed
+    k = 0
+    while k < len(starts) - 1:
+        # a block: runs k to t - 1, those that end within _BLOCK_ROWS rows of its start, or run k alone
+        t = max(k + 1, bisect_right(starts, starts[k] + _BLOCK_ROWS) - 1)
+        lo, f, hi = starts[k], starts[k + 1], starts[t]
+        for group in range(lo, hi, _BLOCK_ROWS):
+            rows, top = np.arange(group, min(hi, group + _BLOCK_ROWS)), len(final)
+            width = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // len(rows)))
+            while len(rows) and top > 0:
+                keys = final[max(0, top - width) : top][::-1]
+                mask = arcs(rank[low - (keys & low)], rows)
+                at = mask.argmax(axis=1)
+                hit = mask[np.arange(len(rows)), at]
+                best[rows[hit]] = keys[at[hit]]
+                rows = rows[~hit]
+                top -= width
+                width = max(1, min(2 * width, _BLOCK_CELLS // max(len(rows), 1)))
+        # the first run of a block has no predecessor in it; a later run has them in the runs before it
+        key[lo:f] = own[lo:f] + (best[lo:f] & ~low)
+        if t > k + 1:
+            inner = arcs(np.arange(lo, starts[t - 1]), np.arange(f, hi))
+            for a, z in zip(starts[k + 1 : t], starts[k + 2 : t + 1]):
+                best[a:z] = np.maximum(best[a:z], np.where(inner[a - f : z - f, : a - lo], key[lo:a], 0).max(axis=1))
+                key[a:z] = own[a:z] + (best[a:z] & ~low)
+        merged = np.sort(key[lo:hi])
+        final = np.insert(final, np.searchsorted(final, merged), merged)
+        k = t
+    log.info("chain: %d seeds, %d runs, %d cells scanned", n, len(starts) - 1, cells)
     dist = np.empty(n, dtype=np.int64)
     parent = np.empty(n, dtype=np.int64)
     dist[order] = key >> b
-    parent[order] = np.where(best < 0, -1, low - (best & low))
+    parent[order] = np.where(best == 0, -1, low - (best & low))
     return _reconstruct(parent, int(np.argmax(dist)))  # first max: smallest index wins
 
 

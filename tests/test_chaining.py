@@ -1,9 +1,11 @@
 import collections.abc
+import logging
 import random
 import re
 import tracemalloc
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +24,8 @@ from panlcs import (
 )
 from panlcs.chaining import EMPTY_CHAIN, Chain, SeedTable, build_seed_graph, format_seeds, total_length
 from panlcs.daglp import longest_path_vertex, topo_sort
-from panlcs.graph import GraphError, records
-from panlcs.oracle import memc_bruteforce, msp_bruteforce
+from panlcs.graph import GraphError, precedes, records
+from panlcs.oracle import enumerate_mems, memc_bruteforce, msp_bruteforce
 
 TWO_VERTEX = parse_graph("V u abcq\nV w abcq\nE u w\n")
 
@@ -336,7 +338,11 @@ def seed_dag_chain(seeds, graph, unit_weights):
     return tuple(dag.payloads[k] for k in longest_path_vertex(dag).path)
 
 
-# the default blocks, one-seed blocks scanned a column at a time, and small ones
+# The default blocks; one-row blocks, so that every run of two or more seeds
+# is scanned in row groups, one cell at a time; and blocks of up to three
+# rows, so that short runs share a block and longer runs are split into row
+# groups.  Each budget keeps the in-block mask, (_BLOCK_ROWS - 1)**2 cells
+# at most, within _BLOCK_CELLS.
 BLOCKS = [
     {"_BLOCK_ROWS": chaining._BLOCK_ROWS, "_BLOCK_CELLS": chaining._BLOCK_CELLS},
     {"_BLOCK_ROWS": 1, "_BLOCK_CELLS": 1},
@@ -369,6 +375,110 @@ class TestChainEqualsSeedDagPath:
                 with patch.multiple(chaining, **block):
                     assert solve(seeds, g).seeds == expected
                     assert solve(table, g).seeds == expected
+
+
+def seed_at(rng, graph, j, length):
+    """A seed of ``length`` characters on a random vertex, at query start ``j``."""
+    v = rng.choice([v for v in range(graph.n) if len(graph.labels[v]) >= length])
+    i = rng.randrange(len(graph.labels[v]) - length + 1)
+    return Seed(graph.ids[v], i, i + length - 1, j, j + length - 1)
+
+
+def short_runs(rng, graph, runs, most=1, j=0):
+    """``runs`` runs of one to ``most`` seeds: the seeds of a run start at
+    one query position, and the next run starts 0-2 positions past its
+    last query end."""
+    seeds = []
+    for _ in range(runs):
+        run = [seed_at(rng, graph, j, rng.randint(1, 3)) for _ in range(rng.randint(1, most))]
+        seeds += run
+        j = max(s.j2 for s in run) + 1 + rng.randint(0, 2)
+    return seeds
+
+
+def bubble_mems():
+    """The MEMs of two or more characters of a 40-character read on a
+    37-vertex bubble graph, listed by vertex as ``panlcs mems`` writes them
+    (345 seeds)."""
+    gen = helpers.benchmark_generators()
+    graph = gen.bubble_graph(random.Random(1), 12, 200)
+    read = gen.sample_read(random.Random(2), graph, 40, 0.05)
+    program = helpers.program_graph(graph)
+    return program, [m for m in enumerate_mems(read, program) if m.length >= 2]
+
+
+def scan_chain(seeds, graph, unit_weights):
+    """The chain of :func:`solve_memc` or :func:`solve_msp` and the largest
+    mask the scan built (``precedes`` calls with 2-d reachability; the
+    chain's own check makes 1-d ones)."""
+    largest = 0
+
+    def sized(*args):
+        nonlocal largest
+        if np.ndim(args[-1]) == 2:
+            largest = max(largest, np.broadcast(*args).size)
+        return precedes(*args)
+
+    with patch.object(chaining, "precedes", sized):
+        chain = (solve_msp if unit_weights else solve_memc)(seeds, graph)
+    return chain.seeds, largest
+
+
+def test_default_blocks_bound_the_in_block_mask():
+    # a block's in-block mask is at most (_BLOCK_ROWS - 1)**2 cells and is not split
+    assert (chaining._BLOCK_ROWS - 1) ** 2 <= chaining._BLOCK_CELLS
+
+
+class TestChainScanPaths:
+    """Seed sets that take each path of the block scan, against the seed
+    DAG's longest path under every budget of ``BLOCKS``; no mask exceeds
+    ``_BLOCK_CELLS`` cells."""
+
+    GRAPH = helpers.program_graph(helpers.benchmark_generators().bubble_graph(random.Random(3), 12, 200))
+
+    def check(self, seeds, graph):
+        for unit_weights in (False, True):
+            expected = seed_dag_chain(seeds, graph, unit_weights)
+            for block in BLOCKS:
+                with patch.multiple(chaining, **block):
+                    chain, largest = scan_chain(seeds, graph, unit_weights)
+                assert chain == expected
+                assert largest <= block["_BLOCK_CELLS"]
+
+    @pytest.mark.parametrize("most", [1, 3], ids=["one_seed", "one_to_three_seeds"])
+    def test_short_runs(self, most):
+        rng = random.Random(6)
+        seeds = short_runs(rng, self.GRAPH, 150, most)
+        rng.shuffle(seeds)
+        self.check(seeds, self.GRAPH)
+
+    def test_a_run_longer_than_a_block(self):
+        # 150 seeds over query position 80 make one run: it holds no arc
+        rng = random.Random(7)
+        seeds = short_runs(rng, self.GRAPH, 12)  # they end before position 60
+        lengths = [rng.randint(1, 3) for _ in range(150)]
+        seeds += [seed_at(rng, self.GRAPH, 80 - rng.randrange(n), n) for n in lengths]
+        seeds += short_runs(rng, self.GRAPH, 12, j=85)
+        rng.shuffle(seeds)
+        self.check(seeds, self.GRAPH)
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["by_vertex", "shuffled"])
+    def test_mems(self, shuffled):
+        graph, seeds = bubble_mems()
+        if shuffled:
+            random.Random(8).shuffle(seeds)
+        self.check(seeds, graph)
+
+    def test_work_count_is_pinned(self, caplog):
+        # the scan's work on a fixed instance: a change here is a change of algorithm
+        graph, seeds = bubble_mems()
+        with caplog.at_level(logging.INFO, logger="panlcs.chaining"):
+            solve_memc(seeds, graph)
+            solve_msp(seeds, graph)
+        assert caplog.messages == [
+            "chain: 345 seeds, 20 runs, 34436 cells scanned",
+            "chain: 345 seeds, 20 runs, 34718 cells scanned",
+        ]
 
 
 class TestChainAtScale:

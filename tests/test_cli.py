@@ -372,7 +372,7 @@ class TestVerbose:
         [
             (["lcs", "--query", "aba"], ["panlcs.lcs: product DAG: 6 matches, 5 arcs", "panlcs.daglp: longest path: 6 nodes, 5 arcs, 3 runs"]),
             (["fglcs", "--query", "aba", "--k1", "2", "--k2", "2"], ["panlcs.fglcs: fglcs table: 3 query rows x 4 characters, predecessors by radius-2 balls, 5 character pairs"]),
-            (["chain", "--seeds", "SEEDS", "--objective", "len"], ["panlcs.chaining: chain: 2 seeds, 2 runs, 2 cells scanned"]),
+            (["chain", "--seeds", "SEEDS", "--objective", "len"], ["panlcs.chaining: chain: 2 seeds, 2 runs, 1 cells scanned"]),
         ],
         ids=["lcs", "fglcs", "chain"],
     )
