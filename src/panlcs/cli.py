@@ -6,7 +6,8 @@ instance generator), and ``mems`` (maximal exact match enumeration).
 One function, :func:`_problem`, reads each problem's inputs and gives its
 solver and its oracle.  ``oracle`` and ``--oracle-check`` run the exhaustive
 oracles, which refuse instances beyond their fixed size caps (exit 3);
-``mems`` and ``gen`` enumerate MEMs in polynomial time, with no cap.
+``mems`` and ``gen`` enumerate MEMs in polynomial time, with no cap; only
+these four load :mod:`panlcs.oracle`, and only when they run.
 
 JSON is the canonical machine output; the human and tsv modes render the
 same record.  Exit codes: 0 success, 2 usage error, 3 parse or validation
@@ -28,20 +29,12 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .chaining import Chain, Seed, SeedError, format_seeds, parse_seeds, solve_memc, solve_msp
-from .daglp import CycleError, DagError, longest_path_edge, longest_path_vertex, parse_dag
+from .chaining import Chain, Seed, format_seeds, parse_seeds, solve_memc, solve_msp
+from .daglp import longest_path_edge, longest_path_vertex, parse_dag
 from .fglcs import GapParams, solve_fglcs_sg
 from .generate import GenProfile, Instance, generate_instance, instance_to_tsv, parse_instance
-from .graph import GRAPH_FORMATS, GraphError, parse_graph
-from .lcs import Alignment, AlignmentError, solve_lcs_sg
-from .oracle import (
-    OracleError,
-    enumerate_mems,
-    fglcs_bruteforce,
-    lcs_sg_bruteforce,
-    memc_bruteforce,
-    msp_bruteforce,
-)
+from .graph import GRAPH_FORMATS, parse_graph
+from .lcs import Alignment, solve_lcs_sg
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -187,15 +180,23 @@ def _problem(name: str, args: argparse.Namespace) -> tuple[Callable[[], dict], C
     if name in ("memc", "msp"):
         inputs = (_load_seeds(args, instance), instance.graph)
         query = os.fsencode(args.query) if args.query is not None else instance.query  # for the solver's seed check
-        solve, brute = (solve_memc, memc_bruteforce) if name == "memc" else (solve_msp, msp_bruteforce)
-        return lambda: _chain_record(name, solve(*inputs, query=query)), lambda: brute(*inputs)
+        solve = solve_memc if name == "memc" else solve_msp
+        return lambda: _chain_record(name, solve(*inputs, query=query)), lambda: _bruteforce(name, inputs)
     inputs = (_resolve_query(args, instance), instance.graph)
     if name == "fglcs":
         if args.k1 is None or args.k2 is None:
             raise UsageError("oracle --problem fglcs needs --k1 and --k2")
         inputs += (GapParams(GapParams.parse_bound(args.k1), GapParams.parse_bound(args.k2)),)
-    solve, brute = (solve_lcs_sg, lcs_sg_bruteforce) if name == "lcs" else (solve_fglcs_sg, fglcs_bruteforce)
-    return lambda: _alignment_record(f"{name}-sg", solve(*inputs)), lambda: brute(*inputs)
+    solve = solve_lcs_sg if name == "lcs" else solve_fglcs_sg
+    return lambda: _alignment_record(f"{name}-sg", solve(*inputs)), lambda: _bruteforce(name, inputs)
+
+
+def _bruteforce(name: str, inputs: tuple) -> int:
+    """Problem ``name``'s brute-force optimum on ``inputs``; the oracle loads here."""
+    from .oracle import fglcs_bruteforce, lcs_sg_bruteforce, memc_bruteforce, msp_bruteforce
+
+    brute = {"lcs": lcs_sg_bruteforce, "fglcs": fglcs_bruteforce, "memc": memc_bruteforce, "msp": msp_bruteforce}
+    return brute[name](*inputs)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -250,6 +251,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_mems(args: argparse.Namespace) -> int:
+    from .oracle import enumerate_mems
+
     instance = _load_instance(args)
     query = _resolve_query(args, instance)
     mems = enumerate_mems(query, instance.graph)
@@ -391,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GraphError, DagError, CycleError, SeedError, OracleError, AlignmentError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every panlcs error class is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError:  # the backstop behind the size checks that refuse before allocating

@@ -3,11 +3,11 @@
 This module is the solving core of lcs and of the seed-DAG and fglcs
 reference constructions (fglcs itself fills the same longest-path table
 row by row without arcs, and chaining scans its seeds without arcs, with
-the same packed keys): the shared DAG type, the arc builder of the lcs
-product DAG (:func:`match_arcs`), one blocked scan over all node pairs
-for the reference DAGs (:func:`_pair_arcs`), a deterministic topological
-sort, and one longest-path program, vertex or edge weighted, with
-parent-based path reconstruction.
+the same packed keys): the shared DAG type, one blocked scan over all
+node pairs for the reference DAGs (:func:`_pair_arcs`), a deterministic
+topological sort, one longest-path program, vertex or edge weighted, with
+parent-based path reconstruction, and the reader of the debug DAG format
+(:func:`parse_dag`).  Each reduction's arc builder lives with its problem.
 
 Determinism contract: :func:`topo_sort` returns the lexicographically
 smallest topological order (smallest ready node index first), and both
@@ -23,27 +23,20 @@ takes sixteen).  No source column is stored; the builders emit the arcs
 grouped by source, and a source is expanded only for the few arcs a
 longest-path step reads at once.
 
-The product DAG of lcs numbers its nodes in query order, and a node's
-graph side is one character id (see :mod:`panlcs.graph`).  The out-arcs
-of a node are then a suffix of one successor list shared by every node
-with its character, so :func:`match_arcs` copies them into one
-preallocated column, at a cost close to writing the arcs.  When every
-arc ascends (the product DAGs, and the seed DAG of seeds listed in query
-order), index order is already topological: one reduction over the
-destinations finds each node's smallest out-neighbor, which proves it
-and marks where runs end.
-The longest-path program pushes run by run, a run being a maximal stretch
-of the order with no arc inside (one query row of the lcs product DAG):
-its scores are final, and one scatter-max over its out-arcs raises every
-successor at once.  The value scattered packs a score above its source's
-tie-break rank, so that one pass yields both the best score and the
-parent; scores are therefore bounded (:func:`_check_score_bound`).  Any
-other DAG is relabelled by its topological order and solved the same way.
+When every arc ascends (the product DAGs, and the seed DAG of seeds
+listed in query order), index order is already topological: one
+reduction over the destinations finds each node's smallest out-neighbor,
+which proves it and marks where runs end.  The longest-path program
+pushes run by run, a run being a maximal stretch of the order with no
+arc inside (one query row of the lcs product DAG): its scores are final,
+and one scatter-max over its out-arcs raises every successor at once.
+The value scattered packs a score above its source's tie-break rank, so
+that one pass yields both the best score and the parent; scores are
+therefore bounded (:func:`_check_score_bound`).  Any other DAG is
+relabelled by its topological order and solved the same way.
 Python touches each node a few times and no arc; DAGs in the tens of
 thousands of nodes and tens of millions of arcs stay workable, with
-temporaries bounded by a block size.  Building the lcs arcs of a long
-query peaks near its CSR plus the successor lists (1.22x the CSR bytes
-at 5 M arcs): no block's int64 cell indices live through the copy.
+temporaries bounded by a block size.
 """
 
 from __future__ import annotations
@@ -55,7 +48,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .graph import _strong_components, check_bytes, precedes, records, token_text
+from .graph import _strong_components, check_bytes, records, token_text
 
 log = logging.getLogger(__name__)
 
@@ -107,7 +100,7 @@ class MatchDag:
 
     ``MatchDag(weights, arcs)`` takes an (m, 2) array of node-index pairs
     and groups it by source with a stable sort, permuting ``arc_weights``
-    alike; the builders of this module hand their CSR arrays to
+    alike; the arc builders hand their CSR arrays to
     :meth:`from_csr`.  :attr:`arcs` gives the pairs back, grouped by
     source.
 
@@ -196,7 +189,7 @@ class MatchDag:
         return arcs
 
 
-_BLOCK_CELLS = 4_000_000  # pair cells per block of a scan or list build: bounds its temporaries
+_BLOCK_CELLS = 4_000_000  # pair cells per block of a scan, or of the lcs list build: bounds its temporaries
 
 
 def _pair_arcs(m: int, accept_block) -> tuple[np.ndarray, np.ndarray]:
@@ -220,84 +213,6 @@ def _pair_arcs(m: int, accept_block) -> tuple[np.ndarray, np.ndarray]:
         pieces.append(np.remainder(flat, m, out=flat).astype(pieces[0].dtype))
         del flat  # free the block's cell indices before the next block's
     return indptr, np.concatenate(pieces)
-
-
-def match_arcs(qi: np.ndarray, ci: np.ndarray, origin: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Arcs of the lcs product DAG over the matches ``(qi, ci)`` of query
-    index and character id, numbered in query order: ``x -> y`` when
-    ``qi[x] < qi[y]`` and :func:`~panlcs.graph.precedes` holds, with
-    ``origin`` mapping a character to its vertex and ``reach`` as the
-    cross-vertex predicate.  Returns CSR arcs ``(indptr, dst)`` (see
-    :class:`MatchDag`), each source's destinations ascending.
-
-    The graph side depends only on the character of each end, and the
-    out-arcs of ``x`` are the suffix, from ``first[x]``, the first match
-    later in the query, of its character's successor list: the matches
-    whose character it precedes, in index order, from the earliest
-    ``first`` among the character's matches on.  The lists are built a
-    block of characters at a time (characters x matches cells), a
-    character's row of the precedence table with its prefix before that
-    earliest ``first`` cleared; each match's slice is then copied into one
-    preallocated column.  Both allocations are refused past
-    :data:`~panlcs.graph.MAX_BYTES` before they are made.
-
-    A block's int64 cell indices are dropped as soon as its list is kept
-    at the node dtype, so the copy holds only the column, the lists, a few
-    int64 columns of one entry per match and the slice views of one copy
-    block.  On the 50-vertex stress graphs of the benchmark the build then
-    peaks at 1.22x the CSR bytes at |Q| = 115, and at 2.2x at |Q| = 50,
-    where one block's precedence mask and cell indices set the peak.
-    """
-    m = len(qi)
-    first = np.searchsorted(qi, qi, "right")
-    chars, key = np.unique(ci, return_inverse=True)
-    n_keys, k_vert = len(chars), origin[chars]
-    node_type = _node_type(m)  # list entries are node indices, as in ``dst``
-    need = n_keys * m * node_type.itemsize
-    check_bytes(need, f"lcs product DAG: lists of {n_keys} characters x {m} matches need up to {need} bytes")
-    key_first = np.full(n_keys, m, dtype=np.int64)
-    np.minimum.at(key_first, key, first)
-    by_key = np.argsort(key, kind="stable")
-    key_ptr = np.searchsorted(key[by_key], np.arange(n_keys + 1))
-
-    # start/stop: each source's arc suffix within the concatenated lists
-    start, stop = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
-    lists: list[np.ndarray] = [np.empty(0, dtype=node_type)]
-    base = 0
-    rows = max(1, _BLOCK_CELLS // max(m, 1))
-    for ka in range(0, n_keys, rows):
-        kb = min(ka + rows, n_keys)
-        col = int(key_first[ka:kb].min())
-        width = m - col
-        xv = k_vert[ka:kb]
-        across = reach[xv].take(k_vert, axis=1)
-        mask = precedes(xv[:, None], chars[ka:kb, None], k_vert, chars, across).take(key[col:], axis=1)
-        for r, f in enumerate(key_first[ka:kb].tolist()):
-            mask[r, : f - col] = False
-        flat = np.flatnonzero(mask)  # key row r, node col + c at r * width + c
-        del mask
-        xs = by_key[key_ptr[ka] : key_ptr[kb]]
-        row = key[xs] - ka
-        start[xs] = base + np.searchsorted(flat, row * width + first[xs] - col)
-        stop[xs] = base + np.searchsorted(flat, (row + 1) * width)
-        flat %= max(width, 1)
-        flat += col
-        lists.append(flat.astype(node_type))
-        base += len(flat)
-        del flat  # only the node-dtype list outlives the block
-    succ = np.concatenate(lists)
-    del lists
-
-    indptr = np.concatenate(([0], np.cumsum(stop - start)))
-    need = int(indptr[-1]) * node_type.itemsize
-    check_bytes(need, f"lcs product DAG: {indptr[-1]} arcs need {need} bytes")
-    dst = np.empty(int(indptr[-1]), dtype=node_type)
-    block = max(1, _BLOCK_CELLS // 4096)  # sources per copy: their list of views stays near 0.2 MB
-    for a in range(0, m, block):  # one memory copy per source
-        b = min(a + block, m)
-        bounds = zip(start[a:b].tolist(), stop[a:b].tolist())
-        np.concatenate([succ[x:y] for x, y in bounds], out=dst[indptr[a] : indptr[b]])
-    return indptr, dst
 
 
 def topo_sort(dag: MatchDag) -> list[int]:

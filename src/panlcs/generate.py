@@ -15,7 +15,8 @@ reads back exactly the instance :func:`instance_to_tsv` wrote.
 
 Generation is fully determined by the seed: identical inputs reproduce
 byte-identical output.  Labels are drawn from a small alphabet on purpose;
-sparse alphabets keep matches dense enough to exercise long chains.
+sparse alphabets keep matches dense enough to exercise long chains.  Only
+generation loads :mod:`panlcs.oracle`, for its MEMs, and only when it runs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from itertools import accumulate, groupby
 
 from .chaining import Seed, _read_seeds, format_seeds
 from .graph import GraphError, PangenomeGraph, read_tsv
-from .oracle import enumerate_mems
 
 _LETTERS = b"abcdefghijklmnopqrstuvwxyz"
 
@@ -71,6 +71,8 @@ def generate_instance(seed: int, profile: GenProfile = GenProfile()) -> Instance
     """Deterministically generate a graph, query, and its maximal exact
     matches.  With ``profile.acyclic`` the graph is a DAG by construction
     (edges only follow a random vertex order)."""
+    from .oracle import enumerate_mems
+
     rng = random.Random(seed)
     n = profile.n
     letters = _LETTERS[: profile.alphabet]

@@ -12,11 +12,12 @@ A match is a (query index, character id) pair: the graph side is the
 character's id in :func:`~panlcs.graph.build_char_graph`, the one graph
 coordinate of the solvers, and (vertex id, offset) pairs are built only
 for the emitted :class:`Alignment`.  The product graph is materialized
-explicitly by :func:`panlcs.daglp.match_arcs`.  Matches are numbered in
-query order, so the out-arcs of a match are the suffix, past its query
-index, of the successor list of its character: each suffix is copied
-into one preallocated destination column, grouped by source (CSR), and
-the longest path needs neither a topological sort nor an arc sort.
+explicitly by this module's arc builder, :func:`match_arcs`, and solved
+by :mod:`panlcs.daglp`.  Matches are numbered in query order, so the
+out-arcs of a match are the suffix, past its query index, of the
+successor list of its character: each suffix is copied into one
+preallocated destination column, grouped by source (CSR), and the
+longest path needs neither a topological sort nor an arc sort.
 Time and memory grow with the arc count, up to the square of the match
 count, which is the documented scaling behavior of this solver.
 """
@@ -29,8 +30,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .daglp import MatchDag, longest_path_vertex, match_arcs
-from .graph import PangenomeGraph, build_char_graph, precedes, reachability
+from .daglp import _BLOCK_CELLS, MatchDag, _node_type, longest_path_vertex
+from .graph import PangenomeGraph, build_char_graph, check_bytes, precedes, reachability
 
 if TYPE_CHECKING:  # pragma: no cover
     from .fglcs import GapParams
@@ -74,17 +75,17 @@ class Alignment:
             raise AlignmentError("query positions must be strictly increasing")
         if self.gaps is not None and len(self.gaps) != max(k - 1, 0):
             raise AlignmentError("gap records must cover each consecutive pair")
-        for t in range(k):
-            qi = self.q_positions[t]
-            vid, off = self.g_positions[t]
-            label = graph.label_of(vid)
+        cg = build_char_graph(graph)
+        char_ids = []  # the character id of each position
+        for t, (qi, (vid, off)) in enumerate(zip(self.q_positions, self.g_positions)):
+            v = graph.vertex_index(vid)
+            label = graph.labels[v]
             if not (0 <= qi < len(query) and 0 <= off < len(label)):
                 raise AlignmentError("position out of range")
             if not (self.subsequence[t] == query[qi] == label[off]):
                 raise AlignmentError(f"character mismatch at chain position {t}")
-        cg = build_char_graph(graph)
-        verts = np.array([graph.vertex_index(vid) for vid, _ in self.g_positions], dtype=np.int64)
-        chars = cg.starts[verts] + np.array([f for _, f in self.g_positions], dtype=np.int64)
+            char_ids.append(cg.starts[v] + off)
+        chars = np.array(char_ids, dtype=np.int64)
         a, b = chars[:-1], chars[1:]
         if self.gaps is None:
             across = reachability(graph).matrix[cg.origin[a], cg.origin[b]]
@@ -129,13 +130,91 @@ def _match_dag(qi: np.ndarray, ci: np.ndarray, csr: tuple[np.ndarray, ...]) -> M
     return MatchDag.from_csr(np.ones(len(qi), dtype=np.int64), *csr, payloads=payloads)
 
 
+def match_arcs(qi: np.ndarray, ci: np.ndarray, origin: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arcs of the lcs product DAG over the matches ``(qi, ci)`` of query
+    index and character id, numbered in query order: ``x -> y`` when
+    ``qi[x] < qi[y]`` and :func:`~panlcs.graph.precedes` holds, with
+    ``origin`` mapping a character to its vertex and ``reach`` as the
+    cross-vertex predicate.  Returns CSR arcs ``(indptr, dst)`` (see
+    :class:`MatchDag`), each source's destinations ascending.
+
+    The graph side depends only on the character of each end, and the
+    out-arcs of ``x`` are the suffix, from ``first[x]``, the first match
+    later in the query, of its character's successor list: the matches
+    whose character it precedes, in index order, from the earliest
+    ``first`` among the character's matches on.  The lists are built a
+    block of characters at a time (characters x matches cells), a
+    character's row of the precedence table with its prefix before that
+    earliest ``first`` cleared; each match's slice is then copied into one
+    preallocated column.  Both allocations are refused past
+    :data:`~panlcs.graph.MAX_BYTES` before they are made.
+
+    A block's int64 cell indices are dropped as soon as its list is kept
+    at the node dtype, so the copy holds only the column, the lists, a few
+    int64 columns of one entry per match and the slice views of one copy
+    block.  On the 50-vertex stress graphs of the benchmark the build then
+    peaks at 1.22x the CSR bytes at |Q| = 115, and at 2.2x at |Q| = 50,
+    where one block's precedence mask and cell indices set the peak.
+    """
+    m = len(qi)
+    first = np.searchsorted(qi, qi, "right")
+    chars, key = np.unique(ci, return_inverse=True)
+    n_keys, k_vert = len(chars), origin[chars]
+    node_type = _node_type(m)  # list entries are node indices, as in ``dst``
+    need = n_keys * m * node_type.itemsize
+    check_bytes(need, f"lcs product DAG: lists of {n_keys} characters x {m} matches need up to {need} bytes")
+    key_first = np.full(n_keys, m, dtype=np.int64)
+    np.minimum.at(key_first, key, first)
+    by_key = np.argsort(key, kind="stable")
+    key_ptr = np.searchsorted(key[by_key], np.arange(n_keys + 1))
+
+    # start/stop: each source's arc suffix within the concatenated lists
+    start, stop = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
+    lists: list[np.ndarray] = [np.empty(0, dtype=node_type)]
+    base = 0
+    rows = max(1, _BLOCK_CELLS // max(m, 1))
+    for ka in range(0, n_keys, rows):
+        kb = min(ka + rows, n_keys)
+        col = int(key_first[ka:kb].min())
+        width = m - col
+        xv = k_vert[ka:kb]
+        across = reach[xv].take(k_vert, axis=1)
+        mask = precedes(xv[:, None], chars[ka:kb, None], k_vert, chars, across).take(key[col:], axis=1)
+        for r, f in enumerate(key_first[ka:kb].tolist()):
+            mask[r, : f - col] = False
+        flat = np.flatnonzero(mask)  # key row r, node col + c at r * width + c
+        del mask
+        xs = by_key[key_ptr[ka] : key_ptr[kb]]
+        row = key[xs] - ka
+        start[xs] = base + np.searchsorted(flat, row * width + first[xs] - col)
+        stop[xs] = base + np.searchsorted(flat, (row + 1) * width)
+        flat %= max(width, 1)
+        flat += col
+        lists.append(flat.astype(node_type))
+        base += len(flat)
+        del flat  # only the node-dtype list outlives the block
+    succ = np.concatenate(lists)
+    del lists
+
+    indptr = np.concatenate(([0], np.cumsum(stop - start)))
+    need = int(indptr[-1]) * node_type.itemsize
+    check_bytes(need, f"lcs product DAG: {indptr[-1]} arcs need {need} bytes")
+    dst = np.empty(int(indptr[-1]), dtype=node_type)
+    block = max(1, _BLOCK_CELLS // 4096)  # sources per copy: their list of views stays near 0.2 MB
+    for a in range(0, m, block):  # one memory copy per source
+        b = min(a + block, m)
+        bounds = zip(start[a:b].tolist(), stop[a:b].tolist())
+        np.concatenate([succ[x:y] for x, y in bounds], out=dst[indptr[a] : indptr[b]])
+    return indptr, dst
+
+
 def build_match_graph(query: bytes, graph: PangenomeGraph) -> MatchDag:
     """Construct the unit-weight product DAG for unconstrained LCS solving.
 
     Nodes are all query/label character matches; an arc joins two matches
     when the query index strictly increases and the graph side either stays
     on one vertex at a higher character id or moves to a reachable other
-    vertex (:func:`~panlcs.daglp.match_arcs`).
+    vertex (:func:`match_arcs`).
     """
     reach = reachability(graph).matrix  # first: an oversized graph is refused before any matching
     qi, ci = match_points(query, graph)

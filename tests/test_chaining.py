@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import helpers
 import panlcs
-from panlcs import chaining, cli, daglp
+from panlcs import chaining, cli, daglp, lcs
 from panlcs import (
     Seed,
     SeedError,
@@ -509,7 +509,7 @@ class TestNoSeedDag:
         def refuse(*args, **kwargs):
             raise AssertionError("the production path built the seed DAG")
 
-        for module in (panlcs, chaining, daglp, cli):
+        for module in (panlcs, chaining, daglp, lcs, cli):
             for name in ("build_seed_graph", "match_arcs", "_pair_arcs", "longest_path_vertex"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)

@@ -13,6 +13,7 @@ import pytest
 import helpers
 import panlcs
 import panlcs.cli
+import panlcs.oracle
 from panlcs import Alignment, Chain, Seed, parse_graph
 from panlcs.chaining import format_seeds
 from panlcs.cli import main
@@ -84,7 +85,7 @@ class TestLcsCommand:
         assert code == 0
 
     def test_oracle_mismatch_exits_4(self, capsys, graph_file, monkeypatch):
-        monkeypatch.setattr("panlcs.cli.lcs_sg_bruteforce", lambda *a, **k: 99)
+        monkeypatch.setattr("panlcs.oracle.lcs_sg_bruteforce", lambda *a, **k: 99)
         code, _, err = run(capsys, ["lcs", "--graph", graph_file, "--query", "aba", "--oracle-check"])
         assert code == 4
         assert "mismatch" in err
@@ -234,7 +235,7 @@ class TestByteFaithfulText:
         raw = io.BytesIO()
         monkeypatch.setattr("sys.stdout", io.TextIOWrapper(io.BufferedWriter(raw)))
         seen = []
-        monkeypatch.setattr("panlcs.cli.lcs_sg_bruteforce", lambda *args: seen.append(raw.getvalue()) or 4)
+        monkeypatch.setattr("panlcs.oracle.lcs_sg_bruteforce", lambda *args: seen.append(raw.getvalue()) or 4)
         assert main(["lcs", "--graph", graph, "--query", "abba", "--oracle-check", "--output", mode]) == 0
         assert len(seen) == 1 and b"score" in seen[0]
 
@@ -450,13 +451,13 @@ class TestOracleAgreement:
     def test_same_inputs(self, capsys, tmp_path, monkeypatch, problem, solver_argv, oracle_flags, brute, seed):
         path = tmp_path / "instance.tsv"
         path.write_text(run(capsys, ["gen", "--seed", str(seed)])[1])
-        calls, original = [], getattr(panlcs.cli, brute)
+        calls, original = [], getattr(panlcs.oracle, brute)
 
         def record(*args, **kwargs):
             calls.append((args, kwargs))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(panlcs.cli, brute, record)
+        monkeypatch.setattr(panlcs.oracle, brute, record)
         check = run(capsys, solver_argv + ["--graph", str(path), "--oracle-check"])
         oracle = run(capsys, ["oracle", "--problem", problem, "--graph", str(path)] + oracle_flags)
         assert (check[0], oracle[0]) == (0, 0), (check, oracle)
@@ -601,7 +602,7 @@ class TestParserReuse:
     def test_patched_module_globals_are_reached(self, capsys, graph_file, monkeypatch):
         argv = ["lcs", "--graph", graph_file, "--query", "aba", "--oracle-check"]
         assert run(capsys, argv)[0] == 0
-        monkeypatch.setattr("panlcs.cli.lcs_sg_bruteforce", lambda *a, **k: 99)
+        monkeypatch.setattr("panlcs.oracle.lcs_sg_bruteforce", lambda *a, **k: 99)
         code, _, err = run(capsys, argv)
         assert code == 4 and "99" in err
 

@@ -11,6 +11,7 @@ from panlcs import CycleError, DagError, MatchDag, Seed, longest_path_edge, long
 from panlcs.chaining import build_seed_graph
 from panlcs.daglp import _runs, topo_sort
 from panlcs.graph import GraphError
+from panlcs.lcs import match_arcs
 
 
 def dag(n, arcs=(), weights=None, arc_weights=None):
@@ -294,7 +295,7 @@ class TestCsrLayout:
         # one vertex, every node at character 0 but the last: n - 1 arcs into it
         q, ci = np.arange(n), np.zeros(n, dtype=np.int64)
         ci[-1] = 1
-        indptr, dst = daglp.match_arcs(q, ci, np.zeros(2, dtype=np.int64), np.zeros((1, 1), dtype=bool))
+        indptr, dst = match_arcs(q, ci, np.zeros(2, dtype=np.int64), np.zeros((1, 1), dtype=bool))
         assert indptr.dtype == np.int64 and indptr.tolist() == list(range(n)) + [n - 1]
         assert dst.dtype == dtype and (dst == n - 1).all()
 
@@ -343,7 +344,7 @@ class TestCsrLayout:
         off = np.array([0, 0, 1, 1, 2], dtype=np.int64)
         if q_start == sorted(q_start):
             ci = np.array([0, 3])[vert] + off  # characters of vertex 0 ("abc") then vertex 1 ("ab")
-            indptr, dst = daglp.match_arcs(q, ci, np.array([0, 0, 0, 1, 1]), np.ones((2, 2), dtype=bool))
+            indptr, dst = match_arcs(q, ci, np.array([0, 0, 0, 1, 1]), np.ones((2, 2), dtype=bool))
         else:  # seeds out of query order: the seed DAG scans every pair
             g = parse_graph("V a abc\nV b ab\nE a b\nE b a\n")  # every vertex reaches every vertex
             seeds = [Seed(g.ids[v], f, f, j, j) for j, v, f in zip(q.tolist(), vert.tolist(), off.tolist())]

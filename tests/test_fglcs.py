@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -263,6 +264,52 @@ class TestTableDp:
             tracemalloc.stop()
         assert g.n == 1501 and alignment.score == len(query)
         assert peak <= 3 * g.n**2
+
+
+class TestBoundNormalization:
+    """A bound no step can exceed solves as no bound: ``k1`` from the query
+    span ``len(q) - 1`` on, ``k2`` from the character span
+    ``node_count - 1`` on."""
+
+    @given(
+        helpers.graphs(acyclic=False),
+        helpers.queries(max_len=10),
+        st.integers(0, 3),
+        st.sampled_from(K_GRID),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_k1_at_the_query_span(self, g, q, extra, k2):
+        k1 = max(1, len(q) - 1) + extra
+        fill = panlcs.fglcs._fill_table
+        with patch.object(panlcs.fglcs, "_fill_table", wraps=fill) as spy:
+            bounded = solve_fglcs_sg(q, g, GapParams(k1, k2))
+        assert spy.call_args.args[2] is None
+        assert bounded == solve_fglcs_sg(q, g, GapParams(None, k2))
+
+    @given(
+        helpers.graphs(acyclic=False),
+        helpers.queries(max_len=10),
+        st.integers(0, 3),
+        st.sampled_from(K_GRID),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_k2_at_the_character_span(self, g, q, extra, k1):
+        k2 = max(1, build_char_graph(g).node_count - 1) + extra
+
+        def refuse(*args):
+            raise AssertionError("a k2 no step can exceed built the ball relation")
+
+        with patch.object(panlcs.fglcs, "_BallRelation", refuse):
+            bounded = solve_fglcs_sg(q, g, GapParams(k1, k2))
+        assert bounded == solve_fglcs_sg(q, g, GapParams(k1, None))
+
+    def test_huge_k1_reaches_the_table_as_none(self):
+        fill = panlcs.fglcs._fill_table
+        g = parse_graph("V a ab\nV b ba\nE a b\nE b a\n")
+        with patch.object(panlcs.fglcs, "_fill_table", wraps=fill) as spy:
+            alignment = solve_fglcs_sg(b"abab", g, GapParams(10**9, 2))
+        assert spy.call_args.args[2] is None
+        assert alignment == solve_fglcs_sg(b"abab", g, GapParams(None, 2))
 
 
 class TestRefusal:

@@ -88,7 +88,7 @@ class TestGenerateInstance:
             raise AssertionError("MEMs enumerated for an instance that keeps no seeds")
 
         # with max_seeds=0 no MEM is kept, so none is enumerated, and the instance is the same
-        monkeypatch.setattr("panlcs.generate.enumerate_mems", refuse)
+        monkeypatch.setattr("panlcs.oracle.enumerate_mems", refuse)
         for seed in range(50):
             n = rng.randint(1, 30)
             profile = GenProfile(n=n, edges=rng.randint(0, n * n + 2), acyclic=acyclic, max_seeds=0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
-from panlcs import daglp
+from panlcs import daglp, lcs
 from panlcs import (
     Alignment,
     AlignmentError,
@@ -20,12 +20,12 @@ from panlcs import (
 )
 from panlcs.chaining import build_seed_graph
 from panlcs.daglp import topo_sort
-from panlcs.graph import build_char_graph, reachability, spell
+from panlcs.graph import build_char_graph, precedes, reachability, spell
 from panlcs.lcs import build_match_graph
 from panlcs.oracle import classic_lcs_dp, embeddable, lcs_sg_bruteforce
 from test_acceptance import stress_instance
 
-BLOCK_BUDGETS = [daglp._BLOCK_CELLS, 7, 1]
+BLOCK_BUDGETS = [lcs._BLOCK_CELLS, 7, 1]
 
 TWO_VERTEX = parse_graph("V a ab\nV b ba\nE a b\n")
 
@@ -74,7 +74,7 @@ class TestBuildMatchGraph:
     def test_arc_list_in_scan_order(self, block_cells, g, q):
         # a tiny block budget builds the successor lists a few keys at a
         # time and copies the arcs a few sources at a time
-        with patch.object(daglp, "_BLOCK_CELLS", block_cells):
+        with patch.object(lcs, "_BLOCK_CELLS", block_cells):
             dag = build_match_graph(q, g)
         assert dag.arcs.tolist() == [list(a) for a in sorted(helpers.h_arcs_by_rule(q, g))]
 
@@ -95,8 +95,17 @@ class TestBuildMatchGraph:
         def dense_scan(*args):
             raise AssertionError("matches ascend in the query: no dense scan")
 
-        with patch.object(daglp, "_BLOCK_CELLS", block_cells), patch.object(daglp, "_pair_arcs", dense_scan):
-            dag = build_match_graph(query, g)
+        blocks = []  # characters per block of successor lists
+
+        def counted(u, *args):
+            blocks.append(len(u))
+            return precedes(u, *args)
+
+        with patch.object(lcs, "_BLOCK_CELLS", block_cells), patch.object(daglp, "_pair_arcs", dense_scan):
+            with patch.object(lcs, "precedes", counted):
+                dag = build_match_graph(query, g)
+        n_keys, rows = len(set(dag.payloads[:, 1].tolist())), max(1, block_cells // max(dag.n_nodes, 1))
+        assert blocks == [min(rows, n_keys - k) for k in range(0, n_keys, rows)]  # the budget match_arcs reads
         assert dag.arcs.tolist() == [list(a) for a in sorted(helpers.h_arcs_by_rule(query, g))]
         assert dag.arcs.dtype == np.int64 and dag.arcs.shape == (sum(out_degrees), 2)
         assert np.bincount(dag.arcs[:, 0], minlength=dag.n_nodes).tolist() == out_degrees
@@ -155,7 +164,7 @@ class TestProductDagMemory:
         gen, rng = helpers.benchmark_generators(), random.Random(length)
         g = helpers.program_graph(gen.stress_graph(rng, letters=b"abcdefgh"))
         dag, build_peak, solve_extra = traced_build_and_solve(gen.random_text(rng, b"abcdefgh", length), g)
-        assert g.total_label_length * dag.n_nodes <= daglp._BLOCK_CELLS  # one block, whatever the characters
+        assert g.total_label_length * dag.n_nodes <= lcs._BLOCK_CELLS  # one block, whatever the characters
         assert build_peak <= bound * csr_bytes(dag)
         if length == 115:
             assert solve_extra < csr_bytes(dag) / 3
@@ -181,7 +190,7 @@ class TestProductDagMemory:
 
         tracemalloc.start()
         try:
-            with patch.object(daglp, "match_arcs", successor_copy):
+            with patch.object(lcs, "match_arcs", successor_copy):
                 dag = build_seed_graph(seeds, g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -298,6 +307,18 @@ class TestAlignmentValidation:
         alignment = solve_lcs_sg(b"aba", TWO_VERTEX)
         with pytest.raises(AlignmentError, match="not reachable"):
             alignment.validate(b"aba", g)
+
+    @pytest.mark.parametrize(
+        "g_positions, error, message",
+        [
+            ((("a", 9), ("z", 0)), AlignmentError, r"^position out of range$"),
+            ((("z", 9), ("a", 9)), GraphError, r"^unknown vertex id 'z'$"),  # before its offset is checked
+            ((("a", 1), ("z", 0)), AlignmentError, r"^character mismatch at chain position 0$"),
+        ],
+    )
+    def test_validate_reports_the_first_bad_position(self, g_positions, error, message):
+        with pytest.raises(error, match=message):
+            Alignment(2, b"ab", (0, 1), g_positions).validate(b"ab", TWO_VERTEX)
 
     def test_validate_checks_order_without_reach(self):
         g = parse_graph("V a a\nV b b\nE a b\n")
