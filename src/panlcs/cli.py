@@ -15,6 +15,13 @@ error or an instance too large (a size check, or running out of memory),
 4 oracle mismatch under ``--oracle-check``.  The only environment
 variable honored is ``NO_COLOR``, which disables colored human output.
 ``-v`` on the solver subcommands logs each stage's sizes to stderr.
+
+Called in-process, :func:`main` keeps the last parsed graph or instance
+file and the last parsed seed file, keyed by their exact bytes
+(:func:`_reuse`): a request whose file holds the same bytes as the one
+before reuses the parsed, immutable objects, and with them what the graph
+keeps (:func:`~panlcs.graph._kept`).  Every validation still runs on every
+request.
 """
 
 from __future__ import annotations
@@ -27,13 +34,13 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .chaining import Chain, Seed, format_seeds, parse_seeds, solve_memc, solve_msp
 from .daglp import longest_path_edge, longest_path_vertex, parse_dag
 from .fglcs import GapParams, solve_fglcs_sg
 from .generate import GenProfile, Instance, generate_instance, instance_to_tsv, parse_instance
-from .graph import GRAPH_FORMATS, parse_graph
+from .graph import GRAPH_FORMATS, read_gfa, warn_skipped
 from .lcs import Alignment, solve_lcs_sg
 
 EXIT_OK = 0
@@ -43,6 +50,10 @@ EXIT_MISMATCH = 4
 
 DEFAULT_GEN_SEED = 0
 MEMS_PER_WRITE = 4096  # `mems` writes its seed lines in slices of this many
+
+log = logging.getLogger(__name__)
+_T = TypeVar("_T")
+_last: dict[str, tuple[object, object]] = {}  # per kind of input file, its key and parsed value
 
 
 class UsageError(ValueError):
@@ -56,11 +67,37 @@ def _read(path: str) -> bytes:
     return Path(path).read_bytes()
 
 
+def _reuse(kind: str, key: object, parse: Callable[[], _T]) -> tuple[_T, bool]:
+    """``(parse(), False)``; or ``(value, True)`` when the last input of
+    ``kind`` (``graph`` or ``seeds``) had an equal ``key`` and parsed to
+    ``value``.  One input of each kind is kept, and a kept input of another
+    key is dropped before ``parse`` runs, so that two parsed graphs are
+    never held at once.  A parse that raises keeps nothing."""
+    entry = _last.get(kind)  # read once: another thread may replace it
+    if entry is not None and entry[0] == key:
+        return entry[1], True
+    entry = None
+    _last.pop(kind, None)  # no local name holds it now: it is freed here
+    value = parse()
+    _last[kind] = (key, value)
+    return value, False
+
+
+def _parse_graph_file(data: bytes, fmt: str) -> tuple[Instance, int]:
+    """The instance in a graph or instance file, and the GFA records it skipped."""
+    if fmt == "gfa":
+        graph, skipped = read_gfa(data)
+        return Instance(graph=graph), skipped
+    return parse_instance(data), 0
+
+
 def _load_instance(args: argparse.Namespace) -> Instance:
-    data = _read(args.graph)
-    if args.graph_format == "gfa":
-        return Instance(graph=parse_graph(data, "gfa"))
-    return parse_instance(data)
+    data, fmt = _read(args.graph), args.graph_format
+    (instance, skipped), hit = _reuse("graph", (fmt, data), lambda: _parse_graph_file(data, fmt))
+    if hit:
+        log.info("reused the parsed graph file: %d vertices", instance.graph.n)
+        warn_skipped(skipped)  # as the parse warns on every fresh read
+    return instance
 
 
 def _resolve_query(args: argparse.Namespace, instance: Instance) -> bytes:
@@ -166,7 +203,11 @@ def _output_mode(args: argparse.Namespace) -> str:
 
 def _load_seeds(args: argparse.Namespace, instance: Instance) -> Sequence[Seed]:
     if args.seeds is not None:
-        return parse_seeds(_read(args.seeds))
+        data = _read(args.seeds)
+        seeds, hit = _reuse("seeds", data, lambda: parse_seeds(data))
+        if hit:
+            log.info("reused the parsed seed file: %d seeds", len(seeds))
+        return seeds
     if instance.seeds:
         return instance.seeds
     raise UsageError("no seeds: pass --seeds or embed S lines in the instance")

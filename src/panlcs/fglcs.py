@@ -39,6 +39,12 @@ vertices holding the letter; the table is |Q| x N of the narrowest sufficient
 integer type, for N label characters and V vertices.  The table, and each
 breadth-first round of the balls, are refused past
 :data:`~panlcs.graph.MAX_BYTES` before they are allocated.
+
+The ball relation depends on the graph and ``k2`` only, so it is kept on
+the graph next to its character graph and reachability, for the last
+``k2`` asked (:func:`_balls`): reads aligned one after another against
+one graph with one ``k2`` build their predecessor pairs once, and a
+different ``k2`` frees the kept pairs before it builds its own.
 """
 
 from __future__ import annotations
@@ -49,7 +55,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .daglp import MatchDag, _pair_arcs
-from .graph import CharGraph, PangenomeGraph, build_char_graph, char_distances, check_bytes, precedes, reachability
+from .graph import (
+    CharGraph,
+    PangenomeGraph,
+    _freeze,
+    _kept,
+    build_char_graph,
+    char_distances,
+    check_bytes,
+    precedes,
+    reachability,
+)
 from .lcs import Alignment, _match_dag, alignment_from_points, match_points
 
 log = logging.getLogger(__name__)
@@ -132,24 +148,29 @@ class _BallRelation:
     def __init__(self, cg: CharGraph, k2: int):
         src, dst = cg.ball_pairs(k2)
         keep = precedes(cg.origin[src], src, cg.origin[dst], dst, True)
-        self.src, dst = src[keep], dst[keep]
+        self.src, dst = _freeze(src[keep]), dst[keep]
         counts = np.bincount(dst, minlength=cg.node_count)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)])
+        self.indptr = _freeze(np.concatenate([[0], np.cumsum(counts)]))
         order, runs = _by_letter(cg.chars)
+        order = _freeze(order)  # read-only, and so are the slices of it below
         self.columns = {letter: order[lo:hi] for letter, (lo, hi) in runs.items()}
         # by target letter, and within a letter still by target and source
-        sources = self.src[np.argsort(cg.chars[dst], kind="stable")]
+        sources = _freeze(self.src[np.argsort(cg.chars[dst], kind="stable")])
         # prefix counts over the characters in letter order map a letter's
         # run of characters to its run of pairs and its run of targets
         sizes = counts[order]
         has = sizes > 0
         pairs_before = np.concatenate([[0], np.cumsum(sizes)])
         targets_before = np.concatenate([[0], np.cumsum(has)])
-        targets, offsets = order[has], pairs_before[:-1][has]
+        targets, offsets = _freeze(order[has]), pairs_before[:-1][has]
         self.groups = {}
         for letter, (lo, hi) in runs.items():
             first, last, start = targets_before[lo], targets_before[hi], pairs_before[lo]
-            self.groups[letter] = (targets[first:last], sources[start : pairs_before[hi]], offsets[first:last] - start)
+            self.groups[letter] = (
+                targets[first:last],
+                sources[start : pairs_before[hi]],
+                _freeze(offsets[first:last] - start),
+            )
 
     def best(self, window: np.ndarray, letter: int) -> tuple[np.ndarray, np.ndarray]:
         """The columns of ``letter`` that have predecessors, and for each
@@ -200,6 +221,13 @@ class _ReachRelation:
         cg = self.cg
         u = cg.origin[c]
         return np.flatnonzero(precedes(cg.origin, np.arange(cg.node_count), u, c, self.reach[cg.origin, u]))
+
+
+@_kept
+def _balls(graph: PangenomeGraph, k2: int) -> _BallRelation:
+    """The :class:`_BallRelation` of ``graph`` for ``k2``, kept on the
+    graph for the last ``k2`` asked."""
+    return _BallRelation(build_char_graph(graph), k2)
 
 
 _Relation = _BallRelation | _ReachRelation
@@ -269,7 +297,7 @@ def solve_fglcs_sg(query: bytes, graph: PangenomeGraph, gaps: GapParams) -> Alig
         relation: _Relation = _ReachRelation(graph, cg)
         predecessors = f"reachability, {graph.n} x {graph.n} vertices"
     else:
-        relation = _BallRelation(cg, gaps.k2)
+        relation = _balls(graph, gaps.k2)
         predecessors = f"radius-{gaps.k2} balls, {len(relation.src)} character pairs"
     log.info("fglcs table: %d query rows x %d characters, predecessors by %s", len(q), cg.node_count, predecessors)
     table = _fill_table(q, cg, k1, relation)

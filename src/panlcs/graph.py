@@ -243,7 +243,7 @@ def parse_graph(text: bytes | str, fmt: str = "tsv") -> PangenomeGraph:
     if fmt == "tsv":
         return read_tsv(text)[0]
     if fmt == "gfa":
-        return _parse_gfa(text)
+        return read_gfa(text)[0]
     raise GraphError(f"unknown graph format {fmt!r} (expected one of {GRAPH_FORMATS})")
 
 
@@ -292,9 +292,11 @@ def _record_fault(tokens: list[bytes], instance: bool, query: bytes | None) -> s
     return f"unknown record tag {token_text(tag)!r}"
 
 
-def _parse_gfa(data: bytes | str) -> PangenomeGraph:
-    """The graph of a GFA file, read in one loop over its records as
-    :func:`read_tsv` reads TSV: segment ids are decoded once, at the end."""
+def read_gfa(data: bytes | str) -> tuple[PangenomeGraph, int]:
+    """The graph of a GFA file, and the number of records of unsupported
+    types it skipped (logged by :func:`warn_skipped`), read in one loop
+    over its records as :func:`read_tsv` reads TSV: segment ids are decoded
+    once, at the end."""
     segments: list[bytes] = []  # S records' id and sequence tokens, flat
     links: list[bytes] = []  # L records' source and target tokens, flat
     skipped = 0
@@ -317,11 +319,16 @@ def _parse_gfa(data: bytes | str) -> PangenomeGraph:
             links += tokens[1:4:2]
         else:
             skipped += 1
-    if skipped:
-        log.warning("skipped %d GFA records of unsupported types", skipped)
+    warn_skipped(skipped)
     n = len(segments) // 2
     texts = token_texts(segments[::2] + links)
-    return PangenomeGraph._of_ends(texts[:n], segments[1::2], texts[n:])
+    return PangenomeGraph._of_ends(texts[:n], segments[1::2], texts[n:]), skipped
+
+
+def warn_skipped(skipped: int) -> None:
+    """Log a warning naming the ``skipped`` GFA records, if there are any."""
+    if skipped:
+        log.warning("skipped %d GFA records of unsupported types", skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +368,7 @@ class CharGraph:
         ``targets[indptr[a]:indptr[a + 1]]``."""
         order = np.argsort(self.arcs[:, 0], kind="stable")
         counts = np.bincount(self.arcs[:, 0], minlength=self.node_count)
-        return np.concatenate([[0], np.cumsum(counts)]), self.arcs[order, 1]
+        return _freeze(np.concatenate([[0], np.cumsum(counts)])), _freeze(self.arcs[order, 1])
 
     def ball_pairs(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
         """Every ordered node pair ``(src, dst)`` whose minimum arc count is
@@ -434,18 +441,25 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _kept(compute: Callable[[PangenomeGraph], _T]) -> Callable[[PangenomeGraph], _T]:
-    """``compute(graph)`` once per graph instance: the result is kept on the
-    graph (which is frozen, so it never goes stale) and returned by every
-    later call.  A refusal raises again on the next call; nothing is kept."""
-    key = f"_kept_{compute.__name__}"
+def _kept(compute: Callable[..., _T]) -> Callable[..., _T]:
+    """``compute(graph, *args)`` once per graph instance and ``args``: the
+    result of the last ``args`` is kept on the graph (which is frozen, so it
+    never goes stale) and returned by later calls with equal ``args``; a
+    call with other ``args`` drops it before computing anew.  A refusal
+    raises again on the next call; nothing is kept."""
+    name = f"_kept_{compute.__name__}"
 
     @functools.wraps(compute)
-    def kept(graph: PangenomeGraph) -> _T:
+    def kept(graph: PangenomeGraph, *args) -> _T:
         cache = vars(graph)
-        if key not in cache:
-            cache[key] = compute(graph)
-        return cache[key]
+        entry = cache.get(name)  # read once: another thread may replace it
+        if entry is not None and entry[0] == args:
+            return entry[1]
+        entry = None
+        cache.pop(name, None)  # one result per graph: the old one is freed before the new one is computed
+        result = compute(graph, *args)
+        cache[name] = (args, result)
+        return result
 
     return kept
 

@@ -6,8 +6,10 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import helpers
@@ -17,6 +19,7 @@ import panlcs.oracle
 from panlcs import Alignment, Chain, Seed, parse_graph
 from panlcs.chaining import format_seeds
 from panlcs.cli import main
+from panlcs.generate import generate_instance, instance_to_tsv
 from panlcs.graph import reachability
 from panlcs.oracle import enumerate_mems
 
@@ -367,13 +370,14 @@ class TestLpCommand:
 
 class TestVerbose:
     SEEDS = "a 0 1 0 1\nb 0 1 3 4\n"
+    REUSED = "panlcs.cli: reused the parsed graph file: 2 vertices"
 
     @pytest.mark.parametrize(
         "argv, lines",
         [
             (["lcs", "--query", "aba"], ["panlcs.lcs: product DAG: 6 matches, 5 arcs", "panlcs.daglp: longest path: 6 nodes, 5 arcs, 3 runs"]),
             (["fglcs", "--query", "aba", "--k1", "2", "--k2", "2"], ["panlcs.fglcs: fglcs table: 3 query rows x 4 characters, predecessors by radius-2 balls, 5 character pairs"]),
-            (["chain", "--seeds", "SEEDS", "--objective", "len"], ["panlcs.chaining: chain: 2 seeds, 2 runs, 1 cells scanned"]),
+            (["chain", "--seeds", "SEEDS", "--objective", "len"], ["panlcs.cli: reused the parsed seed file: 2 seeds", "panlcs.chaining: chain: 2 seeds, 2 runs, 1 cells scanned"]),
         ],
         ids=["lcs", "fglcs", "chain"],
     )
@@ -384,9 +388,9 @@ class TestVerbose:
         argv = [str(seeds) if a == "SEEDS" else a for a in argv] + ["--graph", graph_file] + output
         code, quiet_out, quiet_err = run(capsys, argv)
         assert code == 0 and quiet_err == ""
-        code, out, err = run(capsys, argv + ["-v"])
+        code, out, err = run(capsys, argv + ["-v"])  # reads the files of the quiet run: it reuses them
         assert code == 0 and out == quiet_out
-        assert err.splitlines() == lines
+        assert err.splitlines() == [self.REUSED] + lines
 
     def test_handler_removed_after_the_command(self, capsys, graph_file):
         logger = logging.getLogger("panlcs")
@@ -597,7 +601,12 @@ class TestParserReuse:
             lcs + ["--json"],
         ]
         for argv in sequence:
-            assert run(capsys, argv) == run_fresh(argv), argv
+            code, out, err = run(capsys, argv)
+            # a request that reuses the files of the one before says so under -v; a fresh process cannot
+            lines = err.splitlines(keepends=True)
+            fresh_lines = [line for line in lines if not line.startswith("panlcs.cli: reused ")]
+            assert (code, out, "".join(fresh_lines)) == run_fresh(argv), argv
+            assert lines == fresh_lines or "-v" in argv
 
     def test_patched_module_globals_are_reached(self, capsys, graph_file, monkeypatch):
         argv = ["lcs", "--graph", graph_file, "--query", "aba", "--oracle-check"]
@@ -608,6 +617,192 @@ class TestParserReuse:
 
     def test_parser_built_once(self):
         assert panlcs.cli.build_parser() is panlcs.cli.build_parser()
+
+
+def _instance_files(seed: int) -> tuple[bytes, bytes]:
+    """A generated instance file and a seed file of its seeds.  Generated
+    vertices are named v0, v1, ..., so one instance's seeds name vertices
+    of another too."""
+    instance = generate_instance(seed)
+    assert instance.seeds
+    return instance_to_tsv(instance).encode(), format_seeds(instance.seeds).encode()
+
+
+GOOD_A, GOOD_B = _instance_files(1), _instance_files(2)
+BAD_GRAPH = (b"V v0 ab\nE v0 zz\n", GOOD_A[1])
+BAD_SEEDS = (GOOD_A[0], b"v0 0 0 0\n")
+_fresh_answers: dict[tuple, tuple[int, str, str]] = {}
+
+
+class TestInputReuse:
+    """In-process requests reuse the last parsed graph file and seed file
+    when their bytes are unchanged; every request still answers as a fresh
+    process does."""
+
+    COMMANDS = {
+        "lcs": ["lcs", "--json"],
+        "fglcs": ["fglcs", "--k1", "2", "--k2", "2", "--json"],
+        "fglcs-k2-inf": ["fglcs", "--k1", "2", "--k2", "inf", "--json"],
+        "chain-len": ["chain", "--seeds", "SEEDS", "--objective", "len", "--json"],
+        "chain-count": ["chain", "--seeds", "SEEDS", "--objective", "count", "--output", "tsv", "--oracle-check"],
+        "mems": ["mems"],
+        "oracle": ["oracle", "--problem", "memc", "--seeds", "SEEDS"],
+        "oracle-check": ["fglcs", "--k1", "2", "--k2", "3", "--json", "--oracle-check"],
+    }
+
+    @staticmethod
+    def argv(name: str, folder: Path) -> list[str]:
+        seeds = str(folder / "s.tsv")
+        return [seeds if a == "SEEDS" else a for a in TestInputReuse.COMMANDS[name]] + ["--graph", str(folder / "g.tsv")]
+
+    @staticmethod
+    def write(folder: Path, files: tuple[bytes, bytes]) -> Path:
+        folder.mkdir(exist_ok=True)
+        (folder / "g.tsv").write_bytes(files[0])
+        (folder / "s.tsv").write_bytes(files[1])
+        return folder
+
+    def fresh(self, name: str, files: tuple[bytes, bytes], tmp_path: Path) -> tuple[int, str, str]:
+        """The answer of a fresh process; outputs name no file path, so one per command and file bytes."""
+        key = (name, files[0], files[1] if "SEEDS" in self.COMMANDS[name] else None)
+        if key not in _fresh_answers:
+            _fresh_answers[key] = run_fresh(self.argv(name, self.write(tmp_path / "fresh", files)))
+        return _fresh_answers[key]
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_every_request_answers_as_a_fresh_process(self, capsys, tmp_path, name):
+        def call(folder):
+            return run(capsys, self.argv(name, folder))
+
+        a, b = self.write(tmp_path / "a", GOOD_A), self.write(tmp_path / "b", GOOD_B)
+        first = call(a)
+        assert first[0] == 0 and first == call(a) == self.fresh(name, GOOD_A, tmp_path)
+        assert call(b) == self.fresh(name, GOOD_B, tmp_path)  # A, B, A
+        assert call(a) == first
+        self.write(a, GOOD_B)  # rewritten in place
+        assert call(a) == self.fresh(name, GOOD_B, tmp_path)
+        for bad in (BAD_GRAPH, BAD_SEEDS):  # a malformed file after a good one, then the good one again
+            self.write(a, bad)
+            assert call(a) == self.fresh(name, bad, tmp_path)
+            self.write(a, GOOD_A)
+            assert call(a) == first
+        assert self.fresh(name, BAD_GRAPH, tmp_path)[0] == 3
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_same_bytes_under_another_path_parse_once(self, capsys, tmp_path, monkeypatch, name):
+        calls = []
+        for parser in ("parse_instance", "parse_seeds"):
+            original = getattr(panlcs.cli, parser)
+            monkeypatch.setattr(panlcs.cli, parser, lambda data, parser=parser, original=original: calls.append(parser) or original(data))
+        a, b = self.write(tmp_path / "a", GOOD_A), self.write(tmp_path / "b", GOOD_A)
+        first = run(capsys, self.argv(name, a))
+        assert first[0] == 0 and run(capsys, self.argv(name, b)) == first
+        assert calls == ["parse_instance"] + ["parse_seeds"] * ("SEEDS" in self.COMMANDS[name])
+
+    def test_a_reuse_is_logged_under_v_only(self, capsys, tmp_path):
+        argv = self.argv("chain-len", self.write(tmp_path / "a", GOOD_A))
+        n_vertices, n_seeds = GOOD_A[0].count(b"\nV\t") + 1, GOOD_A[1].count(b"\n")
+        _, out, err = run(capsys, argv + ["-v"])
+        assert "reused" not in err
+        assert run(capsys, argv) == (0, out, "")
+        _, again, err = run(capsys, argv + ["-v"])
+        assert again == out
+        assert err.splitlines()[:2] == [
+            f"panlcs.cli: reused the parsed graph file: {n_vertices} vertices",
+            f"panlcs.cli: reused the parsed seed file: {n_seeds} seeds",
+        ]
+        assert sum("reused" in line for line in err.splitlines()) == 2
+
+    def test_gfa_skip_warning_on_every_request(self, tmp_path):
+        path = tmp_path / "g.gfa"
+        path.write_text("H\tVN:Z:1.0\nS\t1\tAC\nP\tp1\t1+\t*\n")  # tests/test_graph.py's input: 2 records skipped
+        argv = ["lcs", "--graph", str(path), "--graph-format", "gfa", "--query", "AC", "--json"]
+        code = f"import panlcs.cli; argv = {argv!r}; assert panlcs.cli.main(argv) == panlcs.cli.main(argv) == 0"
+        package_root = str(Path(panlcs.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=package_root))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "skipped 2 GFA records of unsupported types\n" * 2
+        assert proc.stdout.count('"score": 2') == 2
+
+    @pytest.mark.parametrize("name", ["lcs", "fglcs", "chain-len"])
+    def test_one_parsed_graph_at_a_time(self, capsys, tmp_path, monkeypatch, name):
+        refs: list[weakref.ref] = []
+        original = panlcs.cli.parse_instance
+
+        def parse(data):
+            assert all(ref() is None for ref in refs)  # the kept graph was dropped before this parse
+            instance = original(data)
+            refs.append(weakref.ref(instance.graph))
+            return instance
+
+        monkeypatch.setattr(panlcs.cli, "parse_instance", parse)
+        for files in (GOOD_A, GOOD_B, GOOD_A):
+            assert run(capsys, self.argv(name, self.write(tmp_path / "x", files)))[0] == 0
+            assert refs[-1]() is not None and all(ref() is None for ref in refs[:-1])
+        assert len(refs) == 3
+
+    def test_kept_arrays_are_read_only(self, capsys, tmp_path):
+        folder = self.write(tmp_path / "a", GOOD_A)
+        for name in ("lcs", "fglcs", "fglcs-k2-inf", "chain-len"):
+            assert run(capsys, self.argv(name, folder))[0] == 0
+        kept = panlcs.cli._last
+        graph = kept["graph"][1][0].graph
+        assert {"_kept_build_char_graph", "_kept_reachability", "_kept__balls"} <= set(vars(graph))
+        arrays = list(_arrays(kept))
+        cg, reach, balls = (vars(graph)[f"_kept_{name}"][1] for name in ("build_char_graph", "reachability", "_balls"))
+        for array in (graph._ends, *cg._successors, reach.matrix, balls.src, *balls.groups[99], kept["seeds"][1].j2):
+            assert any(array is found for found in arrays)
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_bounded_fglcs_builds_its_balls_once_per_graph(self, capsys, tmp_path, monkeypatch):
+        counted = []
+        ball_pairs = panlcs.graph.CharGraph.ball_pairs
+        monkeypatch.setattr(panlcs.graph.CharGraph, "ball_pairs", lambda cg, k2: counted.append(k2) or ball_pairs(cg, k2))
+        graph = str(self.write(tmp_path / "a", GOOD_A) / "g.tsv")
+        for query, k2 in (("abca", "2"), ("cab", "2"), ("abca", "3"), ("ab", "3"), ("abca", "2")):
+            argv = ["fglcs", "--graph", graph, "--query", query, "--k1", "2", "--k2", k2, "--json"]
+            assert run(capsys, argv)[0] == 0
+        assert counted == [2, 3, 2]  # one relation kept per graph, for the last k2
+
+    def test_a_hit_reads_the_kept_entry_once(self):
+        # another thread may replace the kept input between two reads of
+        # it; here comparing the keys stands in for that thread
+        class Key(bytes):
+            def __eq__(self, other):
+                panlcs.cli._last["graph"] = (b"other bytes", "other value")
+                return bytes(self) == bytes(other)
+
+            __hash__ = bytes.__hash__
+
+        panlcs.cli._last["graph"] = (Key(b"bytes"), "value")
+        assert panlcs.cli._reuse("graph", b"bytes", lambda: "parsed") == ("value", True)
+
+
+def _arrays(obj, seen=None):
+    """Every numpy array reachable from ``obj`` through containers,
+    instance dictionaries and slots."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, dict):
+        items = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (tuple, list, set, frozenset)):
+        items = list(obj)
+    elif isinstance(obj, (str, bytes, int, float, type(None))):
+        return
+    else:
+        items = list(getattr(obj, "__dict__", {}).values())
+        items += [getattr(obj, slot) for cls in type(obj).__mro__ for slot in getattr(cls, "__slots__", ()) if hasattr(obj, slot)]
+    for item in items:
+        yield from _arrays(item, seen)
 
 
 class TestJsonRoundTrip:

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from unittest.mock import patch
@@ -339,3 +341,53 @@ class TestRefusal:
         monkeypatch.setattr("panlcs.graph.MAX_BYTES", 24)
         assert [a.tolist() for a in build_char_graph(g).ball_pairs(2)] == [[0, 0, 1, 1, 2], [1, 2, 2, 3, 3]]
         assert solve_fglcs_sg(b"aaa", g, GapParams(1, 2)).score == 3
+
+
+BUBBLE = "V a ACGT\nV b GA\nV c TTAC\nV d CG\nE a b\nE a c\nE b d\nE c d\n"
+
+
+class TestKeptBalls:
+    """The ball relation of the last k2 is kept on the graph."""
+
+    def test_one_k2_kept_at_a_time(self):
+        g = parse_graph(BUBBLE)
+        kept = panlcs.fglcs._balls(g, 2)
+        assert panlcs.fglcs._balls(g, 2) is kept
+        assert solve_fglcs_sg(b"AGTACGTG", g, GapParams(1, 2)) == solve_fglcs_sg(b"AGTACGTG", parse_graph(BUBBLE), GapParams(1, 2))
+        assert panlcs.fglcs._balls(g, 2) is kept
+        assert panlcs.fglcs._balls(g, 1) is not kept
+        assert panlcs.fglcs._balls(g, 2) is not kept
+
+    def test_threads_alternating_k2_on_one_graph(self):
+        # each lookup must return the balls of its own k2, whatever another
+        # thread stores or drops in between
+        query, k2s = b"AGTACGTG", (1, 2)
+        fresh = {k2: solve_fglcs_sg(query, parse_graph(BUBBLE), GapParams(1, k2)) for k2 in k2s}
+        pairs = {k2: len(_BallRelation(build_char_graph(parse_graph(BUBBLE)), k2).src) for k2 in k2s}
+        assert fresh[1] != fresh[2] and pairs[1] != pairs[2]
+        g = parse_graph(BUBBLE)
+        faults = []
+
+        def work(first):
+            try:
+                for step in range(300):
+                    k2 = k2s[(first + step) % 2]
+                    if len(panlcs.fglcs._balls(g, k2).src) != pairs[k2]:
+                        faults.append(("balls", k2))
+                    if step % 10 == 0 and solve_fglcs_sg(query, g, GapParams(1, k2)) != fresh[k2]:
+                        faults.append(("alignment", k2))
+            except Exception as exc:  # a KeyError from a torn lookup fails the test
+                faults.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert faults == []

@@ -333,6 +333,43 @@ class TestKeptOnTheGraph:
                     reachability(g)
         assert reachability(g).matrix.shape == (3, 3)
 
+    def test_one_argument_kept_and_the_old_result_freed_first(self):
+        refs = []
+
+        class Result:
+            pass
+
+        @panlcs.graph._kept
+        def compute(graph, k):
+            assert all(ref() is None for ref in refs)  # the result of the other k is gone
+            result = Result()
+            refs.append(weakref.ref(result))
+            return result
+
+        g = parse_graph("V a x\n")
+        first = compute(g, 1)
+        assert compute(g, 1) is first and len(refs) == 1
+        del first
+        assert compute(g, 2) is refs[1]() and refs[0]() is None
+
+    def test_a_hit_reads_the_kept_entry_once(self):
+        # another thread may replace the kept entry between two reads of it;
+        # here comparing the arguments stands in for that thread
+        class Key(int):
+            def __eq__(self, other):
+                vars(g)["_kept_compute"] = ((2,), "result of 2")
+                return int(self) == int(other)
+
+            __hash__ = int.__hash__
+
+        @panlcs.graph._kept
+        def compute(graph, k):
+            return f"result of {k}"
+
+        g = parse_graph("V a x\n")
+        vars(g)["_kept_compute"] = ((Key(1),), "result of 1")
+        assert compute(g, 1) == "result of 1"
+
     def test_kept_per_instance(self):
         g = parse_graph("V a x\nV b y\nE a b\n")
         assert not reachability(g).matrix[1, 0]
