@@ -16,27 +16,30 @@ a parent among equally good in-neighbors and when picking the path end among
 equally good nodes.  Repeated runs on the same DAG therefore reproduce the
 same path, not just the same score.
 
-A DAG holds its arcs in CSR form: per-source offsets into one column of
+A DAG holds each node's out-arcs as a slice of one column of
 destinations, of the narrowest unsigned dtype that spans the node count
 (two bytes per arc up to 65,535 nodes, where a pair of int64 endpoints
-takes sixteen).  No source column is stored; the builders emit the arcs
-grouped by source, and a source is expanded only for the few arcs a
-longest-path step reads at once.
+takes sixteen).  Slices may overlap: the lcs product DAG stores one
+successor list per graph character, and each match's out-arcs are a
+suffix of its character's list, so the DAG takes the lists' bytes, not
+the arcs'.  CSR, slices that tile the column in node order, is the case
+the other builders produce.  No source column is stored, and a slice is
+expanded only for the arcs a longest-path step reads at once.
 
 When every arc ascends (the product DAGs, and the seed DAG of seeds
-listed in query order), index order is already topological: one
-reduction over the destinations finds each node's smallest out-neighbor,
-which proves it and marks where runs end.  The longest-path program
-pushes run by run, a run being a maximal stretch of the order with no
-arc inside (one query row of the lcs product DAG): its scores are final,
-and one scatter-max over its out-arcs raises every successor at once.
+listed in query order), index order is already topological: each node's
+smallest out-neighbor proves it and marks where runs end.  The
+longest-path program pushes run by run, a run being a maximal stretch of
+the order with no arc inside (one query row of the lcs product DAG): its
+scores are final, its slices are gathered, and one scatter-max over
+their arcs raises every successor at once.
 The value scattered packs a score above its source's tie-break rank, so
 that one pass yields both the best score and the parent; scores are
 therefore bounded (:func:`_check_score_bound`).  Any other DAG is
 relabelled by its topological order and solved the same way.
 Python touches each node a few times and no arc; DAGs in the tens of
 thousands of nodes and tens of millions of arcs stay workable, with
-temporaries bounded by a block size.
+temporaries bounded by a run's arcs or by a block size.
 """
 
 from __future__ import annotations
@@ -84,34 +87,64 @@ def _node_type(n: int) -> np.dtype:
     return np.min_scalar_type(n)
 
 
+def _cat(column: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The slices ``column[start[u]:stop[u]]``, one after another: one
+    memory copy per slice."""
+    return np.concatenate([column[a:b] for a, b in zip(start.tolist(), stop.tolist())] or [column[:0]])
+
+
+_DROP_SCAN = 1 << 16  # targets compared at once when looking for descents
+
+
+def _first_targets(start: np.ndarray, stop: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each slice's smallest target, ``n`` for an empty one: its first
+    target when it never descends, else the minimum of its arcs."""
+    n = len(start)
+    first = np.full(n, n, dtype=np.int64)
+    has = np.flatnonzero(stop > start)
+    first[has] = targets[start[has]]
+    # k where targets[k + 1] < targets[k], found a stretch at a time: no temporary as long as the column
+    stretches = ((k, targets[k : k + _DROP_SCAN + 1]) for k in range(0, len(targets) - 1, _DROP_SCAN))
+    drops = np.concatenate([k + np.flatnonzero(t[1:] < t[:-1]) for k, t in stretches] or [np.empty(0, dtype=np.int64)])
+    mixed = has[np.searchsorted(drops, start[has]) < np.searchsorted(drops, stop[has] - 1)]
+    if len(mixed):
+        counts = stop[mixed] - start[mixed]
+        first[mixed] = np.minimum.reduceat(_cat(targets, start[mixed], stop[mixed]), np.cumsum(counts) - counts)
+    return first
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class MatchDag:
-    """Weighted DAG over opaque node payloads, its arcs held in CSR form.
+    """Weighted DAG over opaque node payloads, each node's out-arcs a slice
+    of one shared column.
 
     ``weights`` are per-node non-negative integers.  The out-arcs of node
-    ``u`` end at ``dst[indptr[u]:indptr[u + 1]]``: ``indptr`` is int64 of
-    length n + 1, ``dst`` is of the narrowest unsigned dtype that spans n,
-    and ``arc_weights``, when present, are in the same order, for
-    edge-weighted solving.  ``payloads``, when a builder passes them to
-    :meth:`from_csr`, hold one entry per node for its own use: a sequence,
-    or an array with one row per node (the matches of the lcs product
-    DAG).  Acyclicity is not checked here; it is established by
+    ``u`` end at ``targets[start[u]:stop[u]]``: ``start`` and ``stop`` are
+    int64 of length n, ``targets`` is of the narrowest unsigned dtype that
+    spans n, and ``arc_weights``, when present, run parallel to
+    ``targets``, for edge-weighted solving.  Slices may overlap and lie in
+    any order (:meth:`from_slices`; the lcs product DAG shares one list
+    among the matches of a character); CSR is the case where they tile the
+    column in node order (:meth:`from_csr`).  ``payloads``, when a builder
+    passes them, hold one entry per node for its own use: a sequence, or
+    an array with one row per node (the matches of the lcs product DAG).
+    Acyclicity is not checked here; it is established by
     :func:`topo_sort` when the DAG is solved.
 
     ``MatchDag(weights, arcs)`` takes an (m, 2) array of node-index pairs
-    and groups it by source with a stable sort, permuting ``arc_weights``
-    alike; the arc builders hand their CSR arrays to
-    :meth:`from_csr`.  :attr:`arcs` gives the pairs back, grouped by
+    and groups it by source with a stable sort into CSR, permuting
+    ``arc_weights`` alike.  :attr:`arcs` gives the pairs back, grouped by
     source.
 
-    ``weights``, and the CSR arrays given to :meth:`from_csr`, are held
-    without a copy where no conversion is needed, as read-only views: the
-    caller must not mutate them afterwards.
+    ``weights``, and the arrays given to :meth:`from_csr` and
+    :meth:`from_slices`, are held without a copy where no conversion is
+    needed, as read-only views: the caller must not mutate them afterwards.
     """
 
     weights: np.ndarray
-    indptr: np.ndarray
-    dst: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    targets: np.ndarray
     payloads: Any = None
     arc_weights: np.ndarray | None = None
     # each node's smallest out-neighbor (n when it has none), and whether
@@ -130,7 +163,7 @@ class MatchDag:
                 raise DagError(f"arc endpoint {lo if lo < 0 else hi} out of range")
         src = arcs[:, 0]
         order = np.argsort(src, kind="stable")
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+        indptr = _int_array(np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n)))), "1d")
         if arc_weights is not None:
             arc_weights = _int_array(arc_weights, "1d")
             if len(arc_weights) != len(arcs):
@@ -139,34 +172,42 @@ class MatchDag:
                 raise DagError("arc weights must be non-negative")
             arc_weights = arc_weights[order]
             arc_weights.flags.writeable = False
-        self._init(weights, indptr, arcs[order, 1].astype(_node_type(n)), None, arc_weights)
+        self._init(weights, indptr[:-1], indptr[1:], arcs[order, 1].astype(_node_type(n)), None, arc_weights)
 
     @classmethod
-    def from_csr(cls, weights: Any, indptr: np.ndarray, dst: np.ndarray, payloads: Any = None) -> "MatchDag":
+    def from_csr(cls, weights: Any, indptr: Any, dst: np.ndarray, payloads: Any = None) -> "MatchDag":
         """The DAG whose out-arcs of node ``u`` end at ``dst[indptr[u]:indptr[u + 1]]``."""
+        weights, indptr = _int_array(weights, "1d"), _int_array(indptr, "1d")
+        if not (
+            dst.dtype.kind == "u" and len(indptr) == len(weights) + 1 and indptr[0] == 0 and indptr[-1] == len(dst)
+        ) or np.any(indptr[1:] < indptr[:-1]):
+            raise DagError("CSR arcs need n + 1 ascending offsets from 0 to the arc count, unsigned destinations")
+        return cls.from_slices(weights, indptr[:-1], indptr[1:], dst, payloads)
+
+    @classmethod
+    def from_slices(cls, weights: Any, start: Any, stop: Any, targets: np.ndarray, payloads: Any = None) -> "MatchDag":
+        """The DAG whose out-arcs of node ``u`` end at ``targets[start[u]:stop[u]]``."""
         dag = cls.__new__(cls)
-        dag._init(_int_array(weights, "1d"), _int_array(indptr, "1d"), dst, payloads, None)
+        dag._init(_int_array(weights, "1d"), _int_array(start, "1d"), _int_array(stop, "1d"), targets, payloads, None)
         return dag
 
-    def _init(self, weights: np.ndarray, indptr: np.ndarray, dst: np.ndarray, payloads: Any, arc_weights: Any):
+    def _init(self, weights, start, stop, targets, payloads, arc_weights) -> None:
         n = len(weights)
         if weights.size and int(weights.min()) < 0:
             raise DagError("node weights must be non-negative")
         if payloads is not None and len(payloads) != n:
             raise DagError("payloads must match the node count")
-        if not (
-            dst.dtype.kind == "u" and len(indptr) == n + 1 and indptr[0] == 0 and indptr[-1] == len(dst)
-        ) or np.any(indptr[1:] < indptr[:-1]):
-            raise DagError("CSR arcs need n + 1 ascending offsets from 0 to the arc count, unsigned destinations")
-        if len(dst) and int(dst.max()) >= n:
-            raise DagError(f"arc endpoint {int(dst.max())} out of range")
-        has_out = indptr[1:] > indptr[:-1]
-        first_dst = np.full(n, n, dtype=np.int64)
-        first_dst[has_out] = np.minimum.reduceat(dst, indptr[:-1][has_out])
-        dst = dst.view()
-        dst.flags.writeable = first_dst.flags.writeable = False
-        values = dict(weights=weights, indptr=indptr, dst=dst, payloads=payloads, arc_weights=arc_weights)
-        values.update(_first_dst=first_dst, _forward=bool(np.all(first_dst > np.arange(n))))
+        if not (targets.dtype.kind == "u" and len(start) == len(stop) == n) or (
+            n and (int(start.min()) < 0 or int(stop.max()) > len(targets) or np.any(stop < start))
+        ):
+            raise DagError("arc slices need n bounds 0 <= start <= stop <= the column length, unsigned targets")
+        if len(targets) and int(targets.max()) >= n:
+            raise DagError(f"arc endpoint {int(targets.max())} out of range")
+        first_dst = _first_targets(start, stop, targets)
+        targets = targets.view()
+        targets.flags.writeable = first_dst.flags.writeable = False
+        values = dict(weights=weights, start=start, stop=stop, targets=targets, payloads=payloads)
+        values.update(arc_weights=arc_weights, _first_dst=first_dst, _forward=bool(np.all(first_dst > np.arange(n))))
         for name, value in values.items():
             object.__setattr__(self, name, value)
 
@@ -176,20 +217,20 @@ class MatchDag:
 
     @property
     def n_arcs(self) -> int:
-        return len(self.dst)
+        return int((self.stop - self.start).sum())
 
     @property
     def arcs(self) -> np.ndarray:
         """A fresh read-only (m, 2) int64 array of (source, destination)
-        pairs, grouped by source: for inspection; the solvers read the CSR."""
+        pairs, grouped by source: for inspection; the solvers read the slices."""
         arcs = np.empty((self.n_arcs, 2), dtype=np.int64)
-        arcs[:, 0] = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
-        arcs[:, 1] = self.dst
+        arcs[:, 0] = np.repeat(np.arange(self.n_nodes), self.stop - self.start)
+        arcs[:, 1] = _cat(self.targets, self.start, self.stop)
         arcs.flags.writeable = False
         return arcs
 
 
-_BLOCK_CELLS = 4_000_000  # pair cells per block of a scan, or of the lcs list build: bounds its temporaries
+_BLOCK_CELLS = 4_000_000  # pair cells per block of a scan: bounds its temporaries
 
 
 def _pair_arcs(m: int, accept_block) -> tuple[np.ndarray, np.ndarray]:
@@ -226,8 +267,8 @@ def topo_sort(dag: MatchDag) -> list[int]:
     n = dag.n_nodes
     if dag._forward:
         return list(range(n))
-    indptr, dst = dag.indptr, dag.dst
-    indeg = np.bincount(dst, minlength=n)
+    start, stop, targets = dag.start, dag.stop, dag.targets
+    indeg = np.bincount(_cat(targets, start, stop), minlength=n)
 
     ready = [int(v) for v in np.flatnonzero(indeg == 0)]
     heapq.heapify(ready)
@@ -235,7 +276,7 @@ def topo_sort(dag: MatchDag) -> list[int]:
     while ready:
         u = heapq.heappop(ready)
         out.append(u)
-        nbrs = dst[indptr[u] : indptr[u + 1]]
+        nbrs = targets[start[u] : stop[u]]
         if not len(nbrs):
             continue
         np.subtract.at(indeg, nbrs, 1)
@@ -321,8 +362,11 @@ def _forward_dp(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``dist`` and ``parent`` of a DAG whose arcs all ascend, pushed run by
     run: a run's ``dist`` is final once every earlier run has pushed, and
-    its out-arcs then raise each successor's best in-arc key together.
-    ``arc_w``, if given, is in the order of ``dag.dst``.
+    the arcs of its gathered slices then raise each successor's best in-arc
+    key together.  ``arc_w``, if given, runs parallel to ``dag.targets``.
+    A run's gather, its arcs' destinations and int64 keys (and arc
+    weights), is refused past :data:`~panlcs.graph.MAX_BYTES` before it
+    is made.
 
     The key of an in-arc packs its value (source ``dist`` plus arc weight)
     above ``b = n.bit_length()`` low bits holding ``2**b - 1 - label`` of
@@ -333,8 +377,8 @@ def _forward_dp(
     n = dag.n_nodes
     b = n.bit_length()
     low = (1 << b) - 1
-    indptr, dst = dag.indptr, dag.dst
-    counts = np.diff(indptr)
+    start, stop, targets = dag.start, dag.stop, dag.targets
+    counts = stop - start
     dist = node_w.astype(np.int64)  # always a fresh copy
     key = low - (np.arange(n) if label is None else label)  # a source's tie bits; its dist joins when final
     best = np.full(n, -1, dtype=np.int64)  # best in-arc key so far; -1: no in-arc
@@ -343,12 +387,15 @@ def _forward_dp(
         runs += 1
         dist[lo_v:hi_v] += np.maximum(best[lo_v:hi_v] >> b, 0)
         key[lo_v:hi_v] += dist[lo_v:hi_v] << b
-        lo, hi = indptr[lo_v], indptr[hi_v]
-        if lo < hi:
+        arcs = int(counts[lo_v:hi_v].sum())
+        if arcs:
+            need = arcs * (targets.itemsize + (8 if arc_w is None else 16))
+            check_bytes(need, f"longest path: a run's {arcs} arcs need {need} bytes")
+            lo, hi = start[lo_v:hi_v], stop[lo_v:hi_v]
             cand = np.repeat(key[lo_v:hi_v], counts[lo_v:hi_v])
             if arc_w is not None:
-                cand += arc_w[lo:hi] << b
-            np.maximum.at(best, dst[lo:hi].astype(np.intp), cand)  # intp indices: the faster scatter
+                cand += _cat(arc_w, lo, hi) << b
+            np.maximum.at(best, _cat(targets, lo, hi), cand)
     log.info("longest path: %d nodes, %d arcs, %d runs", n, dag.n_arcs, runs)
     return dist, np.where(best < 0, -1, low - (best & low))
 
@@ -357,7 +404,8 @@ def _longest_path(dag: MatchDag, node_w: np.ndarray, arc_w: np.ndarray | None) -
     """The DP behind both solvers: a node scores its own weight plus the best
     in-neighbor score, plus the connecting arc's weight when ``arc_w`` is
     given.  A DAG whose arcs do not all ascend is relabelled by
-    :func:`topo_sort` order, solved the same way and mapped back."""
+    :func:`topo_sort` order, its slices and column renamed in place of
+    its arcs, solved the same way and mapped back."""
     n = dag.n_nodes
     _check_score_bound(n, node_w, arc_w)
     order = topo_sort(dag)
@@ -365,15 +413,10 @@ def _longest_path(dag: MatchDag, node_w: np.ndarray, arc_w: np.ndarray | None) -
         dist, parent = _forward_dp(dag, node_w, arc_w, None)
     else:
         order = np.asarray(order, dtype=np.int64)
-        rank = np.empty(n, dtype=dag.dst.dtype)
+        rank = np.empty(n, dtype=dag.targets.dtype)
         rank[order] = np.arange(n)
-        counts = np.diff(dag.indptr)[order]
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        # the out-arcs of order[0], then of order[1], ...: their positions in dag
-        pick = np.repeat(dag.indptr[:-1][order] - indptr[:-1], counts) + np.arange(dag.n_arcs)
-        relabelled = MatchDag.from_csr(node_w[order], indptr, rank[dag.dst[pick]])
+        relabelled = MatchDag.from_slices(node_w[order], dag.start[order], dag.stop[order], rank[dag.targets])
         dist, parent = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-        arc_w = None if arc_w is None else arc_w[pick]
         dist[order], parent[order] = _forward_dp(relabelled, relabelled.weights, arc_w, order)
     if n == 0:
         return LongestPathResult(0, (), dist, parent)

@@ -121,7 +121,8 @@ def build_gap_match_graph(query: bytes, graph: PangenomeGraph, gaps: GapParams) 
         ok = (dq > 0) & (dq <= k1) & np.isfinite(dg) & (dg <= k2)
         return ok & precedes(origin[ci[lo:hi, None]], ci[lo:hi, None], origin[ci], ci, True)
 
-    return _match_dag(qi, ci, _pair_arcs(len(qi), accept))
+    indptr, dst = _pair_arcs(len(qi), accept)
+    return _match_dag(qi, ci, indptr[:-1], indptr[1:], dst)
 
 
 def _by_letter(chars: np.ndarray) -> tuple[np.ndarray, dict[int, tuple[int, int]]]:

@@ -15,11 +15,12 @@ for the emitted :class:`Alignment`.  The product graph is materialized
 explicitly by this module's arc builder, :func:`match_arcs`, and solved
 by :mod:`panlcs.daglp`.  Matches are numbered in query order, so the
 out-arcs of a match are the suffix, past its query index, of the
-successor list of its character: each suffix is copied into one
-preallocated destination column, grouped by source (CSR), and the
-longest path needs neither a topological sort nor an arc sort.
-Time and memory grow with the arc count, up to the square of the match
-count, which is the documented scaling behavior of this solver.
+successor list of its character: the DAG holds the lists once and each
+match's out-arcs as a slice of them, and the longest path needs neither
+a topological sort nor an arc sort.  Memory follows the lists, at most
+(distinct characters) x (matches) entries; time follows the arc count,
+up to the square of the match count, which is the documented scaling
+behavior of this solver.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .daglp import _BLOCK_CELLS, MatchDag, _node_type, longest_path_vertex
+from .daglp import MatchDag, _node_type, longest_path_vertex
 from .graph import PangenomeGraph, build_char_graph, check_bytes, precedes, reachability
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -122,45 +123,47 @@ def match_points(query: bytes, graph: PangenomeGraph) -> tuple[np.ndarray, np.nd
     return np.nonzero(q[:, None] == build_char_graph(graph).chars[None, :])
 
 
-def _match_dag(qi: np.ndarray, ci: np.ndarray, csr: tuple[np.ndarray, ...]) -> MatchDag:
-    """Unit-weight DAG over the matches ``(qi, ci)`` with the CSR arcs
-    ``csr``; its payloads are one ``(qi, ci)`` row per node."""
+def _match_dag(qi: np.ndarray, ci: np.ndarray, start: np.ndarray, stop: np.ndarray, targets: np.ndarray) -> MatchDag:
+    """Unit-weight DAG over the matches ``(qi, ci)`` whose out-arcs are the
+    slices ``targets[start[x]:stop[x]]``; its payloads are one ``(qi, ci)``
+    row per node."""
     payloads = np.column_stack((qi, ci))
     payloads.flags.writeable = False
-    return MatchDag.from_csr(np.ones(len(qi), dtype=np.int64), *csr, payloads=payloads)
+    return MatchDag.from_slices(np.ones(len(qi), dtype=np.int64), start, stop, targets, payloads=payloads)
 
 
-def match_arcs(qi: np.ndarray, ci: np.ndarray, origin: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+_BLOCK_CELLS = 1 << 18  # characters x matches cells per block of the list build: its mask and cell indices stay below the lists
+
+
+def match_arcs(
+    qi: np.ndarray, ci: np.ndarray, origin: np.ndarray, reach: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arcs of the lcs product DAG over the matches ``(qi, ci)`` of query
     index and character id, numbered in query order: ``x -> y`` when
     ``qi[x] < qi[y]`` and :func:`~panlcs.graph.precedes` holds, with
     ``origin`` mapping a character to its vertex and ``reach`` as the
-    cross-vertex predicate.  Returns CSR arcs ``(indptr, dst)`` (see
-    :class:`MatchDag`), each source's destinations ascending.
+    cross-vertex predicate.  Returns the slices ``(start, stop, targets)``
+    of :meth:`MatchDag.from_slices`, each source's destinations ascending.
 
     The graph side depends only on the character of each end, and the
     out-arcs of ``x`` are the suffix, from ``first[x]``, the first match
     later in the query, of its character's successor list: the matches
     whose character it precedes, in index order, from the earliest
-    ``first`` among the character's matches on.  The lists are built a
-    block of characters at a time (characters x matches cells), a
-    character's row of the precedence table with its prefix before that
-    earliest ``first`` cleared; each match's slice is then copied into one
-    preallocated column.  Both allocations are refused past
-    :data:`~panlcs.graph.MAX_BYTES` before they are made.
-
-    A block's int64 cell indices are dropped as soon as its list is kept
-    at the node dtype, so the copy holds only the column, the lists, a few
-    int64 columns of one entry per match and the slice views of one copy
-    block.  On the 50-vertex stress graphs of the benchmark the build then
-    peaks at 1.22x the CSR bytes at |Q| = 115, and at 2.2x at |Q| = 50,
-    where one block's precedence mask and cell indices set the peak.
+    ``first`` among the character's matches on.  ``targets`` holds the
+    lists one after another, and each match's slice is its suffix of its
+    character's list: no arc is copied, so the DAG takes the lists' bytes,
+    however many arcs they hold.  The lists are built a block of
+    characters at a time (characters x matches cells), a character's row
+    of the precedence table with its prefix before that earliest ``first``
+    cleared, and are refused past :data:`~panlcs.graph.MAX_BYTES` before
+    any is made.  A block's precedence mask and int64 cell indices are
+    dropped as soon as its list is kept at the node dtype.
     """
     m = len(qi)
     first = np.searchsorted(qi, qi, "right")
     chars, key = np.unique(ci, return_inverse=True)
     n_keys, k_vert = len(chars), origin[chars]
-    node_type = _node_type(m)  # list entries are node indices, as in ``dst``
+    node_type = _node_type(m)  # list entries are node indices
     need = n_keys * m * node_type.itemsize
     check_bytes(need, f"lcs product DAG: lists of {n_keys} characters x {m} matches need up to {need} bytes")
     key_first = np.full(n_keys, m, dtype=np.int64)
@@ -168,10 +171,8 @@ def match_arcs(qi: np.ndarray, ci: np.ndarray, origin: np.ndarray, reach: np.nda
     by_key = np.argsort(key, kind="stable")
     key_ptr = np.searchsorted(key[by_key], np.arange(n_keys + 1))
 
-    # start/stop: each source's arc suffix within the concatenated lists
     start, stop = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
-    lists: list[np.ndarray] = [np.empty(0, dtype=node_type)]
-    base = 0
+    targets = np.empty(0, dtype=node_type)
     rows = max(1, _BLOCK_CELLS // max(m, 1))
     for ka in range(0, n_keys, rows):
         kb = min(ka + rows, n_keys)
@@ -186,26 +187,15 @@ def match_arcs(qi: np.ndarray, ci: np.ndarray, origin: np.ndarray, reach: np.nda
         del mask
         xs = by_key[key_ptr[ka] : key_ptr[kb]]
         row = key[xs] - ka
+        base = len(targets)
         start[xs] = base + np.searchsorted(flat, row * width + first[xs] - col)
         stop[xs] = base + np.searchsorted(flat, (row + 1) * width)
         flat %= max(width, 1)
         flat += col
-        lists.append(flat.astype(node_type))
-        base += len(flat)
+        targets.resize(base + len(flat), refcheck=False)  # realloc: no second copy of the lists is kept
+        targets[base:] = flat
         del flat  # only the node-dtype list outlives the block
-    succ = np.concatenate(lists)
-    del lists
-
-    indptr = np.concatenate(([0], np.cumsum(stop - start)))
-    need = int(indptr[-1]) * node_type.itemsize
-    check_bytes(need, f"lcs product DAG: {indptr[-1]} arcs need {need} bytes")
-    dst = np.empty(int(indptr[-1]), dtype=node_type)
-    block = max(1, _BLOCK_CELLS // 4096)  # sources per copy: their list of views stays near 0.2 MB
-    for a in range(0, m, block):  # one memory copy per source
-        b = min(a + block, m)
-        bounds = zip(start[a:b].tolist(), stop[a:b].tolist())
-        np.concatenate([succ[x:y] for x, y in bounds], out=dst[indptr[a] : indptr[b]])
-    return indptr, dst
+    return start, stop, targets
 
 
 def build_match_graph(query: bytes, graph: PangenomeGraph) -> MatchDag:
@@ -218,7 +208,7 @@ def build_match_graph(query: bytes, graph: PangenomeGraph) -> MatchDag:
     """
     reach = reachability(graph).matrix  # first: an oversized graph is refused before any matching
     qi, ci = match_points(query, graph)
-    dag = _match_dag(qi, ci, match_arcs(qi, ci, build_char_graph(graph).origin, reach))
+    dag = _match_dag(qi, ci, *match_arcs(qi, ci, build_char_graph(graph).origin, reach))
     log.info("product DAG: %d matches, %d arcs", dag.n_nodes, dag.n_arcs)
     return dag
 

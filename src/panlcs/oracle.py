@@ -7,6 +7,11 @@ DAGs, topological sorting, longest-path programs, dense matrices) is used,
 so an agreement between a solver and its oracle is meaningful evidence.
 The only pieces shared with the solvers are the input data types.
 
+Per-graph tables (character successors, reach masks, BFS distances,
+vertex reach sets, and the gap profiles of the last query) are memoized
+only for as long as their graph lives: they hang off a weak reference to
+it, so a dropped graph frees them, and no memo keeps a graph alive.
+
 The exhaustive oracles (subsequence enumeration, subset search) refuse
 an instance beyond the fixed caps :data:`MAX_QUERY`, :data:`MAX_VERTICES`,
 :data:`MAX_LABEL_TOTAL` and :data:`MAX_SEEDS` with :class:`OracleError`
@@ -18,7 +23,8 @@ and has no cap.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import weakref
+from functools import wraps
 from itertools import combinations
 from math import inf
 
@@ -64,12 +70,30 @@ def classic_lcs_dp(a: bytes, b: bytes) -> int:
     return prev[-1]
 
 
+_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # graph -> {name: (args, table)}
+
+
+def _per_graph(compute):
+    """``compute(graph, *args)``, kept for the last ``args`` as long as
+    ``graph`` lives."""
+
+    @wraps(compute)
+    def kept(graph: PangenomeGraph, *args):
+        tables = _tables.setdefault(graph, {})
+        entry = tables.get(compute.__name__)
+        if entry is None or entry[0] != args:
+            entry = tables[compute.__name__] = (args, compute(graph, *args))
+        return entry[1]
+
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # character-level machinery, rebuilt with plain BFS/DFS
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
+@_per_graph
 def _char_table(graph: PangenomeGraph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """(characters, successor lists) with one entry per label character."""
     chars: list[int] = []
@@ -86,7 +110,7 @@ def _char_table(graph: PangenomeGraph) -> tuple[tuple[int, ...], tuple[tuple[int
     return tuple(chars), tuple(tuple(s) for s in succ)
 
 
-@lru_cache(maxsize=512)
+@_per_graph
 def _char_reach_masks(graph: PangenomeGraph) -> tuple[int, ...]:
     """Per character node, the bitmask of nodes reachable by >= 1 arc."""
     _, succ = _char_table(graph)
@@ -104,7 +128,7 @@ def _char_reach_masks(graph: PangenomeGraph) -> tuple[int, ...]:
     return tuple(masks)
 
 
-@lru_cache(maxsize=512)
+@_per_graph
 def _char_bfs_dists(graph: PangenomeGraph) -> tuple[tuple[float, ...], ...]:
     """All-pairs minimum arc counts between character nodes, by BFS."""
     _, succ = _char_table(graph)
@@ -126,7 +150,7 @@ def _char_bfs_dists(graph: PangenomeGraph) -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=512)
+@_per_graph
 def _vertex_reach_sets(graph: PangenomeGraph) -> dict[str, frozenset[str]]:
     """Per vertex id, the ids reachable through >= 1 edge, by BFS."""
     out: dict[int, list[int]] = {k: [] for k in range(graph.n)}
@@ -168,7 +192,6 @@ def embeddable(s: bytes, graph: PangenomeGraph) -> bool:
     return _embeddable(s, graph)
 
 
-@lru_cache(maxsize=1 << 16)
 def _embeddable(s: bytes, graph: PangenomeGraph) -> bool:
     if not s:
         return True
@@ -218,11 +241,11 @@ def gap_profiles(query: bytes, graph: PangenomeGraph) -> tuple[tuple[int, int, f
     """
     _check_size(query, graph)
     _require_acyclic(graph)
-    return _gap_profiles(query, graph)
+    return _gap_profiles(graph, query)
 
 
-@lru_cache(maxsize=4096)
-def _gap_profiles(query: bytes, graph: PangenomeGraph) -> tuple[tuple[int, int, float], ...]:
+@_per_graph
+def _gap_profiles(graph: PangenomeGraph, query: bytes) -> tuple[tuple[int, int, float], ...]:
     chars, _ = _char_table(graph)
     dists = _char_bfs_dists(graph)
     by_char: dict[int, tuple[int, ...]] = {}

@@ -742,6 +742,25 @@ class TestInputReuse:
             assert refs[-1]() is not None and all(ref() is None for ref in refs[:-1])
         assert len(refs) == 3
 
+    @pytest.mark.parametrize("check", [[], ["--oracle-check"]], ids=["plain", "oracle-check"])
+    def test_dropped_graphs_are_freed(self, capsys, tmp_path, monkeypatch, check):
+        # the oracle's per-graph tables must not keep a graph alive once the
+        # store has dropped it
+        refs: list[weakref.ref] = []
+        original = panlcs.cli.parse_instance
+
+        def parse(data):
+            instance = original(data)
+            refs.append(weakref.ref(instance.graph))
+            return instance
+
+        monkeypatch.setattr(panlcs.cli, "parse_instance", parse)
+        for seed in range(1, 6):
+            folder = self.write(tmp_path / str(seed), _instance_files(seed))
+            assert run(capsys, ["lcs", "--json", *check, "--graph", str(folder / "g.tsv")])[0] == 0
+        panlcs.cli._last.clear()
+        assert len(refs) == 5 and all(ref() is None for ref in refs)
+
     def test_kept_arrays_are_read_only(self, capsys, tmp_path):
         folder = self.write(tmp_path / "a", GOOD_A)
         for name in ("lcs", "fglcs", "fglcs-k2-inf", "chain-len"):

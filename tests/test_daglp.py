@@ -287,17 +287,22 @@ def reversed_chain(n):
 
 
 class TestCsrLayout:
-    """The builders return int64 offsets over the n + 1 source bounds and
-    destinations of the narrowest unsigned dtype that spans n."""
+    """The builders return int64 slice bounds and destinations of the
+    narrowest unsigned dtype that spans n: the pair scan as CSR, the lcs
+    builder as suffixes of shared successor lists."""
 
     @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32)])
     def test_successor_copy(self, n, dtype):
-        # one vertex, every node at character 0 but the last: n - 1 arcs into it
+        # one vertex, every node at character 0 but the last: n - 1 arcs into
+        # it, all held by character 0's one-entry list
         q, ci = np.arange(n), np.zeros(n, dtype=np.int64)
         ci[-1] = 1
-        indptr, dst = match_arcs(q, ci, np.zeros(2, dtype=np.int64), np.zeros((1, 1), dtype=bool))
-        assert indptr.dtype == np.int64 and indptr.tolist() == list(range(n)) + [n - 1]
-        assert dst.dtype == dtype and (dst == n - 1).all()
+        start, stop, targets = match_arcs(q, ci, np.zeros(2, dtype=np.int64), np.zeros((1, 1), dtype=bool))
+        assert start.dtype == stop.dtype == np.int64
+        assert start.tolist() == [0] * (n - 1) + [1] and stop.tolist() == [1] * n
+        assert targets.dtype == dtype and targets.tolist() == [n - 1]
+        d = MatchDag.from_slices(np.ones(n), start, stop, targets)
+        assert d.n_arcs == n - 1 and d.arcs.tolist() == [[k, n - 1] for k in range(n - 1)]
 
     @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16)])
     def test_dense_scan(self, n, dtype):
@@ -344,17 +349,81 @@ class TestCsrLayout:
         off = np.array([0, 0, 1, 1, 2], dtype=np.int64)
         if q_start == sorted(q_start):
             ci = np.array([0, 3])[vert] + off  # characters of vertex 0 ("abc") then vertex 1 ("ab")
-            indptr, dst = match_arcs(q, ci, np.array([0, 0, 0, 1, 1]), np.ones((2, 2), dtype=bool))
+            start, stop, targets = match_arcs(q, ci, np.array([0, 0, 0, 1, 1]), np.ones((2, 2), dtype=bool))
         else:  # seeds out of query order: the seed DAG scans every pair
             g = parse_graph("V a abc\nV b ab\nE a b\nE b a\n")  # every vertex reaches every vertex
             seeds = [Seed(g.ids[v], f, f, j, j) for j, v, f in zip(q.tolist(), vert.tolist(), off.tolist())]
             seed_dag = build_seed_graph(seeds, g)
-            indptr, dst = seed_dag.indptr, seed_dag.dst
-        assert indptr.dtype == np.int64 and len(indptr) == 6 and dst.dtype == np.uint8
+            start, stop, targets = seed_dag.start, seed_dag.stop, seed_dag.targets
+            assert start[0] == 0 and start[1:].tolist() == stop[:-1].tolist() and stop[-1] == len(targets)  # CSR
+        assert start.dtype == stop.dtype == np.int64 and len(start) == len(stop) == 5 and targets.dtype == np.uint8
         expected = [
             [x, y] for x in range(5) for y in range(5) if q[x] < q[y] and (vert[x] != vert[y] or off[x] < off[y])
         ]
-        assert MatchDag.from_csr(np.ones(5), indptr, dst).arcs.tolist() == expected
+        assert MatchDag.from_slices(np.ones(5), start, stop, targets).arcs.tolist() == expected
+
+
+class TestSharedSlices:
+    """Out-arcs held as slices of one column, which may overlap, lie in any
+    order and descend, solve exactly as the same arcs given as pairs."""
+
+    # node 3 -> 2, 0, 1; node 2 -> 0, 1; node 1 -> 0: three slices of one
+    # column, each a suffix of the one before, the first descending inside
+    TARGETS = np.array([2, 0, 1], dtype=np.uint8)
+
+    def test_overlapping_descending_slices(self):
+        d = MatchDag.from_slices([1, 4, 2, 3], [3, 1, 1, 0], [3, 2, 3, 3], self.TARGETS)
+        assert d.n_arcs == 6 and d.arcs.tolist() == [[1, 0], [2, 0], [2, 1], [3, 2], [3, 0], [3, 1]]
+        pairs = MatchDag(d.weights, d.arcs)
+        assert topo_sort(d) == topo_sort(pairs) == [3, 2, 1, 0]  # every arc descends: the relabel path
+        res, expected = longest_path_vertex(d), longest_path_vertex(pairs)
+        assert (res.score, res.path) == (expected.score, expected.path) == (10, (3, 2, 1, 0))
+        assert res.dist.tolist() == expected.dist.tolist() and res.parent.tolist() == expected.parent.tolist()
+
+    def test_back_arc_inside_a_shared_slice(self):
+        # node 0 -> 2 closes the cycle 0 -> 2 -> 0 through node 2's slice
+        d = MatchDag.from_slices(np.ones(4), [0, 1, 1, 0], [1, 2, 3, 3], self.TARGETS)
+        for held in (d, MatchDag(d.weights, d.arcs)):
+            with pytest.raises(CycleError) as exc:
+                longest_path_vertex(held)
+            assert exc.value.arc == (0, 2)
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_random_slices_solve_as_their_pairs(self, data):
+        n = data.draw(st.integers(1, 7))
+        targets = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=10)), dtype=np.uint8)
+        bounds = [sorted(data.draw(st.lists(st.integers(0, len(targets)), min_size=2, max_size=2))) for _ in range(n)]
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        d = MatchDag.from_slices(weights, [a for a, _ in bounds], [b for _, b in bounds], targets)
+        assert d.arcs.tolist() == [[u, int(v)] for u, (a, b) in enumerate(bounds) for v in targets[a:b]]
+        pairs = MatchDag(weights, d.arcs)
+        try:
+            expected = longest_path_vertex(pairs)
+        except CycleError as exc:
+            with pytest.raises(CycleError) as held:
+                longest_path_vertex(d)
+            assert held.value.arc == exc.arc
+            return
+        res = longest_path_vertex(d)
+        assert topo_sort(d) == topo_sort(pairs)
+        assert (res.score, res.path, res.dist.tolist(), res.parent.tolist()) == (
+            expected.score, expected.path, expected.dist.tolist(), expected.parent.tolist())
+
+    @pytest.mark.parametrize(
+        "start, stop, targets, message",
+        [
+            ([0, 2], [1, 1], np.array([1, 0], dtype=np.uint8), "arc slices need"),  # start past stop
+            ([0, 0], [1, 3], np.array([1, 0], dtype=np.uint8), "arc slices need"),  # stop past the column
+            ([-1, 0], [1, 1], np.array([1, 0], dtype=np.uint8), "arc slices need"),  # negative start
+            ([0], [1], np.array([1, 0], dtype=np.uint8), "arc slices need"),  # one bound per node
+            ([0, 0], [1, 1], np.array([1, 0], dtype=np.int64), "arc slices need"),  # signed targets
+            ([0, 0], [0, 0], np.array([2], dtype=np.uint8), "arc endpoint 2 out of range"),  # even outside a slice
+        ],
+    )
+    def test_slices_checked(self, start, stop, targets, message):
+        with pytest.raises(DagError, match=message):
+            MatchDag.from_slices(np.ones(2), start, stop, targets)
 
 
 class TestRuns:
@@ -383,7 +452,7 @@ class TestArcConversion:
         assert d.arcs.tolist() == [[u, v] for u, v, _ in grouped]
         if arc_tuples:
             assert d.arc_weights.tolist() == [w for *_, w in grouped]
-        assert d.dst.dtype == np.min_scalar_type(len(weights)) and d.indptr.dtype == np.int64
+        assert d.targets.dtype == np.min_scalar_type(len(weights)) and d.start.dtype == d.stop.dtype == np.int64
         # the reference reads the arcs as drawn, not as converted
         drawn_dag = SimpleNamespace(
             n_nodes=len(weights),
@@ -402,7 +471,7 @@ class TestArcConversion:
     def test_no_arcs(self, n):
         for arcs in ([], np.empty((0, 2), dtype=np.int64)):
             d = MatchDag(weights=np.ones(n), arcs=arcs)
-            assert d.indptr.tolist() == [0] * (n + 1) and d.n_arcs == 0 and d.arcs.shape == (0, 2)
+            assert d.start.tolist() == d.stop.tolist() == [0] * n and d.n_arcs == 0 and d.arcs.shape == (0, 2)
             assert longest_path_vertex(d).score == min(n, 1)
 
     @pytest.mark.parametrize("arcs", [[(0, 2, 4), (1, 2, 1), (0, 2, 6)], [(2, 0, 4), (1, 0, 1), (2, 0, 6)]])
@@ -416,7 +485,7 @@ class TestArcConversion:
     @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32)])
     def test_destination_dtype_at_its_bounds(self, n, dtype):
         d = reversed_chain(n)
-        assert d.dst.dtype == dtype and d.arcs.tolist() == [[k + 1, k] for k in range(n - 1)]
+        assert d.targets.dtype == dtype and d.arcs.tolist() == [[k + 1, k] for k in range(n - 1)]
         res = longest_path_vertex(d)
         assert res.score == n and res.path[0] == n - 1 and res.path[-1] == 0
         assert res.dist.tolist() == list(range(n, 0, -1))

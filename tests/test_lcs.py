@@ -5,6 +5,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from panlcs import daglp, lcs
@@ -13,6 +14,7 @@ from panlcs import (
     AlignmentError,
     CycleError,
     GraphError,
+    MatchDag,
     Seed,
     longest_path_vertex,
     parse_graph,
@@ -25,7 +27,9 @@ from panlcs.lcs import build_match_graph
 from panlcs.oracle import classic_lcs_dp, embeddable, lcs_sg_bruteforce
 from test_acceptance import stress_instance
 
-BLOCK_BUDGETS = [lcs._BLOCK_CELLS, 7, 1]
+# list-build budgets: far past any instance drawn here (every list in one
+# block), the default, and tiny ones that split the lists a few keys a block
+BLOCK_BUDGETS = [4_000_000, lcs._BLOCK_CELLS, 7, 1]
 
 TWO_VERTEX = parse_graph("V a ab\nV b ba\nE a b\n")
 
@@ -72,8 +76,7 @@ class TestBuildMatchGraph:
     @given(g=helpers.graphs(max_n=4, max_label=3, acyclic=False), q=helpers.queries(max_len=7))
     @settings(max_examples=60)
     def test_arc_list_in_scan_order(self, block_cells, g, q):
-        # a tiny block budget builds the successor lists a few keys at a
-        # time and copies the arcs a few sources at a time
+        # a tiny block budget builds the successor lists a few keys at a time
         with patch.object(lcs, "_BLOCK_CELLS", block_cells):
             dag = build_match_graph(q, g)
         assert dag.arcs.tolist() == [list(a) for a in sorted(helpers.h_arcs_by_rule(q, g))]
@@ -110,6 +113,18 @@ class TestBuildMatchGraph:
         assert dag.arcs.dtype == np.int64 and dag.arcs.shape == (sum(out_degrees), 2)
         assert np.bincount(dag.arcs[:, 0], minlength=dag.n_nodes).tolist() == out_degrees
 
+    @pytest.mark.parametrize("acyclic", [True, False], ids=["acyclic", "cyclic"])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_slices_solve_as_their_pairs(self, acyclic, data):
+        # the matches' suffixes of shared lists, and the same arcs as pairs
+        g = data.draw(helpers.graphs(max_n=4, max_label=3, acyclic=acyclic))
+        q = data.draw(helpers.queries(max_len=7))
+        dag = build_match_graph(q, g)
+        res, expected = longest_path_vertex(dag), longest_path_vertex(MatchDag(dag.weights, dag.arcs))
+        assert (res.score, res.path, res.dist.tolist(), res.parent.tolist()) == (
+            expected.score, expected.path, expected.dist.tolist(), expected.parent.tolist())
+
     @given(helpers.graphs(max_n=4, max_label=3, acyclic=False), helpers.queries(max_len=6))
     @settings(max_examples=60)
     def test_always_a_dag_even_on_cyclic_inputs(self, g, q):
@@ -122,7 +137,14 @@ class TestBuildMatchGraph:
 
 
 def csr_bytes(dag):
-    return dag.indptr.nbytes + dag.dst.nbytes
+    """The bytes ``dag``'s arcs would take as CSR: n + 1 int64 offsets and
+    one destination an arc."""
+    return (dag.n_nodes + 1) * 8 + dag.n_arcs * dag.targets.itemsize
+
+
+def held_bytes(dag):
+    """The bytes of ``dag``'s arc slices: their bounds and shared column."""
+    return dag.start.nbytes + dag.stop.nbytes + dag.targets.nbytes
 
 
 def traced_build_and_solve(query, graph):
@@ -145,10 +167,13 @@ def traced_build_and_solve(query, graph):
 class TestProductDagMemory:
     def test_peaks_at_stress_scale(self):
         # 17.4 M arcs: 279 MB as int64 pairs, 35 MB as CSR with uint16
-        # destinations; a source column or any (m, 2) array would show
+        # destinations, 2.8 MB as suffixes of the successor lists; a copy of
+        # each match's suffix, a source column or any (m, 2) array would show
         g, _, q200 = stress_instance()
         dag, build_peak, solve_extra = traced_build_and_solve(q200, g)
-        assert dag.n_arcs == 17_440_087 and dag.dst.dtype == np.uint16
+        assert dag.n_arcs == 17_440_087 and dag.targets.dtype == np.uint16
+        assert held_bytes(dag) < 0.1 * csr_bytes(dag)
+        assert build_peak <= 0.25 * csr_bytes(dag)
         assert build_peak <= 1.3 * csr_bytes(dag)
         assert build_peak < 0.25 * 16 * dag.n_arcs
         assert solve_extra < csr_bytes(dag) / 3  # no whole-array pass over the arcs
@@ -156,17 +181,20 @@ class TestProductDagMemory:
     @pytest.mark.parametrize("length, bound", [(115, 1.4), (50, 2.4)])
     def test_peaks_at_benchmark_scale(self, length, bound):
         # the benchmark's lcs requests: a 50-vertex stress graph and a random
-        # query over its eight letters.  Every successor list fits in one
-        # character block, so the build peaks at the arc copy (|Q| = 115) or
-        # at the block's precedence mask and cell indices (|Q| = 50); cell
-        # indices held through the copy would show (1.8x at |Q| = 115, 3.0x
-        # at |Q| = 50)
+        # query over its eight letters.  The successor lists take several
+        # character blocks, each block's precedence mask (a byte a cell)
+        # smaller than the lists, so the build peaks at the last block, with
+        # nearly all the lists, one block's mask and cell indices and a few
+        # int64 columns of one entry per match alive (0.22x the CSR at
+        # |Q| = 115, 0.65x at |Q| = 50); blocks of 1 M cells would show
+        # (0.42x at |Q| = 115)
         gen, rng = helpers.benchmark_generators(), random.Random(length)
         g = helpers.program_graph(gen.stress_graph(rng, letters=b"abcdefgh"))
         dag, build_peak, solve_extra = traced_build_and_solve(gen.random_text(rng, b"abcdefgh", length), g)
-        assert g.total_label_length * dag.n_nodes <= lcs._BLOCK_CELLS  # one block, whatever the characters
+        assert lcs._BLOCK_CELLS < dag.targets.nbytes < g.total_label_length * dag.n_nodes  # several blocks
         assert build_peak <= bound * csr_bytes(dag)
         if length == 115:
+            assert build_peak <= 0.25 * csr_bytes(dag)
             assert solve_extra < csr_bytes(dag) / 3
 
     def test_dense_scan_peak(self):
@@ -195,17 +223,18 @@ class TestProductDagMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(seeds) == 6_227 and dag.n_arcs == 4_061_882 and dag.dst.dtype == np.uint16
+        assert len(seeds) == 6_227 and dag.n_arcs == 4_061_882 and dag.targets.dtype == np.uint16
         assert peak <= 2.25 * csr_bytes(dag)
 
 
 class TestRefusal:
-    """The product DAG's two large allocations are refused past
-    ``graph.MAX_BYTES`` before they are made."""
+    """The product DAG's successor lists, and each run's gathered arcs in
+    its solve, are refused past ``graph.MAX_BYTES`` before they are made."""
 
     # two one-letter vertices on a cycle and the query "aaaaaa": 12 matches
     # over 2 characters, 2 x 12 one-byte list entries, and 30 arcs (every
-    # pair of query positions, in either direction between the vertices)
+    # pair of query positions, in either direction between the vertices);
+    # the first query row's 2 matches have the most, 10
     CYCLE = parse_graph("V a a\nV b a\nE a b\nE b a\n")
 
     def test_successor_lists(self, monkeypatch):
@@ -215,11 +244,13 @@ class TestRefusal:
             build_match_graph(b"aaaaaa", self.CYCLE)
 
     def test_arc_column(self, monkeypatch):
-        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 24)
-        with pytest.raises(GraphError, match=r"^lcs product DAG: 30 arcs need 30 bytes, over the limit of 24$"):
+        # a run's arcs gathered: one-byte destinations and int64 keys
+        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 89)
+        assert build_match_graph(b"aaaaaa", self.CYCLE).n_arcs == 30  # no arc column is built
+        with pytest.raises(GraphError, match=r"^longest path: a run's 10 arcs need 90 bytes, over the limit of 89$"):
             solve_lcs_sg(b"aaaaaa", self.CYCLE)
-        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 30)
-        assert build_match_graph(b"aaaaaa", self.CYCLE).n_arcs == 30
+        monkeypatch.setattr("panlcs.graph.MAX_BYTES", 90)
+        assert solve_lcs_sg(b"aaaaaa", self.CYCLE).score == 6
 
 
 class TestSolve:
